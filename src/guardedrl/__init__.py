@@ -61,6 +61,7 @@ from .sampling import (
     HybridBatch,
     OfflineDataset,
     OnlineBuffer,
+    TransitionBatch,
     TransitionRecord,
     derive_bc_policy,
     dss_mixing,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .guardian import STARVATION_EPS
 from .mdp import SafetySpec
-from .sampling import TransitionRecord
+from .sampling import TransitionBatch, TransitionRecord
 
 ENTROPY_BONUS = "bonus"  # backup adds +alpha * H (soft-value convention)
 ENTROPY_PENALTY = "penalty"  # backup subtracts alpha * H
@@ -154,17 +154,8 @@ def pessimistic_q(ens: QEnsemble, s: int, a: int, use_targets: bool = False) -> 
     return float(tables[:, s, a].min())
 
 
-def _batch_arrays(batch: Sequence[TransitionRecord]) -> tuple[np.ndarray, ...]:
-    s = np.array([tr.s for tr in batch], dtype=np.int64)
-    a = np.array([tr.a_exec for tr in batch], dtype=np.int64)
-    r = np.array([tr.r for tr in batch], dtype=np.float64)
-    s_next = np.array([tr.s_next for tr in batch], dtype=np.int64)
-    done = np.array([tr.done for tr in batch], dtype=bool)
-    return s, a, r, s_next, done
-
-
 def compute_targets(
-    batch: Sequence[TransitionRecord],
+    batch: TransitionBatch,
     pol: PolicyTable,
     ens: QEnsemble,
     spec: SafetySpec,
@@ -177,9 +168,9 @@ def compute_targets(
     and the raw softmax policy in unguarded mode; terminal transitions
     get y = r. sign is +1 under entropy_sign "bonus", -1 under "penalty".
     """
-    if not batch:
+    if not len(batch):
         raise ValueError("batch must be non-empty")
-    _, _, r, s_next, done = _batch_arrays(batch)
+    r, s_next, done = batch.r, batch.s_next, batch.done
     logp = log_softmax(pol.logits[s_next])
     probs = np.exp(logp)
     starved_count = 0
@@ -213,7 +204,7 @@ def compute_guarded_target(
     cfg: LearnerConfig,
 ) -> float:
     """Backup target for a single transition (see compute_targets)."""
-    y, _ = compute_targets([tr], pol, ens, spec, cfg)
+    y, _ = compute_targets(TransitionBatch.from_records([tr]), pol, ens, spec, cfg)
     return float(y[0])
 
 
@@ -230,7 +221,7 @@ def _occurrence_rounds(keys: np.ndarray) -> np.ndarray:
 
 def update_critics(
     ens: QEnsemble,
-    batch: Sequence[TransitionRecord],
+    batch: TransitionBatch,
     targets: Sequence[float],
     cfg: LearnerConfig,
 ) -> np.ndarray:
@@ -243,11 +234,11 @@ def update_critics(
     distinct table entries do not interact). Returns the pre-update mean
     squared Bellman error per member.
     """
-    if not batch:
+    if not len(batch):
         raise ValueError("batch must be non-empty")
     if len(batch) != len(targets):
         raise ValueError("batch and targets must have equal length")
-    s, a, _, _, _ = _batch_arrays(batch)
+    s, a = batch.s, batch.a
     y = np.asarray(targets, dtype=np.float64)
     values = ens.members[:, s, a]
     losses = ((values - y[None, :]) ** 2).mean(axis=1)
@@ -320,15 +311,14 @@ def soft_update_targets(ens: QEnsemble, tau: float) -> None:
         ens.targets += tau * (ens.members - ens.targets)
 
 
-def ensemble_variance(ens: QEnsemble, batch: Sequence[TransitionRecord]) -> float:
+def ensemble_variance(ens: QEnsemble, batch: TransitionBatch) -> float:
     """Mean over the batch of the population variance across member values.
 
     Tracks epistemic uncertainty at the sampled (s, a) pairs.
     """
-    if not batch:
+    if not len(batch):
         raise ValueError("batch must be non-empty")
-    s, a, _, _, _ = _batch_arrays(batch)
-    values = ens.members[:, s, a]
+    values = ens.members[:, batch.s, batch.a]
     return float(values.var(axis=0, ddof=0).mean())
 
 

@@ -23,25 +23,19 @@ import numpy as np
 from .guardian import project_action
 from .learner import LearnerConfig, PolicyTable, QEnsemble, compute_targets
 from .mdp import SafetySpec, TabularMdp, solve_guarded_value_iteration
-from .sampling import TransitionRecord
+from .sampling import TransitionBatch, TransitionRecord
 
 
 class VisitationStats:
-    """Per-state and per-(state, action) execution counts plus a hashed-state set.
-
-    The hashed set degenerates to exact state identity at tabular scale;
-    the set interface is what generalizes.
-    """
+    """Per-state and per-(state, action) execution counts."""
 
     def __init__(self, num_states: int, num_actions: int):
         self.state_counts = np.zeros(num_states, dtype=np.int64)
         self.sa_counts = np.zeros((num_states, num_actions), dtype=np.int64)
-        self.visited: set[int] = set()
 
     def record(self, s: int, a: int) -> None:
         self.state_counts[s] += 1
         self.sa_counts[s, a] += 1
-        self.visited.add(hash(s))
 
     @property
     def total(self) -> int:
@@ -50,7 +44,7 @@ class VisitationStats:
 
 def coverage_count(stats: VisitationStats) -> int:
     """Number of distinct states visited so far."""
-    return len(stats.visited)
+    return int(np.count_nonzero(stats.state_counts))
 
 
 def visitation_entropy(stats: VisitationStats) -> float:
@@ -63,7 +57,7 @@ def visitation_entropy(stats: VisitationStats) -> float:
 
 
 def td_error_stats(
-    batch: Sequence[TransitionRecord],
+    batch: TransitionBatch,
     ens: QEnsemble,
     pol: PolicyTable,
     spec: SafetySpec,
@@ -75,13 +69,10 @@ def td_error_stats(
     so the number tracks how far the pessimistic estimate sits from its
     own bootstrap.
     """
-    if not batch:
+    if not len(batch):
         raise ValueError("batch must be non-empty")
     y, _ = compute_targets(batch, pol, ens, spec, cfg)
-    qmin = ens.min_members()
-    s = np.array([tr.s for tr in batch])
-    a = np.array([tr.a_exec for tr in batch])
-    return float(np.abs(qmin[s, a] - y).mean())
+    return float(np.abs(ens.min_members()[batch.s, batch.a] - y).mean())
 
 
 def support_kl(

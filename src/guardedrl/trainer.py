@@ -261,12 +261,6 @@ def measure_ttfv(
     return float(statistics.median(firsts))
 
 
-def _null_if_nan(x: float | None) -> float | None:
-    if x is None:
-        return None
-    return float(x)
-
-
 def run_training(
     cfg: RunConfig,
     offline: OfflineDataset | None = None,
@@ -320,8 +314,8 @@ def run_training(
         lam = dss_mixing(step, cfg.dss) if cfg.total_steps > 0 else cfg.dss.lambda_min
         delta = dts_interval(step, cfg.dts) if cfg.total_steps > 0 else cfg.dts.delta_min
         probe = sample_hybrid_batch(offline, buffer, lam, delta, cfg.batch_size, rng_probe)
-        td = td_error_stats(probe.records, ens, pol, spec, learner_cfg)
-        variance = ensemble_variance(ens, probe.records)
+        td = td_error_stats(probe.transitions, ens, pol, spec, learner_cfg)
+        variance = ensemble_variance(ens, probe.transitions)
         if interval_records:
             pre_rate, near_rate = shadow_rates(interval_records, spec)
         else:
@@ -345,15 +339,15 @@ def run_training(
                 "delta": int(delta),
                 "td_error": float(td),
                 "ensemble_variance": float(variance),
-                "actor_loss": _null_if_nan(last_actor_loss),
+                "actor_loss": last_actor_loss,
                 "executed_violations": executed_violations,
-                "pre_guard_violation_rate": _null_if_nan(pre_rate),
-                "near_miss_rate": _null_if_nan(near_rate),
+                "pre_guard_violation_rate": pre_rate,
+                "near_miss_rate": near_rate,
                 "eval_return": float(evaluation.mean_return),
                 "eval_violations": evaluation.violations,
                 "ttfv": float(ttfv),
                 "coverage": coverage_count(stats),
-                "visitation_entropy": _null_if_nan(entropy),
+                "visitation_entropy": entropy,
                 "starvation_events": starvation_events,
             }
         )
@@ -388,12 +382,11 @@ def run_training(
         for _ in range(cfg.updates_per_step):
             batch = sample_hybrid_batch(offline, buffer, lam, delta, cfg.batch_size, rng_sample)
             offline_fallbacks += batch.fallback_count
-            targets, starved = compute_targets(batch.records, pol, ens, spec, learner_cfg)
+            transitions = batch.transitions
+            targets, starved = compute_targets(transitions, pol, ens, spec, learner_cfg)
             starvation_events += starved
-            update_critics(ens, batch.records, targets, learner_cfg)
-            last_actor_loss = update_actor(
-                pol, [tr.s for tr in batch.records], ens, learner_cfg
-            )
+            update_critics(ens, transitions, targets, learner_cfg)
+            last_actor_loss = update_actor(pol, transitions.s, ens, learner_cfg)
             soft_update_targets(ens, learner_cfg.tau)
 
         if step % cfg.eval_every == 0 or step == cfg.total_steps:
@@ -421,9 +414,7 @@ def run_training(
         "final_ensemble_variance": last["ensemble_variance"],
         "final_ttfv": last["ttfv"],
         "coverage": coverage_count(stats),
-        "visitation_entropy": _null_if_nan(
-            visitation_entropy(stats) if stats.total > 0 else None
-        ),
+        "visitation_entropy": visitation_entropy(stats) if stats.total > 0 else None,
         "support_kl": float(support_kl(pol.all_probs(), bc, weights)),
         "action_novelty_rate": float(
             action_novelty_rate(pol.all_probs(), bc, list(range(mdp.num_states)))

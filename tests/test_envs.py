@@ -1,5 +1,7 @@
 """Gridworld construction, random-MDP generation, and rollout collection."""
 
+from itertools import groupby
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -189,7 +191,8 @@ class TestCollectOfflineDataset:
         behavior[:, RIGHT] = 1.0
         ds = collect_offline_dataset(mdp, safety, behavior, n_episodes=5, max_ep_len=10,
                                      seed=3, start_state=spec.start_state)
-        episodes = [[(r.s, r.a_exec, r.s_next, r.done) for r in ep] for ep in ds.episodes]
+        episodes = [[(r.s, r.a_exec, r.s_next, r.done) for r in ep]
+                    for _, ep in groupby(ds.records(), key=lambda r: r.episode)]
         assert all(ep == episodes[0] for ep in episodes)
         assert episodes[0][-1][3] is True
 
@@ -235,9 +238,8 @@ class TestCollectOfflineDataset:
             p = p @ chain
 
         counts = np.zeros((n, 2, n_episodes))
-        for ep_idx, ep in enumerate(ds.episodes):
-            for record in ep:
-                counts[record.s, record.a_exec, ep_idx] += 1.0
+        for record in ds.records():
+            counts[record.s, record.a_exec, record.episode] += 1.0
         mean = counts.mean(axis=2)
         stderr = counts.std(axis=2, ddof=1) / np.sqrt(n_episodes)
         assert np.all(np.abs(mean - expected) <= 3.0 * stderr + 1e-9)

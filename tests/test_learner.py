@@ -26,7 +26,7 @@ from guardedrl.learner import (
     update_critics,
 )
 from guardedrl.mdp import SafetySpec
-from guardedrl.sampling import TransitionRecord
+from guardedrl.sampling import TransitionBatch, TransitionRecord
 
 
 def make_spec(safe, dim=None):
@@ -36,6 +36,10 @@ def make_spec(safe, dim=None):
 
 def tr(s=0, a=0, r=0.0, s_next=0, done=False, t=0, ep=0):
     return TransitionRecord(s=s, a_exec=a, r=r, s_next=s_next, done=done, t=t, episode=ep)
+
+
+def cols(records):
+    return TransitionBatch.from_records(records)
 
 
 def finite_difference_gradient(logits_row, qmin_row, alpha, h=1e-6):
@@ -141,21 +145,21 @@ class TestComputeGuardedTarget:
         pol = PolicyTable(np.array([[60.0, -60.0]]))  # all mass on the unsafe action
         ens = QEnsemble.init_random(1, 2, rng=np.random.default_rng(0))
         cfg = LearnerConfig(gamma=0.9)
-        _, starved = compute_targets([tr(s_next=0)], pol, ens, spec, cfg)
+        _, starved = compute_targets(cols([tr(s_next=0)]), pol, ens, spec, cfg)
         assert starved == 1
 
 
 class TestUpdateCritics:
     def test_no_change_when_already_at_target(self):
         ens = QEnsemble(members=np.full((2, 1, 1), 3.0), targets=np.full((2, 1, 1), 3.0))
-        losses = update_critics(ens, [tr()], [3.0], LearnerConfig())
+        losses = update_critics(ens, cols([tr()]), [3.0], LearnerConfig())
         np.testing.assert_array_equal(losses, [0.0, 0.0])
         assert np.all(ens.members == 3.0)
 
     def test_full_step_sets_value_exactly(self):
         ens = QEnsemble(members=np.zeros((2, 1, 1)), targets=np.zeros((2, 1, 1)))
         cfg = LearnerConfig(critic_lr=1.0)
-        losses = update_critics(ens, [tr()], [7.0], cfg)
+        losses = update_critics(ens, cols([tr()]), [7.0], cfg)
         np.testing.assert_array_equal(losses, [49.0, 49.0])
         assert np.all(ens.members[:, 0, 0] == 7.0)
 
@@ -166,7 +170,7 @@ class TestUpdateCritics:
         ens = QEnsemble(members=members.copy(), targets=members.copy())
         batch = [tr(s=0, a=1), tr(s=2, a=0), tr(s=0, a=1), tr(s=0, a=1), tr(s=2, a=0)]
         ys = rng.normal(size=len(batch))
-        update_critics(ens, batch, ys, cfg)
+        update_critics(ens, cols(batch), ys, cfg)
 
         # Oracle: replay the per-sample fold one record at a time.
         expected = members.copy()
@@ -179,7 +183,7 @@ class TestUpdateCritics:
     def test_length_mismatch_rejected(self):
         ens = QEnsemble.init_random(2, 2, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            update_critics(ens, [tr()], [1.0, 2.0], LearnerConfig())
+            update_critics(ens, cols([tr()]), [1.0, 2.0], LearnerConfig())
 
 
 class TestUpdateActor:
@@ -287,13 +291,13 @@ class TestSoftUpdateTargets:
 class TestEnsembleVariance:
     def test_identical_members_zero(self):
         ens = QEnsemble(members=np.full((3, 2, 2), 1.5), targets=np.full((3, 2, 2), 1.5))
-        assert ensemble_variance(ens, [tr()]) == 0.0
+        assert ensemble_variance(ens, cols([tr()])) == 0.0
 
     def test_two_member_population_variance(self):
         members = np.zeros((2, 1, 1))
         members[1] = 2.0
         ens = QEnsemble(members=members, targets=members.copy())
-        assert ensemble_variance(ens, [tr(), tr()]) == 1.0
+        assert ensemble_variance(ens, cols([tr(), tr()])) == 1.0
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(9)
@@ -305,7 +309,7 @@ class TestEnsembleVariance:
             vals = [members[i, record.s, record.a_exec] for i in range(4)]
             mean = sum(vals) / 4
             per_pair.append(sum((v - mean) ** 2 for v in vals) / 4)
-        assert ensemble_variance(ens, batch) == pytest.approx(np.mean(per_pair), abs=1e-12)
+        assert ensemble_variance(ens, cols(batch)) == pytest.approx(np.mean(per_pair), abs=1e-12)
 
 
 class TestCheckpoint:
@@ -335,8 +339,8 @@ class TestCheckpoint:
 
         batch = [tr(s=s % 3, a=s % 2, r=0.5, s_next=(s + 1) % 3) for s in range(6)]
         for p, e, c in ((pol, ens, cfg), (pol2, ens2, cfg2)):
-            ys, _ = compute_targets(batch, p, e, spec, c)
-            update_critics(e, batch, ys, c)
+            ys, _ = compute_targets(cols(batch), p, e, spec, c)
+            update_critics(e, cols(batch), ys, c)
             update_actor(p, [b.s for b in batch], e, c)
             soft_update_targets(e, c.tau)
         np.testing.assert_array_equal(ens.members, ens2.members)

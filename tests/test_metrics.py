@@ -29,7 +29,7 @@ from guardedrl.metrics import (
     visitation_entropy,
 )
 from guardedrl.mdp import SafetySpec, solve_guarded_value_iteration
-from guardedrl.sampling import OfflineDataset, TransitionRecord
+from guardedrl.sampling import OfflineDataset, TransitionBatch, TransitionRecord
 
 
 def tr(s=0, a=0, r=0.0, s_next=0, done=False, t=0, ep=0, a_prop=None):
@@ -87,7 +87,7 @@ class TestTdErrorStats:
         ens = QEnsemble(members=np.zeros((2, 3, 2)), targets=np.zeros((2, 3, 2)))
         pol = PolicyTable.zeros(3, 2)
         cfg = LearnerConfig(gamma=0.0)
-        batch = [tr(r=1.0), tr(r=-2.0), tr(r=0.5)]
+        batch = TransitionBatch.from_records([tr(r=1.0), tr(r=-2.0), tr(r=0.5)])
         assert td_error_stats(batch, ens, pol, spec, cfg) == pytest.approx(3.5 / 3)
 
     def test_converged_q_on_deterministic_mdp(self):
@@ -108,7 +108,7 @@ class TestTdErrorStats:
         behavior[:, RIGHT] = 1.0
         ds = collect_offline_dataset(mdp, spec, behavior, n_episodes=3, max_ep_len=10,
                                      seed=0, start_state=grid.start_state)
-        batch = [ds.record(i) for i in range(len(ds))]
+        batch = ds.transitions
         cfg = LearnerConfig(gamma=0.9, alpha=0.0)
         assert td_error_stats(batch, ens, pol, spec, cfg) <= 1e-9
 
@@ -141,9 +141,8 @@ class TestTdErrorStats:
                     probs @ qmin_targets[record.s_next] + cfg.alpha * safe_entropy(probs)
                 )
             errors.append(abs(qmin_members[record.s, record.a_exec] - y))
-        assert td_error_stats(batch, ens, pol, spec, cfg) == pytest.approx(
-            np.mean(errors), abs=1e-12
-        )
+        observed = td_error_stats(TransitionBatch.from_records(batch), ens, pol, spec, cfg)
+        assert observed == pytest.approx(np.mean(errors), abs=1e-12)
 
 
 class TestSupportKl:

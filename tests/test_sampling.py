@@ -97,7 +97,7 @@ class TestOnlineBuffer:
         off = OfflineDataset([chain_episode(0, 3)])
         batch = sample_hybrid_batch(off, buf, lam=1.0, delta=1, batch_size=1,
                                     rng=np.random.default_rng(0))
-        assert batch.records[0].s == 9
+        assert batch.transitions.s[0] == 9
         assert batch.online_mask.all()
 
     def test_window_respects_episode_boundary_with_eviction(self):
@@ -106,11 +106,10 @@ class TestOnlineBuffer:
             buf.append(record)
         # Oldest three of episode 0 evicted; buffer = [ep0 t3, ep1 t0..t2].
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            drawn = buf.window_draw(0, delta=10, rng=rng)
-            assert drawn.episode == 0
-            drawn = buf.window_draw(1, delta=10, rng=rng)
-            assert drawn.episode == 1
+        drawn = buf.take(buf.window_positions(np.zeros(50, dtype=np.int64), delta=10, rng=rng))
+        assert np.all(drawn.episode == 0)
+        drawn = buf.take(buf.window_positions(np.ones(50, dtype=np.int64), delta=10, rng=rng))
+        assert np.all(drawn.episode == 1)
 
 
 class TestOfflineDataset:
@@ -142,6 +141,16 @@ class TestOfflineDataset:
                 b.s, b.a_exec, b.r, b.s_next, b.done, b.t, b.episode
             )
 
+    def test_jsonl_line_format(self, tmp_path):
+        ds = OfflineDataset([[tr(s=5, a=3, r=-0.02, s_next=6, t=0, ep=0),
+                              tr(s=6, a=1, r=1.0, s_next=7, done=True, t=1, ep=0)]])
+        path = tmp_path / "data.jsonl"
+        ds.save_jsonl(path)
+        assert path.read_text() == (
+            '{"s": 5, "a": 3, "r": -0.02, "s2": 6, "done": false, "t": 0, "ep": 0}\n'
+            '{"s": 6, "a": 1, "r": 1.0, "s2": 7, "done": true, "t": 1, "ep": 0}\n'
+        )
+
     def test_loader_validates_continuity(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(
@@ -154,10 +163,87 @@ class TestOfflineDataset:
     def test_window_stays_inside_episode(self):
         ds = OfflineDataset([chain_episode(0, 4), chain_episode(1, 6, start=20)])
         rng = np.random.default_rng(2)
-        for _ in range(100):
-            drawn = ds.window_draw(2, delta=50, rng=rng)  # anchor: episode 0, t=2
-            assert drawn.episode == 0
-            assert drawn.t >= 2
+        anchors = np.full(100, 2)  # anchor: episode 0, t=2
+        drawn = ds.take(ds.window_positions(anchors, delta=50, rng=rng))
+        assert np.all(drawn.episode == 0)
+        assert np.all(drawn.t >= 2)
+
+
+def forward_run(records, anchor, delta):
+    """Reference window: the anchor's same-episode, consecutive-t run, at most delta long."""
+    first = records[anchor]
+    span = 1
+    while span < delta and anchor + span < len(records):
+        nxt = records[anchor + span]
+        if nxt.episode != first.episode or nxt.t != first.t + span:
+            break
+        span += 1
+    return set(range(anchor, anchor + span))
+
+
+def drawn_windows(store, delta, seeds=200):
+    """For each anchor, the set of positions window_positions returns over many seeds."""
+    anchors = np.arange(len(store))
+    seen = [set() for _ in anchors]
+    for seed in range(seeds):
+        positions = store.window_positions(anchors, delta, np.random.default_rng(seed))
+        for anchor, pos in zip(anchors, positions.tolist()):
+            seen[anchor].add(pos)
+    return seen
+
+
+def assert_columns_match_records(batch, records):
+    assert len(batch) == len(records)
+    for i, record in enumerate(records):
+        assert batch.record(i) == TransitionRecord(
+            s=record.s, a_exec=record.a_exec, r=record.r, s_next=record.s_next,
+            done=record.done, t=record.t, episode=record.episode,
+        )
+
+
+class TestWindowSupport:
+    """Every anchor draws exactly its expected window in both stores."""
+
+    # Episode lengths include length-1 episodes; none divides the ring capacity.
+    LENGTHS = (3, 1, 4, 1, 2, 5, 1, 3)
+
+    def episodes(self):
+        episodes, start = [], 0
+        for ep, length in enumerate(self.LENGTHS):
+            episodes.append(chain_episode(ep, length, start=start))
+            start += length + 1
+        return episodes
+
+    @pytest.mark.parametrize("delta", [1, 3, 10])
+    def test_ring_windows_at_every_fill_level(self, delta):
+        buf = OnlineBuffer(capacity=7)
+        arrivals = [record for ep in self.episodes() for record in ep]
+        # Same episode id but a gap in t: the window must stop at the gap too.
+        arrivals += [tr(s=90, s_next=91, t=0, ep=50), tr(s=91, s_next=92, t=1, ep=50),
+                     tr(s=95, s_next=96, t=5, ep=50)]
+        for n, record in enumerate(arrivals, start=1):
+            buf.append(record)
+            retained = arrivals[max(0, n - buf.capacity):n]
+            assert buf.records() == retained
+            assert_columns_match_records(buf.take(np.arange(len(buf))), retained)
+            seen = drawn_windows(buf, delta)
+            for anchor in range(len(buf)):
+                assert seen[anchor] == forward_run(retained, anchor, delta), (n, anchor)
+            # The newest record's window is itself alone.
+            assert seen[-1] == {len(buf) - 1}
+
+    @pytest.mark.parametrize("delta", [1, 3, 10])
+    def test_offline_windows_built_and_loaded(self, delta, tmp_path):
+        built = OfflineDataset(self.episodes())
+        built.save_jsonl(tmp_path / "data.jsonl")
+        loaded = OfflineDataset.load_jsonl(tmp_path / "data.jsonl")
+        records = [record for ep in self.episodes() for record in ep]
+        for ds in (built, loaded):
+            assert ds.num_episodes == len(self.LENGTHS)
+            assert_columns_match_records(ds.transitions, records)
+            seen = drawn_windows(ds, delta)
+            for anchor in range(len(ds)):
+                assert seen[anchor] == forward_run(records, anchor, delta), anchor
 
 
 class TestSampleHybridBatch:
@@ -201,7 +287,8 @@ class TestSampleHybridBatch:
                                     rng=np.random.default_rng(8))
         second = sample_hybrid_batch(self.off, self.on, lam=0.5, delta=4, batch_size=32,
                                      rng=np.random.default_rng(8))
-        assert [id(r) for r in first.records] == [id(r) for r in second.records]
+        for a, b in zip(first.transitions.columns(), second.transitions.columns()):
+            np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(first.online_mask, second.online_mask)
 
     def test_interleaved_push_sample_reproducible(self):
@@ -213,7 +300,7 @@ class TestSampleHybridBatch:
                 buf.append(record)
                 batch = sample_hybrid_batch(self.off, buf, lam=0.7, delta=3,
                                             batch_size=4, rng=rng)
-                seen.extend((r.episode, r.t) for r in batch.records)
+                seen.extend(zip(batch.transitions.episode.tolist(), batch.transitions.t.tolist()))
             return seen
 
         assert run() == run()
@@ -221,8 +308,8 @@ class TestSampleHybridBatch:
     def test_provenance_tags_match_source(self):
         batch = sample_hybrid_batch(self.off, self.on, lam=0.5, delta=4, batch_size=200,
                                     rng=np.random.default_rng(10))
-        for record, online in zip(batch.records, batch.online_mask):
-            assert record.episode == 5 if online else record.episode in (0, 1)
+        for episode, online in zip(batch.transitions.episode, batch.online_mask):
+            assert episode == 5 if online else episode in (0, 1)
 
 
 class TestDeriveBcPolicy:
