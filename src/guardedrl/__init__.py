@@ -24,9 +24,7 @@ from .learner import (
     compute_guarded_target,
     compute_targets,
     ensemble_variance,
-    load_checkpoint,
     pessimistic_q,
-    save_checkpoint,
     soft_update_targets,
     update_actor,
     update_critics,

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .guardian import project_action
-from .mdp import SafetySpec, TabularMdp
-from .sampling import OfflineDataset, TransitionRecord
+from .mdp import SafetySpec, TabularMdp, categorical_draw
+from .sampling import OfflineDataset, column_buffers
 
 UP, DOWN, LEFT, RIGHT, NOOP = range(5)
 NUM_GRID_ACTIONS = 5
@@ -208,12 +208,14 @@ def build_random_safe_mdp(
 def env_step(
     mdp: TabularMdp, s: int, a: int, rng: np.random.Generator
 ) -> tuple[float, int, bool]:
-    """Sample one transition: reward from the table, successor from P[s][a]."""
-    row = mdp.transition[s, a]
-    cumulative = np.cumsum(row)
-    s_next = int(np.searchsorted(cumulative, rng.random(), side="right"))
-    s_next = min(s_next, mdp.num_states - 1)
-    return float(mdp.reward[s, a]), s_next, mdp.is_terminal(s_next)
+    """Sample one transition: reward from the table, successor from P[s][a].
+
+    Consumes exactly one rng.random() and inverts the successor CDF that
+    mdp caches (mdp.successor_cdfs, built on the first step), so a step
+    is a few list lookups and one bisection.
+    """
+    s_next = categorical_draw(mdp.successor_cdfs[s][a], rng.random())
+    return mdp.reward_rows[s][a], s_next, mdp.terminal_flags[s_next]
 
 
 def uniform_policy(num_states: int, num_actions: int) -> np.ndarray:
@@ -239,8 +241,9 @@ def collect_offline_dataset(
     """Roll out a behavior policy and package the transitions as a dataset.
 
     With guardian_filter on (the default) every proposal is projected
-    before execution, so the dataset is rule-consistent. Deterministic
-    given the seed.
+    before execution, so the dataset is rule-consistent. Each step draws
+    the proposal, then the successor, from one generator. Deterministic
+    given the seed. Transitions are written straight into column buffers.
     """
     behavior = np.asarray(behavior, dtype=np.float64)
     if behavior.shape != (mdp.num_states, mdp.num_actions):
@@ -250,23 +253,23 @@ def collect_offline_dataset(
     if mdp.is_terminal(start_state):
         raise ValueError("start_state must not be terminal")
     rng = np.random.default_rng(seed)
-    cum_behavior = behavior.cumsum(axis=1)
-    episodes: list[list[TransitionRecord]] = []
+    cum_behavior = behavior.cumsum(axis=1).tolist()
+    buffers = column_buffers()
+    s_col, a_col, r_col, s_next_col, done_col, t_col, ep_col = buffers
     for ep in range(n_episodes):
         s = start_state
-        records: list[TransitionRecord] = []
         for t in range(max_ep_len):
-            a_raw = int(np.searchsorted(cum_behavior[s], rng.random(), side="right"))
-            a_raw = min(a_raw, mdp.num_actions - 1)
+            a_raw = categorical_draw(cum_behavior[s], rng.random())
             a_exec = project_action(s, a_raw, spec).exec_action if guardian_filter else a_raw
             r, s_next, done = env_step(mdp, s, a_exec, rng)
-            records.append(
-                TransitionRecord(
-                    s=s, a_exec=a_exec, r=r, s_next=s_next, done=done, t=t, episode=ep, a_prop=a_raw
-                )
-            )
+            s_col.append(s)
+            a_col.append(a_exec)
+            r_col.append(r)
+            s_next_col.append(s_next)
+            done_col.append(done)
+            t_col.append(t)
+            ep_col.append(ep)
             s = s_next
             if done:
                 break
-        episodes.append(records)
-    return OfflineDataset(episodes)
+    return OfflineDataset.from_columns(buffers)

@@ -8,11 +8,9 @@ concurrency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .mdp import SafetySpec, safe_actions
+from .mdp import ProjectionResult, SafetySpec
 
 # Below this much total probability on the safe set, renormalization is
 # numerically starved and falls back to uniform-over-safe.
@@ -21,38 +19,20 @@ STARVATION_EPS = 1e-12
 DISTRIBUTION_ATOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
-    """Outcome of projecting one proposed action.
-
-    distance is the squared embedding distance between the raw and the
-    executed action; was_modified false implies distance 0 and an
-    unchanged action.
-    """
-
-    exec_action: int
-    was_modified: bool
-    distance: float
-
-
 def project_action(s: int, a_raw: int, spec: SafetySpec) -> ProjectionResult:
     """Nearest safe action to a_raw in squared embedding distance.
 
     Ties break toward the lowest action id. Idempotent: projecting the
     executed action returns it unmodified (embeddings are pairwise
-    distinct, so a safe action is its own unique minimizer).
+    distinct, so a safe action is its own unique minimizer). A lookup in
+    spec.projection_table, which is built on the spec's first projection;
+    the returned result is shared and immutable.
     """
     if not 0 <= a_raw < spec.num_actions:
         raise ValueError(f"action {a_raw} out of range [0, {spec.num_actions})")
-    candidates = safe_actions(spec, s)
-    diffs = spec.action_embedding[candidates] - spec.action_embedding[a_raw]
-    sq_dists = np.einsum("ij,ij->i", diffs, diffs)
-    best = int(candidates[np.argmin(sq_dists)])
-    return ProjectionResult(
-        exec_action=best,
-        was_modified=best != a_raw,
-        distance=float(np.min(sq_dists)),
-    )
+    if not 0 <= s < spec.num_states:
+        raise ValueError(f"state {s} out of range [0, {spec.num_states})")
+    return spec.projection_table[s][a_raw]
 
 
 def check_distribution(probs: np.ndarray) -> np.ndarray:

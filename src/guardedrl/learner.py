@@ -15,9 +15,7 @@ updates.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -49,8 +47,10 @@ class LearnerConfig:
             raise ValueError("tau must lie in (0, 1]")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
-        if self.critic_lr <= 0.0 or self.actor_lr <= 0.0:
-            raise ValueError("learning rates must be positive")
+        # The critic step Q + lr * (y - Q) is a convex combination of value
+        # and target only for lr in (0, 1]; the actor rate has the same range.
+        if not (0.0 < self.critic_lr <= 1.0 and 0.0 < self.actor_lr <= 1.0):
+            raise ValueError("learning rates must lie in (0, 1]")
         if self.entropy_sign not in (ENTROPY_BONUS, ENTROPY_PENALTY):
             raise ValueError(f"entropy_sign must be '{ENTROPY_BONUS}' or '{ENTROPY_PENALTY}'")
         if self.backup_mode not in (BACKUP_GUARDED, BACKUP_UNGUARDED):
@@ -320,31 +320,3 @@ def ensemble_variance(ens: QEnsemble, batch: TransitionBatch) -> float:
         raise ValueError("batch must be non-empty")
     values = ens.members[:, batch.s, batch.a]
     return float(values.var(axis=0, ddof=0).mean())
-
-
-def save_checkpoint(
-    path: str | Path, pol: PolicyTable, ens: QEnsemble, step: int, cfg: LearnerConfig
-) -> None:
-    """Write policy logits, all member/target tables, step, and config as JSON.
-
-    JSON float serialization uses shortest round-trip repr, so reloading
-    restores training state bit-for-bit at tabular scale.
-    """
-    doc = {
-        "logits": pol.logits.tolist(),
-        "members": ens.members.tolist(),
-        "targets": ens.targets.tolist(),
-        "step": int(step),
-        "config": asdict(cfg),
-    }
-    Path(path).write_text(json.dumps(doc))
-
-
-def load_checkpoint(path: str | Path) -> tuple[PolicyTable, QEnsemble, int, LearnerConfig]:
-    doc = json.loads(Path(path).read_text())
-    pol = PolicyTable(np.array(doc["logits"], dtype=np.float64))
-    ens = QEnsemble(
-        members=np.array(doc["members"], dtype=np.float64),
-        targets=np.array(doc["targets"], dtype=np.float64),
-    )
-    return pol, ens, int(doc["step"]), LearnerConfig(**doc["config"])

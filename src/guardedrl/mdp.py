@@ -5,13 +5,20 @@ tensors, rewards and Q-functions are (S, A) float tables, safety
 predicates are (S, A) boolean tables. Everything here is a pure function
 of its inputs and doubles as the ground-truth oracle for the learning
 code in the rest of the package.
+
+The per-step primitives of a rollout (envs.env_step, guardian.project_action)
+read lookup tables that TabularMdp and SafetySpec build lazily, once per
+instance, from their arrays. The exact solvers never touch them.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +41,10 @@ class TabularMdp:
     probability distribution (sum 1 within 1e-9, entries >= 0), rewards
     are finite with |R| <= r_max, and gamma < 1. r_max defaults to
     max|R| and is used only for invariant checks, never for clipping.
+
+    The arrays must not be mutated in place after construction: the
+    sampling tables (successor_cdfs, reward_rows, terminal_flags) are
+    built from them on first use and cached for the instance's lifetime.
     """
 
     transition: np.ndarray
@@ -91,6 +102,37 @@ class TabularMdp:
     def is_terminal(self, s: int) -> bool:
         return bool(self.terminal[s]) if self.terminal is not None else False
 
+    @cached_property
+    def successor_cdfs(self) -> list[list[list[float]]]:
+        """[s][a] -> cumulative successor distribution, np.cumsum(P[s, a]) as floats."""
+        return np.cumsum(self.transition, axis=2).tolist()
+
+    @cached_property
+    def reward_rows(self) -> list[list[float]]:
+        """[s][a] -> R(s, a) as a float."""
+        return self.reward.tolist()
+
+    @cached_property
+    def terminal_flags(self) -> list[bool]:
+        """[s] -> is_terminal(s)."""
+        if self.terminal is None:
+            return [False] * self.num_states
+        return self.terminal.tolist()
+
+
+@dataclass(frozen=True)
+class ProjectionResult:
+    """Outcome of projecting one proposed action.
+
+    distance is the squared embedding distance between the raw and the
+    executed action; was_modified false implies distance 0 and an
+    unchanged action.
+    """
+
+    exec_action: int
+    was_modified: bool
+    distance: float
+
 
 @dataclass(frozen=True)
 class SafetySpec:
@@ -100,6 +142,10 @@ class SafetySpec:
     maximization must always be feasible) and embeddings that are
     non-finite or not pairwise distinct (the projection argmin must have
     a well-defined geometry).
+
+    The arrays must not be mutated in place after construction: the
+    projection table is built from them on first use and cached for the
+    instance's lifetime.
     """
 
     safe: np.ndarray
@@ -134,6 +180,39 @@ class SafetySpec:
     @property
     def num_actions(self) -> int:
         return self.safe.shape[1]
+
+    @cached_property
+    def projection_table(self) -> list[list[ProjectionResult]]:
+        """[s][a_raw] -> nearest safe action to a_raw in squared embedding distance.
+
+        Ties break toward the lowest action id (argmin keeps the first
+        minimum). A safe action is its own unique minimizer at distance 0,
+        because embeddings are pairwise distinct.
+        """
+        emb = self.action_embedding
+        diffs = emb[None, :, :] - emb[:, None, :]  # [a_raw, b] = emb[b] - emb[a_raw]
+        sq_dists = np.einsum("rbd,rbd->rb", diffs, diffs)
+        masked = np.where(self.safe[:, None, :], sq_dists[None, :, :], np.inf)
+        best = masked.argmin(axis=2)
+        distance = np.take_along_axis(masked, best[:, :, None], axis=2)[:, :, 0]
+        return [
+            [
+                ProjectionResult(exec_action=b, was_modified=b != a_raw, distance=d)
+                for a_raw, (b, d) in enumerate(zip(best_row, dist_row))
+            ]
+            for best_row, dist_row in zip(best.tolist(), distance.tolist())
+        ]
+
+
+def categorical_draw(cdf: Sequence[float], u: float) -> int:
+    """Inverse-CDF draw: the first index whose cumulative mass exceeds u.
+
+    Equals np.searchsorted(cdf, u, side="right") clamped to the last
+    index; the clamp catches a final cumulative sum that rounds below u.
+    With u uniform in [0, 1) this samples the categorical distribution
+    whose running sums are cdf.
+    """
+    return min(bisect_right(cdf, u), len(cdf) - 1)
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,19 @@ _COLUMNS = {
     "t": np.int64,
     "episode": np.int64,
 }
+# array typecodes of the same columns: compact buffers filled row by row.
+_TYPECODES = "qqdqBqq"
+# JSONL key of each column, in the same order.
+_JSONL_KEYS = ("s", "a", "r", "s2", "done", "t", "ep")
+# What a JSONL value must be to fill a buffer of each typecode.
+_EXPECTED = {"q": "an integer", "d": "a number", "B": "a boolean"}
+# A done flag must be a JSON boolean (or 0/1); other values are rejected.
+_FLAGS = {False: 0, True: 1}
+
+
+def column_buffers() -> tuple[array, ...]:
+    """Empty typed buffers, one per TransitionBatch column in field order."""
+    return tuple(array(code) for code in _TYPECODES)
 
 
 @dataclass(frozen=True, eq=False)  # columns are arrays: no elementwise ==
@@ -209,6 +222,21 @@ def _check_episode_continuity(data: TransitionBatch, bounds: np.ndarray) -> None
     raise ValueError(f"episode {index}: state chain broken at position {pos + 1}")
 
 
+def _row_problem(row) -> str:
+    """Why one parsed JSONL row does not fit the column buffers."""
+    if not isinstance(row, dict):
+        return f"expected a JSON object, got {type(row).__name__}"
+    for key, code in zip(_JSONL_KEYS, _TYPECODES):
+        if key not in row:
+            return f"missing key {key!r}"
+        value = row[key]
+        try:
+            array(code).append(_FLAGS[value] if key == "done" else value)
+        except (KeyError, TypeError, OverflowError):
+            return f"key {key!r} must be {_EXPECTED[code]}, got {value!r}"
+    return "unreadable row"
+
+
 class OfflineDataset:
     """Static episode-structured transition columns with O(1) flat access."""
 
@@ -217,6 +245,22 @@ class OfflineDataset:
         bounds = np.cumsum([0] + [len(ep) for ep in episodes])
         flat = [tr for ep in episodes for tr in ep]
         self._set_columns(TransitionBatch.from_records(flat), bounds)
+
+    @classmethod
+    def from_columns(cls, buffers: Sequence[array]) -> "OfflineDataset":
+        """Dataset over row-ordered column buffers (see column_buffers).
+
+        Rows of one episode are contiguous; a change of episode id
+        starts a new episode. The buffers are wrapped, not copied.
+        """
+        data = TransitionBatch(
+            *(np.frombuffer(buf, dtype=dtype) for buf, dtype in zip(buffers, _COLUMNS.values()))
+        )
+        starts = np.ones(len(data), dtype=bool)
+        starts[1:] = data.episode[1:] != data.episode[:-1]
+        dataset = cls.__new__(cls)
+        dataset._set_columns(data, np.append(np.flatnonzero(starts), len(data)))
+        return dataset
 
     def _set_columns(self, data: TransitionBatch, bounds: np.ndarray) -> None:
         _check_episode_continuity(data, bounds)
@@ -233,6 +277,26 @@ class OfflineDataset:
 
     def records(self) -> list[TransitionRecord]:
         return [self.record(i) for i in range(len(self))]
+
+    def check_index_ranges(self, num_states: int, num_actions: int) -> None:
+        """Raise on the first row whose s or s_next is outside [0, S) or a outside [0, A)."""
+        data = self.transitions
+        bad_s = (data.s < 0) | (data.s >= num_states)
+        bad_s_next = (data.s_next < 0) | (data.s_next >= num_states)
+        bad_a = (data.a < 0) | (data.a >= num_actions)
+        bad = np.flatnonzero(bad_s | bad_s_next | bad_a)
+        if bad.size == 0:
+            return
+        i = int(bad[0])
+        if bad_s[i]:
+            what = f"s = {int(data.s[i])} outside [0, {num_states})"
+        elif bad_s_next[i]:
+            what = f"s2 = {int(data.s_next[i])} outside [0, {num_states})"
+        else:
+            what = f"a = {int(data.a[i])} outside [0, {num_actions})"
+        raise ValueError(
+            f"offline row {i} (episode {int(data.episode[i])}, t {int(data.t[i])}): {what}"
+        )
 
     def window_positions(
         self, anchors: np.ndarray, delta: int, rng: np.random.Generator
@@ -255,31 +319,37 @@ class OfflineDataset:
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "OfflineDataset":
-        """Read one transition per line; a change of "ep" starts a new episode."""
-        # Compact typed buffers, in column order, filled row by row.
-        s, a, r, s2, done, t, ep = (array(code) for code in "qqdqBqq")
+        """Read one transition per line; a change of "ep" starts a new episode.
+
+        A line that is not a JSON object with every key, integer indices,
+        a finite numeric "r" and a boolean "done" raises ValueError naming
+        path:line and the key.
+        """
+        buffers = column_buffers()
+        s, a, r, s2, done, t, ep = buffers
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                row = json.loads(line)
-                s.append(int(row["s"]))
-                a.append(int(row["a"]))
-                r.append(float(row["r"]))
-                s2.append(int(row["s2"]))
-                done.append(bool(row["done"]))
-                t.append(int(row["t"]))
-                ep.append(int(row["ep"]))
-        data = TransitionBatch(
-            *(np.frombuffer(buf, dtype=dtype)
-              for buf, dtype in zip((s, a, r, s2, done, t, ep), _COLUMNS.values()))
-        )
-        starts = np.ones(len(data), dtype=bool)
-        starts[1:] = data.episode[1:] != data.episode[:-1]
-        dataset = cls.__new__(cls)
-        dataset._set_columns(data, np.append(np.flatnonzero(starts), len(data)))
-        return dataset
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: not valid JSON: {exc.msg}") from None
+                try:
+                    s.append(row["s"])
+                    a.append(row["a"])
+                    r.append(row["r"])
+                    s2.append(row["s2"])
+                    done.append(_FLAGS[row["done"]])
+                    t.append(row["t"])
+                    ep.append(row["ep"])
+                except (KeyError, TypeError, OverflowError):
+                    raise ValueError(f"{path}:{lineno}: {_row_problem(row)}") from None
+                if not math.isfinite(r[-1]):
+                    # json reads NaN and Infinity, which are not JSON numbers.
+                    raise ValueError(f"{path}:{lineno}: key 'r' must be finite, got {r[-1]!r}")
+        return cls.from_columns(buffers)
 
 
 # Sentinels: a record whose proposal was not recorded, and a run still growing.

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import statistics
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable
 
@@ -40,7 +41,7 @@ from .learner import (
     update_actor,
     update_critics,
 )
-from .mdp import SafetySpec, TabularMdp
+from .mdp import SafetySpec, TabularMdp, categorical_draw
 from .metrics import (
     VisitationStats,
     coverage_count,
@@ -171,8 +172,7 @@ def _greedy_action(pol: PolicyTable, s: int) -> int:
 
 
 def _sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
-    a = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    return min(a, probs.shape[0] - 1)
+    return categorical_draw(list(accumulate(probs.tolist())), rng.random())
 
 
 def evaluate_policy(
@@ -269,7 +269,8 @@ def run_training(
     """Execute the full training loop for cfg.total_steps steps.
 
     The offline dataset is taken from the argument or loaded from
-    cfg.offline_dataset_path; either way a missing/empty dataset fails
+    cfg.offline_dataset_path; either way a missing or empty dataset, or
+    one whose state or action ids fall outside the grid's MDP, fails
     before any step runs. Returns the per-interval log with a final
     summary (never writes files itself); with return_state the final
     learner/buffer internals come back too.
@@ -282,6 +283,7 @@ def run_training(
         raise ValueError("offline dataset is empty")
 
     mdp, spec = build_cliff_grid(cfg.grid)
+    offline.check_index_ranges(mdp.num_states, mdp.num_actions)
     backup = BACKUP_GUARDED if cfg.variant in _GUARDED_BACKUP_VARIANTS else BACKUP_UNGUARDED
     learner_cfg = replace(cfg.learner, backup_mode=backup)
     guard_exec = cfg.variant in _PROJECTED_VARIANTS

@@ -127,6 +127,19 @@ class TestTrain:
         del doc["generate_offline"]
         assert main(["train", write_config(tmp_path, doc)]) == 1
 
+    @pytest.mark.parametrize("line, problem", [
+        ('{"s": 3, "a": 1, "s2": 4, "done": false, "t": 0, "ep": 0}', "offline.jsonl:1: missing key 'r'"),
+        ('{"s": -3, "a": 1, "r": 0.0, "s2": 4, "done": false, "t": 0, "ep": 0}', "s = -3 outside [0, 9)"),
+    ], ids=["missing-key", "negative-state"])
+    def test_bad_dataset_row_exits_1_with_diagnostic(self, tmp_path, capsys, line, problem):
+        dataset = tmp_path / "offline.jsonl"
+        dataset.write_text(line + "\n")
+        doc = base_train_config(tmp_path)
+        del doc["generate_offline"]
+        doc["offline_dataset"] = str(dataset)
+        assert main(["train", write_config(tmp_path, doc)]) == 1
+        assert problem in capsys.readouterr().err
+
 
 class TestSweepAndReport:
     def run_sweep(self, tmp_path):

@@ -1,5 +1,6 @@
 """Gridworld construction, random-MDP generation, and rollout collection."""
 
+import hashlib
 from itertools import groupby
 
 import numpy as np
@@ -243,6 +244,24 @@ class TestCollectOfflineDataset:
         mean = counts.mean(axis=2)
         stderr = counts.std(axis=2, ddof=1) / np.sqrt(n_episodes)
         assert np.all(np.abs(mean - expected) <= 3.0 * stderr + 1e-9)
+
+    @pytest.mark.parametrize("guardian_filter, digest", [
+        (True, "bc0905aaaf155097f28b68b9f06df028caa5be4b15ab280c0f28f4f5a43c0c2f"),
+        (False, "4e8863c13602e258d6143186492fc00e89e5902396ef4799f07a92845c48a841"),
+    ])
+    def test_collected_jsonl_bytes_are_pinned(self, tmp_path, guardian_filter, digest):
+        # Pins the generator stream (per step: one uniform for the proposal,
+        # then one for the successor) and the JSONL byte format.
+        grid = GridWorldSpec.from_ascii([".....", ".....", ".....", "S...G", "XXXXX"],
+                                        slip_prob=0.2, gamma=0.95, step_reward=-0.02)
+        mdp, safety = build_cliff_grid(grid)
+        ds = collect_offline_dataset(mdp, safety, uniform_policy(mdp.num_states, 5),
+                                     n_episodes=20, max_ep_len=30, seed=5,
+                                     guardian_filter=guardian_filter,
+                                     start_state=grid.start_state)
+        path = tmp_path / "offline.jsonl"
+        ds.save_jsonl(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_rejects_invalid_behavior(self):
         spec = corridor()

@@ -17,9 +17,7 @@ from guardedrl.learner import (
     compute_guarded_target,
     compute_targets,
     ensemble_variance,
-    load_checkpoint,
     pessimistic_q,
-    save_checkpoint,
     soft_update_targets,
     softmax,
     update_actor,
@@ -312,42 +310,6 @@ class TestEnsembleVariance:
         assert ensemble_variance(ens, cols(batch)) == pytest.approx(np.mean(per_pair), abs=1e-12)
 
 
-class TestCheckpoint:
-    def test_round_trip_bit_for_bit(self, tmp_path):
-        rng = np.random.default_rng(10)
-        ens = QEnsemble.init_random(4, 3, size=3, rng=rng)
-        pol = PolicyTable(rng.normal(size=(4, 3)))
-        cfg = LearnerConfig(alpha=0.123, tau=0.05, gamma=0.97, critic_lr=0.2, actor_lr=0.3)
-        path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, pol, ens, step=421, cfg=cfg)
-        pol2, ens2, step2, cfg2 = load_checkpoint(path)
-        assert step2 == 421
-        assert cfg2 == cfg
-        np.testing.assert_array_equal(pol.logits, pol2.logits)
-        np.testing.assert_array_equal(ens.members, ens2.members)
-        np.testing.assert_array_equal(ens.targets, ens2.targets)
-
-    def test_training_resumes_identically(self, tmp_path):
-        rng = np.random.default_rng(11)
-        spec = make_spec(np.ones((3, 2), dtype=bool))
-        ens = QEnsemble.init_random(3, 2, rng=rng)
-        pol = PolicyTable(rng.normal(size=(3, 2)))
-        cfg = LearnerConfig()
-        path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, pol, ens, step=0, cfg=cfg)
-        pol2, ens2, _, cfg2 = load_checkpoint(path)
-
-        batch = [tr(s=s % 3, a=s % 2, r=0.5, s_next=(s + 1) % 3) for s in range(6)]
-        for p, e, c in ((pol, ens, cfg), (pol2, ens2, cfg2)):
-            ys, _ = compute_targets(cols(batch), p, e, spec, c)
-            update_critics(e, cols(batch), ys, c)
-            update_actor(p, [b.s for b in batch], e, c)
-            soft_update_targets(e, c.tau)
-        np.testing.assert_array_equal(ens.members, ens2.members)
-        np.testing.assert_array_equal(ens.targets, ens2.targets)
-        np.testing.assert_array_equal(pol.logits, pol2.logits)
-
-
 class TestLearnerConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -357,6 +319,9 @@ class TestLearnerConfigValidation:
             {"tau": 1.5},
             {"gamma": 1.0},
             {"critic_lr": 0.0},
+            {"critic_lr": 3.0},
+            {"actor_lr": 1.5},
+            {"actor_lr": float("nan")},
             {"entropy_sign": "literal"},
             {"backup_mode": "masked"},
         ],

@@ -160,6 +160,38 @@ class TestOfflineDataset:
         with pytest.raises(ValueError, match="state chain"):
             OfflineDataset.load_jsonl(path)
 
+    @pytest.mark.parametrize("row, problem", [
+        ('{"s": 1, "a": 0, "s2": 2, "done": false, "t": 1, "ep": 0}', "missing key 'r'"),
+        ('{"s": 1, "a": 0, "r": "high", "s2": 2, "done": false, "t": 1, "ep": 0}', "key 'r'"),
+        ('{"s": 1, "a": 0, "r": NaN, "s2": 2, "done": false, "t": 1, "ep": 0}', "key 'r'"),
+        ('{"s": 1.5, "a": 0, "r": 0.0, "s2": 2, "done": false, "t": 1, "ep": 0}', "key 's'"),
+        ('{"s": 1, "a": null, "r": 0.0, "s2": 2, "done": false, "t": 1, "ep": 0}', "key 'a'"),
+        ('{"s": 1, "a": 0, "r": 0.0, "s2": 2, "done": "no", "t": 1, "ep": 0}', "key 'done'"),
+        ('{"s": 1, "a": 0, "r": 0.0, "s2": 2, "done": false, "t": 1, "ep": 1e400}', "key 'ep'"),
+        ('[1, 0, 0.0, 2, false, 1, 0]', "JSON object"),
+        ('{"s": 1, "a": 0,', "not valid JSON"),
+    ], ids=["missing", "text-r", "nan-r", "float-s", "null-a", "text-done", "inf-ep", "array", "cut"])
+    def test_loader_names_line_and_key_of_a_bad_row(self, tmp_path, row, problem):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"s": 0, "a": 0, "r": 0.0, "s2": 1, "done": false, "t": 0, "ep": 0}\n\n' + row + "\n"
+        )
+        with pytest.raises(ValueError) as excinfo:
+            OfflineDataset.load_jsonl(path)
+        message = str(excinfo.value)
+        assert f"{path}:3" in message and problem in message
+
+    @pytest.mark.parametrize("bad, problem", [
+        (tr(s=-3, s_next=1, ep=1), r"s = -3 outside \[0, 5\)"),
+        (tr(s=0, s_next=5, ep=1), r"s2 = 5 outside \[0, 5\)"),
+        (tr(s=0, a=5, s_next=1, ep=1), r"a = 5 outside \[0, 5\)"),
+    ], ids=["s", "s2", "a"])
+    def test_index_range_check_names_first_bad_row(self, bad, problem):
+        OfflineDataset([chain_episode(0, 3)]).check_index_ranges(num_states=5, num_actions=5)
+        ds = OfflineDataset([chain_episode(0, 3), [bad]])
+        with pytest.raises(ValueError, match=r"offline row 3 \(episode 1, t 0\): " + problem):
+            ds.check_index_ranges(num_states=5, num_actions=5)
+
     def test_window_stays_inside_episode(self):
         ds = OfflineDataset([chain_episode(0, 4), chain_episode(1, 6, start=20)])
         rng = np.random.default_rng(2)

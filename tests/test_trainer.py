@@ -144,6 +144,19 @@ class TestRunTraining:
         with pytest.raises(ValueError, match="empty"):
             run_training(cfg, OfflineDataset([]))
 
+    def test_out_of_range_dataset_state_fails_before_run(self, grid, tmp_path):
+        # Numpy would wrap s = -3 to a valid state and train on it silently.
+        from guardedrl.sampling import OfflineDataset
+
+        path = tmp_path / "offline.jsonl"
+        path.write_text(
+            '{"s": 10, "a": 3, "r": 0.0, "s2": 11, "done": false, "t": 0, "ep": 0}\n'
+            '{"s": -3, "a": 1, "r": 0.0, "s2": 4, "done": false, "t": 0, "ep": 1}\n'
+        )
+        cfg = make_config(grid, total_steps=10)
+        with pytest.raises(ValueError, match=r"offline row 1 \(episode 1, t 0\): s = -3"):
+            run_training(cfg, OfflineDataset.load_jsonl(path))
+
     def test_updates_per_step_changes_training(self, grid, dataset):
         single = run_training(make_config(grid, total_steps=150), dataset)
         double = run_training(
