@@ -21,10 +21,8 @@ from .learner import (
     LearnerConfig,
     PolicyTable,
     QEnsemble,
-    compute_guarded_target,
     compute_targets,
     ensemble_variance,
-    pessimistic_q,
     soft_update_targets,
     update_actor,
     update_critics,
@@ -38,7 +36,6 @@ from .mdp import (
     assert_contraction_pair,
     load_problem,
     max_norm_distance,
-    safe_actions,
     save_problem,
     solve_guarded_value_iteration,
     solve_pruned_value_iteration,

@@ -12,10 +12,12 @@ docs/formats.md.
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 from .envs import (
@@ -76,13 +78,30 @@ def grid_from_doc(doc: dict) -> GridWorldSpec:
     )
 
 
+def config_block(doc: dict, name: str, cls: type) -> dict:
+    """The doc's `name` block; keys are cls's fields except horizon (from total_steps)."""
+    known = [f.name for f in fields(cls) if f.name != "horizon"]
+    block = doc.get(name, {})
+    if not isinstance(block, dict):
+        raise ValueError(f"config block {name!r} must be a JSON object")
+    for key in block:
+        if key not in known:
+            close = difflib.get_close_matches(key, known, n=1, cutoff=0.0)[0]
+            raise ValueError(f"unknown {name} key {key!r}; closest known key is {close!r} "
+                             f"(known: {', '.join(known)})")
+    return block
+
+
 def run_config_from_doc(doc: dict) -> RunConfig:
+    for key in ("env", "total_steps"):
+        if key not in doc:
+            raise ValueError(f"config is missing required key {key!r}")
+    dts_doc = config_block(doc, "dts", DtsConfig)
+    dss_doc = config_block(doc, "dss", DssConfig)
+    learner_doc = dict(config_block(doc, "learner", LearnerConfig))
     grid = grid_from_doc(doc["env"])
     total_steps = int(doc["total_steps"])
     horizon = max(total_steps, 1)
-    dts_doc = doc.get("dts", {})
-    dss_doc = doc.get("dss", {})
-    learner_doc = dict(doc.get("learner", {}))
     learner_doc.setdefault("gamma", grid.gamma)
     optional = {
         key: doc[key]
@@ -157,11 +176,10 @@ def prepare_offline_dataset(doc: dict, out_dir: Path) -> Path:
 
 
 def _train_one(doc: dict, out_dir: Path) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg = run_config_from_doc(doc)  # before anything is written
     dataset_path = prepare_offline_dataset(doc, out_dir)
     doc = dict(doc)
     doc["offline_dataset"] = str(dataset_path.resolve())
-    cfg = run_config_from_doc(doc)
     log = run_training(cfg, OfflineDataset.load_jsonl(dataset_path))
     log.save(out_dir)
     (out_dir / "effective_config.json").write_text(json.dumps(doc, indent=2) + "\n")

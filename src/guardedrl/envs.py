@@ -20,7 +20,6 @@ from .sampling import OfflineDataset, column_buffers
 
 UP, DOWN, LEFT, RIGHT, NOOP = range(5)
 NUM_GRID_ACTIONS = 5
-ACTION_NAMES = ("UP", "DOWN", "LEFT", "RIGHT", "NOOP")
 # Displacements double as the projection embeddings.
 GRID_DISPLACEMENTS = np.array(
     [(0, 1), (0, -1), (-1, 0), (1, 0), (0, 0)], dtype=np.float64

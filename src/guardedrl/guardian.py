@@ -1,9 +1,9 @@
 """Execution-time safety enforcement, decoupled from learning.
 
 Two pure operations: projecting a proposed action onto the state's safe
-set (nearest safe action in embedding space) and renormalizing a policy
-distribution onto the safe set. Both are stateless and safe under any
-concurrency.
+set (nearest safe action in embedding space) and renormalizing policy
+distributions onto their safe sets, which the learner's guarded backup
+targets use. Both are stateless and safe under any concurrency.
 """
 
 from __future__ import annotations
@@ -48,26 +48,24 @@ def check_distribution(probs: np.ndarray) -> np.ndarray:
 
 
 def renormalize_policy_safe(
-    probs: np.ndarray, s: int, spec: SafetySpec
-) -> tuple[np.ndarray, bool]:
-    """Restrict a policy distribution to the safe set and renormalize.
+    probs: np.ndarray, safe: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Restrict each row's distribution to its safe set and renormalize.
 
-    Returns (safe_probs, starved). Each safe action gets
-    p(a) / sum_{safe a''} p(a''); unsafe actions get 0. When the safe
-    mass is below STARVATION_EPS (the learner has concentrated on unsafe
-    actions), falls back to uniform over the safe set and flags the
-    event so callers can count it.
+    probs (distributions) and safe (masks) are (n, A) tables. Returns
+    (safe_probs, starved): each safe action gets p(a) / sum_{safe a''} p(a''),
+    unsafe actions get 0. A row whose safe mass is below STARVATION_EPS
+    (the learner has concentrated on unsafe actions) falls back to
+    uniform over its safe set and is flagged in the row mask starved.
     """
-    probs = check_distribution(probs)
-    if probs.shape[0] != spec.num_actions:
-        raise ValueError(f"distribution has {probs.shape[0]} entries, spec has {spec.num_actions} actions")
-    mask = spec.safe[s]
-    masked = np.where(mask, probs, 0.0)
-    total = float(masked.sum())
-    if total < STARVATION_EPS:
-        uniform = mask.astype(np.float64)
-        return uniform / uniform.sum(), True
-    return masked / total, False
+    masked = np.where(safe, probs, 0.0)
+    totals = masked.sum(axis=1)
+    starved = totals < STARVATION_EPS
+    if starved.any():
+        uniform = safe[starved].astype(np.float64)
+        masked[starved] = uniform / uniform.sum(axis=1, keepdims=True)
+        totals = masked.sum(axis=1)
+    return masked / totals[:, None], starved
 
 
 def safe_entropy(probs: np.ndarray) -> float:

@@ -2,7 +2,7 @@
 
 The learner itself is unconstrained: the actor optimizes the raw policy
 against the pessimistic ensemble and never reads the safety predicate.
-Safety enters only through the backup target, which (in guarded mode)
+Safety enters only through the backup target, which (given a SafetySpec)
 takes its next-state expectation under the safe-renormalized policy so
 value estimates stay consistent with what execution-time projection
 will actually allow.
@@ -20,14 +20,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .guardian import STARVATION_EPS
+from .guardian import renormalize_policy_safe
 from .mdp import SafetySpec
-from .sampling import TransitionBatch, TransitionRecord
+from .sampling import TransitionBatch
 
 ENTROPY_BONUS = "bonus"  # backup adds +alpha * H (soft-value convention)
 ENTROPY_PENALTY = "penalty"  # backup subtracts alpha * H
-BACKUP_GUARDED = "guarded"
-BACKUP_UNGUARDED = "unguarded"
 
 
 @dataclass
@@ -38,7 +36,6 @@ class LearnerConfig:
     critic_lr: float = 0.1
     actor_lr: float = 0.1
     entropy_sign: str = ENTROPY_BONUS
-    backup_mode: str = BACKUP_GUARDED
 
     def __post_init__(self):
         if self.alpha < 0.0:
@@ -53,8 +50,6 @@ class LearnerConfig:
             raise ValueError("learning rates must lie in (0, 1]")
         if self.entropy_sign not in (ENTROPY_BONUS, ENTROPY_PENALTY):
             raise ValueError(f"entropy_sign must be '{ENTROPY_BONUS}' or '{ENTROPY_PENALTY}'")
-        if self.backup_mode not in (BACKUP_GUARDED, BACKUP_UNGUARDED):
-            raise ValueError(f"backup_mode must be '{BACKUP_GUARDED}' or '{BACKUP_UNGUARDED}'")
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -148,43 +143,29 @@ class QEnsemble:
         return self.targets.min(axis=0)
 
 
-def pessimistic_q(ens: QEnsemble, s: int, a: int, use_targets: bool = False) -> float:
-    """Minimum over the ensemble at (s, a), from targets or members."""
-    tables = ens.targets if use_targets else ens.members
-    return float(tables[:, s, a].min())
-
-
 def compute_targets(
     batch: TransitionBatch,
     pol: PolicyTable,
     ens: QEnsemble,
-    spec: SafetySpec,
+    spec: SafetySpec | None,
     cfg: LearnerConfig,
 ) -> tuple[np.ndarray, int]:
     """Backup targets for a whole batch, plus the starvation-fallback count.
 
     y = r + gamma * (E_{a' ~ pi'}[Qmin_target(s', a')] + sign * alpha * H(pi'))
-    where pi' is the safe-renormalized next-state policy in guarded mode
-    and the raw softmax policy in unguarded mode; terminal transitions
-    get y = r. sign is +1 under entropy_sign "bonus", -1 under "penalty".
+    where pi' is the next-state policy renormalized onto spec's safe set,
+    or the raw softmax policy when spec is None (unguarded backup);
+    terminal transitions get y = r and never count as starved. sign is
+    +1 under entropy_sign "bonus", -1 under "penalty".
     """
     if not len(batch):
         raise ValueError("batch must be non-empty")
     r, s_next, done = batch.r, batch.s_next, batch.done
-    logp = log_softmax(pol.logits[s_next])
-    probs = np.exp(logp)
+    probs = softmax(pol.logits[s_next])
     starved_count = 0
-    if cfg.backup_mode == BACKUP_GUARDED:
-        mask = spec.safe[s_next]
-        masked = np.where(mask, probs, 0.0)
-        totals = masked.sum(axis=1)
-        starved = totals < STARVATION_EPS
+    if spec is not None:
+        probs, starved = renormalize_policy_safe(probs, spec.safe[s_next])
         starved_count = int(np.count_nonzero(starved & ~done))
-        if starved.any():
-            uniform = mask[starved].astype(np.float64)
-            masked[starved] = uniform / uniform.sum(axis=1, keepdims=True)
-            totals = masked.sum(axis=1)
-        probs = masked / totals[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(probs > 0.0, probs * np.log(probs), 0.0)
     entropy = -plogp.sum(axis=1)
@@ -194,18 +175,6 @@ def compute_targets(
     y = r + cfg.gamma * (expectation + sign * cfg.alpha * entropy)
     y[done] = r[done]
     return y, starved_count
-
-
-def compute_guarded_target(
-    tr: TransitionRecord,
-    pol: PolicyTable,
-    ens: QEnsemble,
-    spec: SafetySpec,
-    cfg: LearnerConfig,
-) -> float:
-    """Backup target for a single transition (see compute_targets)."""
-    y, _ = compute_targets(TransitionBatch.from_records([tr]), pol, ens, spec, cfg)
-    return float(y[0])
 
 
 def _occurrence_rounds(keys: np.ndarray) -> np.ndarray:

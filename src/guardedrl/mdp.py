@@ -243,13 +243,6 @@ def check_q_table(q: np.ndarray, mdp: TabularMdp) -> np.ndarray:
     return q
 
 
-def safe_actions(spec: SafetySpec, s: int) -> np.ndarray:
-    """Action ids with g(s, a) = true, ascending. Never empty by construction."""
-    if not 0 <= s < spec.num_states:
-        raise ValueError(f"state {s} out of range [0, {spec.num_states})")
-    return np.flatnonzero(spec.safe[s])
-
-
 def max_norm_distance(q1: np.ndarray, q2: np.ndarray) -> float:
     """Max-norm distance max_{s,a} |q1 - q2|."""
     q1 = np.asarray(q1, dtype=np.float64)

@@ -27,15 +27,13 @@ from .sampling import TransitionBatch, TransitionRecord
 
 
 class VisitationStats:
-    """Per-state and per-(state, action) execution counts."""
+    """Per-state execution counts."""
 
-    def __init__(self, num_states: int, num_actions: int):
+    def __init__(self, num_states: int):
         self.state_counts = np.zeros(num_states, dtype=np.int64)
-        self.sa_counts = np.zeros((num_states, num_actions), dtype=np.int64)
 
-    def record(self, s: int, a: int) -> None:
+    def record(self, s: int) -> None:
         self.state_counts[s] += 1
-        self.sa_counts[s, a] += 1
 
     @property
     def total(self) -> int:
@@ -60,14 +58,14 @@ def td_error_stats(
     batch: TransitionBatch,
     ens: QEnsemble,
     pol: PolicyTable,
-    spec: SafetySpec,
+    spec: SafetySpec | None,
     cfg: LearnerConfig,
 ) -> float:
     """Mean absolute TD error |Qmin(s, a) - y| over the batch.
 
-    y is the backup target under the configured mode (guarded or not),
-    so the number tracks how far the pessimistic estimate sits from its
-    own bootstrap.
+    y is compute_targets' backup target: guarded onto spec's safe set,
+    or unguarded (raw softmax policy) when spec is None. The number
+    tracks how far the pessimistic estimate sits from its own bootstrap.
     """
     if not len(batch):
         raise ValueError("batch must be non-empty")

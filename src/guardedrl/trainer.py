@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
 from typing import Iterable
@@ -30,8 +30,6 @@ import numpy as np
 from .envs import GridWorldSpec, build_cliff_grid, env_step
 from .guardian import project_action
 from .learner import (
-    BACKUP_GUARDED,
-    BACKUP_UNGUARDED,
     LearnerConfig,
     PolicyTable,
     QEnsemble,
@@ -284,8 +282,7 @@ def run_training(
 
     mdp, spec = build_cliff_grid(cfg.grid)
     offline.check_index_ranges(mdp.num_states, mdp.num_actions)
-    backup = BACKUP_GUARDED if cfg.variant in _GUARDED_BACKUP_VARIANTS else BACKUP_UNGUARDED
-    learner_cfg = replace(cfg.learner, backup_mode=backup)
+    backup_spec = spec if cfg.variant in _GUARDED_BACKUP_VARIANTS else None
     guard_exec = cfg.variant in _PROJECTED_VARIANTS
     interactive = cfg.variant != VARIANT_OFFLINE_ONLY
 
@@ -296,7 +293,7 @@ def run_training(
     ens = QEnsemble.init_random(mdp.num_states, mdp.num_actions, cfg.ensemble_size, rng_init)
     pol = PolicyTable.zeros(mdp.num_states, mdp.num_actions)
     buffer = OnlineBuffer(cfg.online_buffer_capacity)
-    stats = VisitationStats(mdp.num_states, mdp.num_actions)
+    stats = VisitationStats(mdp.num_states)
     log = RunLog()
 
     executed_violations = 0
@@ -316,7 +313,7 @@ def run_training(
         lam = dss_mixing(step, cfg.dss) if cfg.total_steps > 0 else cfg.dss.lambda_min
         delta = dts_interval(step, cfg.dts) if cfg.total_steps > 0 else cfg.dts.delta_min
         probe = sample_hybrid_batch(offline, buffer, lam, delta, cfg.batch_size, rng_probe)
-        td = td_error_stats(probe.transitions, ens, pol, spec, learner_cfg)
+        td = td_error_stats(probe.transitions, ens, pol, backup_spec, cfg.learner)
         variance = ensemble_variance(ens, probe.transitions)
         if interval_records:
             pre_rate, near_rate = shadow_rates(interval_records, spec)
@@ -372,7 +369,7 @@ def run_training(
             )
             buffer.append(tr)
             interval_records.append(tr)
-            stats.record(state, a_exec)
+            stats.record(state)
             t_ep += 1
             if done or t_ep >= cfg.max_episode_len:
                 state, episode, t_ep = start, episode + 1, 0
@@ -385,11 +382,11 @@ def run_training(
             batch = sample_hybrid_batch(offline, buffer, lam, delta, cfg.batch_size, rng_sample)
             offline_fallbacks += batch.fallback_count
             transitions = batch.transitions
-            targets, starved = compute_targets(transitions, pol, ens, spec, learner_cfg)
+            targets, starved = compute_targets(transitions, pol, ens, backup_spec, cfg.learner)
             starvation_events += starved
-            update_critics(ens, transitions, targets, learner_cfg)
-            last_actor_loss = update_actor(pol, transitions.s, ens, learner_cfg)
-            soft_update_targets(ens, learner_cfg.tau)
+            update_critics(ens, transitions, targets, cfg.learner)
+            last_actor_loss = update_actor(pol, transitions.s, ens, cfg.learner)
+            soft_update_targets(ens, cfg.learner.tau)
 
         if step % cfg.eval_every == 0 or step == cfg.total_steps:
             emit(step)

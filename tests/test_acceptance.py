@@ -22,7 +22,6 @@ from guardedrl.envs import (
 from guardedrl.guardian import renormalize_policy_safe
 from guardedrl.learner import LearnerConfig, PolicyTable, QEnsemble, actor_loss, update_actor
 from guardedrl.mdp import (
-    SafetySpec,
     assert_contraction_pair,
     max_norm_distance,
     solve_guarded_value_iteration,
@@ -306,16 +305,15 @@ def test_criterion_9_safe_policy_contract():
         safe = rng.random(num_actions) < float(rng.uniform(0.2, 0.9))
         if not safe.any():
             safe[int(rng.integers(num_actions))] = True
-        spec = SafetySpec(safe=[safe],
-                          action_embedding=np.eye(num_actions))
         if trial % 5 == 0 and not safe.all():
             # Starvation path: all mass on one unsafe action.
             dist = np.zeros(num_actions)
             dist[int(rng.choice(np.flatnonzero(~safe)))] = 1.0
         else:
             dist = rng.dirichlet(np.ones(num_actions))
-        probs, starved = renormalize_policy_safe(dist, 0, spec)
-        starvation_hits += starved
+        probs, starved = renormalize_policy_safe(dist[None, :], safe[None, :])
+        probs = probs[0]
+        starvation_hits += bool(starved[0])
         if abs(probs.sum() - 1.0) > 1e-9 or np.any(probs[~safe] != 0.0):
             _report("criterion 9 (safe-policy contract)", False,
                     f"contract violated at trial {trial}")

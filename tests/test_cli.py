@@ -140,6 +140,27 @@ class TestTrain:
         assert main(["train", write_config(tmp_path, doc)]) == 1
         assert problem in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda doc: doc["learner"].update(alpah=0.1),
+         "unknown learner key 'alpah'; closest known key is 'alpha'"),
+        (lambda doc: doc["learner"].update(backup_mode="unguarded"),
+         "unknown learner key 'backup_mode'"),
+        (lambda doc: doc["dss"].update(lamda_max=0.4),
+         "unknown dss key 'lamda_max'; closest known key is 'lambda_max'"),
+        (lambda doc: doc["dts"].update(horizon=99), "unknown dts key 'horizon'"),
+        (lambda doc: doc.pop("total_steps"), "config is missing required key 'total_steps'"),
+        (lambda doc: doc.pop("env"), "config is missing required key 'env'"),
+    ], ids=["learner-typo", "backup-mode", "dss-typo", "dts-horizon", "no-total-steps", "no-env"])
+    def test_bad_config_exits_1_before_writing(self, tmp_path, capsys, edit, problem):
+        doc = base_train_config(tmp_path)
+        edit(doc)
+        out = tmp_path / "out"
+        assert main(["train", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert problem in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestSweepAndReport:
     def run_sweep(self, tmp_path):

@@ -25,7 +25,6 @@ from guardedrl.mdp import (
     SafetySpec,
     TabularMdp,
     max_norm_distance,
-    safe_actions,
     solve_guarded_value_iteration,
     solve_pruned_value_iteration,
 )
@@ -78,9 +77,9 @@ class TestBuildCliffGrid:
                              hazards=frozenset({(1, 1)}))
         mdp, safety = build_cliff_grid(spec)
         s = spec.state_index((1, 0))
-        assert safe_actions(safety, s).tolist() == [DOWN, LEFT, RIGHT, NOOP]
+        assert np.flatnonzero(safety.safe[s]).tolist() == [DOWN, LEFT, RIGHT, NOOP]
         # The mdp_core example: the list excludes the move into the hazard.
-        assert UP not in safe_actions(safety, s)
+        assert not safety.safe[s, UP]
 
     def test_terminal_states_absorbing_and_all_safe(self):
         spec = GridWorldSpec(width=3, height=2, start=(0, 0), goal=(2, 0),

@@ -63,31 +63,35 @@ class TestProjectAction:
             project_action(0, 9, spec)
 
 
+def renormalize_row(dist, safe_row):
+    """One-row call of the batched renormalization: (probs row, starved flag)."""
+    probs, starved = renormalize_policy_safe(np.array([dist], dtype=np.float64),
+                                             np.array([safe_row], dtype=bool))
+    assert probs.shape == (1, len(dist)) and starved.shape == (1,)
+    return probs[0], bool(starved[0])
+
+
 class TestRenormalizePolicySafe:
     def test_all_safe_is_identity(self):
-        spec = grid_spec([True] * 5)
         dist = np.array([0.1, 0.2, 0.3, 0.25, 0.15])
-        probs, starved = renormalize_policy_safe(dist, 0, spec)
+        probs, starved = renormalize_row(dist, [True] * 5)
         assert not starved
         np.testing.assert_allclose(probs, dist)
 
     def test_unsafe_mass_redistributed(self):
-        spec = SafetySpec(safe=[[False, True, True]], action_embedding=np.eye(3))
-        probs, starved = renormalize_policy_safe(np.array([0.5, 0.3, 0.2]), 0, spec)
+        probs, starved = renormalize_row([0.5, 0.3, 0.2], [False, True, True])
         assert not starved
         np.testing.assert_allclose(probs, [0.0, 0.6, 0.4])
 
     def test_starvation_falls_back_to_uniform(self):
-        spec = SafetySpec(safe=[[False, True, True]], action_embedding=np.eye(3))
-        probs, starved = renormalize_policy_safe(np.array([1.0, 0.0, 0.0]), 0, spec)
+        probs, starved = renormalize_row([1.0, 0.0, 0.0], [False, True, True])
         assert starved
         np.testing.assert_allclose(probs, [0.0, 0.5, 0.5])
 
     def test_identity_on_compliant_support(self):
         # Zero mass on the unsafe action: renormalization changes nothing.
-        spec = SafetySpec(safe=[[False, True, True, True]], action_embedding=np.eye(4))
         dist = np.array([0.0, 0.25, 0.5, 0.25])
-        probs, starved = renormalize_policy_safe(dist, 0, spec)
+        probs, starved = renormalize_row(dist, [False, True, True, True])
         assert not starved
         np.testing.assert_allclose(probs, dist, atol=1e-12)
 
@@ -98,20 +102,27 @@ class TestRenormalizePolicySafe:
             safe = rng.random(num_actions) < 0.5
             if not safe.any():
                 safe[int(rng.integers(num_actions))] = True
-            spec = SafetySpec(
-                safe=[safe], action_embedding=rng.normal(size=(num_actions, 2))
-            )
             dist = rng.dirichlet(np.ones(num_actions))
-            probs, _ = renormalize_policy_safe(dist, 0, spec)
+            probs, _ = renormalize_row(dist, safe)
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(probs[~safe] == 0.0)
 
-    def test_rejects_invalid_distribution(self):
-        spec = grid_spec([True] * 5)
-        with pytest.raises(ValueError):
-            renormalize_policy_safe(np.array([0.5, 0.5, 0.5, 0.0, 0.0]), 0, spec)
-        with pytest.raises(ValueError):
-            renormalize_policy_safe(np.array([-0.1, 1.1, 0.0, 0.0, 0.0]), 0, spec)
+    def test_batch_rows_match_one_row_calls(self):
+        # Starved and unstarved rows mixed in one table: each row comes out
+        # exactly as it does alone, and only the starved rows are flagged.
+        rng = np.random.default_rng(2)
+        safe = rng.random((40, 5)) < 0.5
+        safe[~safe.any(axis=1), 0] = True
+        dist = rng.dirichlet(np.ones(5), size=40)
+        for i in range(0, 40, 3):
+            if not safe[i].all():
+                dist[i] = np.where(safe[i], 0.0, 1.0) / np.count_nonzero(~safe[i])
+        probs, starved = renormalize_policy_safe(dist, safe)
+        assert 0 < starved.sum() < 40
+        for i in range(40):
+            row, row_starved = renormalize_row(dist[i], safe[i])
+            np.testing.assert_array_equal(probs[i], row)
+            assert starved[i] == row_starved
 
 
 class TestSafeEntropy:
@@ -135,3 +146,9 @@ class TestCheckDistribution:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             check_distribution(np.eye(2))
+
+    def test_rejects_invalid_distribution(self):
+        with pytest.raises(ValueError, match="sums to 1.5"):
+            check_distribution(np.array([0.5, 0.5, 0.5, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="non-negative"):
+            check_distribution(np.array([-0.1, 1.1, 0.0, 0.0, 0.0]))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from guardedrl.guardian import renormalize_policy_safe, safe_entropy
+from guardedrl.guardian import safe_entropy
 from guardedrl.learner import (
     ENTROPY_BONUS,
     ENTROPY_PENALTY,
@@ -14,10 +14,8 @@ from guardedrl.learner import (
     PolicyTable,
     QEnsemble,
     actor_loss,
-    compute_guarded_target,
     compute_targets,
     ensemble_variance,
-    pessimistic_q,
     soft_update_targets,
     softmax,
     update_actor,
@@ -40,6 +38,18 @@ def cols(records):
     return TransitionBatch.from_records(records)
 
 
+def target(record, pol, ens, spec, cfg):
+    """Backup target of a one-row batch."""
+    y, _ = compute_targets(cols([record]), pol, ens, spec, cfg)
+    return float(y[0])
+
+
+def safe_probs(pol, s, spec):
+    """Reference renormalization: the softmax row restricted to the safe set."""
+    masked = np.where(spec.safe[s], softmax(pol.logits[s]), 0.0)
+    return masked / masked.sum()
+
+
 def finite_difference_gradient(logits_row, qmin_row, alpha, h=1e-6):
     grad = np.zeros_like(logits_row)
     for j in range(len(logits_row)):
@@ -54,12 +64,12 @@ def finite_difference_gradient(logits_row, qmin_row, alpha, h=1e-6):
 class TestPessimisticQ:
     def test_two_member_min(self):
         ens = QEnsemble(members=[[[3.0]], [[5.0]]], targets=[[[1.0]], [[2.0]]])
-        assert pessimistic_q(ens, 0, 0) == 3.0
-        assert pessimistic_q(ens, 0, 0, use_targets=True) == 1.0
+        assert ens.min_members()[0, 0] == 3.0
+        assert ens.min_targets()[0, 0] == 1.0
 
     def test_identical_members(self):
         ens = QEnsemble(members=[[[4.0]], [[4.0]]], targets=[[[4.0]], [[4.0]]])
-        assert pessimistic_q(ens, 0, 0) == 4.0
+        assert ens.min_members()[0, 0] == 4.0
 
     def test_matches_scan(self):
         rng = np.random.default_rng(2)
@@ -67,7 +77,7 @@ class TestPessimisticQ:
         ens = QEnsemble(members=members, targets=members.copy())
         for s in range(4):
             for a in range(3):
-                assert pessimistic_q(ens, s, a) == min(members[i, s, a] for i in range(5))
+                assert ens.min_members()[s, a] == min(members[i, s, a] for i in range(5))
 
 
 class TestComputeGuardedTarget:
@@ -79,26 +89,26 @@ class TestComputeGuardedTarget:
 
     def test_gamma_zero_gives_reward(self):
         cfg = LearnerConfig(gamma=0.0)
-        assert compute_guarded_target(tr(r=2.5, s_next=1), self.pol, self.ens, self.spec, cfg) == 2.5
+        assert target(tr(r=2.5, s_next=1), self.pol, self.ens, self.spec, cfg) == 2.5
 
     def test_terminal_gives_reward(self):
         cfg = LearnerConfig(gamma=0.9, alpha=0.3)
-        y = compute_guarded_target(tr(r=-1.0, done=True, s_next=1), self.pol, self.ens, self.spec, cfg)
+        y = target(tr(r=-1.0, done=True, s_next=1), self.pol, self.ens, self.spec, cfg)
         assert y == -1.0
 
     def test_single_safe_action_alpha_zero(self):
         # State 1 admits only action 0; after renormalization the policy is
         # deterministic, so y = r + gamma * min_i target_i(1, 0).
         cfg = LearnerConfig(gamma=0.9, alpha=0.0)
-        y = compute_guarded_target(tr(r=0.5, s_next=1), self.pol, self.ens, self.spec, cfg)
+        y = target(tr(r=0.5, s_next=1), self.pol, self.ens, self.spec, cfg)
         expected = 0.5 + 0.9 * self.ens.targets[:, 1, 0].min()
         assert y == pytest.approx(expected, abs=1e-12)
 
     def test_matches_manual_evaluation(self):
         cfg = LearnerConfig(gamma=0.8, alpha=0.2, entropy_sign=ENTROPY_BONUS)
         record = tr(r=1.0, s_next=0)
-        y = compute_guarded_target(record, self.pol, self.ens, self.spec, cfg)
-        probs, _ = renormalize_policy_safe(softmax(self.pol.logits[0]), 0, self.spec)
+        y = target(record, self.pol, self.ens, self.spec, cfg)
+        probs = safe_probs(self.pol, 0, self.spec)
         qmin = self.ens.targets.min(axis=0)[0]
         expected = 1.0 + 0.8 * (probs @ qmin + 0.2 * safe_entropy(probs))
         assert y == pytest.approx(expected, abs=1e-12)
@@ -107,16 +117,16 @@ class TestComputeGuardedTarget:
         bonus = LearnerConfig(gamma=0.9, alpha=0.5, entropy_sign=ENTROPY_BONUS)
         penalty = LearnerConfig(gamma=0.9, alpha=0.5, entropy_sign=ENTROPY_PENALTY)
         record = tr(r=0.0, s_next=0)
-        y_bonus = compute_guarded_target(record, self.pol, self.ens, self.spec, bonus)
-        y_penalty = compute_guarded_target(record, self.pol, self.ens, self.spec, penalty)
-        probs, _ = renormalize_policy_safe(softmax(self.pol.logits[0]), 0, self.spec)
+        y_bonus = target(record, self.pol, self.ens, self.spec, bonus)
+        y_penalty = target(record, self.pol, self.ens, self.spec, penalty)
+        probs = safe_probs(self.pol, 0, self.spec)
         gap = 2 * 0.9 * 0.5 * safe_entropy(probs)
         assert y_bonus - y_penalty == pytest.approx(gap, abs=1e-12)
 
     def test_unguarded_uses_raw_policy(self):
-        cfg = LearnerConfig(gamma=0.9, alpha=0.0, backup_mode="unguarded")
+        cfg = LearnerConfig(gamma=0.9, alpha=0.0)
         record = tr(r=0.0, s_next=1)
-        y = compute_guarded_target(record, self.pol, self.ens, self.spec, cfg)
+        y = target(record, self.pol, self.ens, None, cfg)
         probs = softmax(self.pol.logits[1])
         expected = 0.9 * (probs @ self.ens.targets.min(axis=0)[1])
         assert y == pytest.approx(expected, abs=1e-12)
@@ -124,10 +134,10 @@ class TestComputeGuardedTarget:
     def test_guarded_target_never_reads_unsafe_entries(self):
         cfg = LearnerConfig(gamma=0.9, alpha=0.1)
         record = tr(r=0.0, s_next=1)
-        clean = compute_guarded_target(record, self.pol, self.ens, self.spec, cfg)
+        clean = target(record, self.pol, self.ens, self.spec, cfg)
         poisoned = QEnsemble(members=self.ens.members.copy(), targets=self.ens.targets.copy())
         poisoned.targets[:, 1, 1] = 1e12  # unsafe entry at the next state
-        assert compute_guarded_target(record, self.pol, poisoned, self.spec, cfg) == clean
+        assert target(record, self.pol, poisoned, self.spec, cfg) == clean
 
     def test_target_bound_with_alpha_zero(self):
         rng = np.random.default_rng(4)
@@ -135,16 +145,24 @@ class TestComputeGuardedTarget:
         r_max = 2.0
         for _ in range(100):
             record = tr(r=float(rng.uniform(-r_max, r_max)), s_next=int(rng.integers(2)))
-            y = compute_guarded_target(record, self.pol, self.ens, self.spec, cfg)
+            y = target(record, self.pol, self.ens, self.spec, cfg)
             assert abs(y) <= r_max + 0.9 * np.abs(self.ens.targets).max() + 1e-12
 
     def test_starvation_counted(self):
-        spec = make_spec([[False, True]])
-        pol = PolicyTable(np.array([[60.0, -60.0]]))  # all mass on the unsafe action
-        ens = QEnsemble.init_random(1, 2, rng=np.random.default_rng(0))
-        cfg = LearnerConfig(gamma=0.9)
-        _, starved = compute_targets(cols([tr(s_next=0)]), pol, ens, spec, cfg)
-        assert starved == 1
+        # Two safe actions at the next state, so the uniform fallback has
+        # entropy log 2; the terminal row starves too but is not counted.
+        spec = make_spec([[False, True, True]])
+        pol = PolicyTable(np.array([[60.0, -60.0, -60.0]]))  # all mass on the unsafe action
+        ens = QEnsemble.init_random(1, 3, rng=np.random.default_rng(0))
+        batch = cols([tr(r=0.3, s_next=0), tr(r=-0.7, s_next=0, done=True)])
+        q_safe_mean = ens.min_targets()[0, 1:].mean()
+        for entropy_sign, sign in ((ENTROPY_BONUS, 1.0), (ENTROPY_PENALTY, -1.0)):
+            cfg = LearnerConfig(gamma=0.9, alpha=0.4, entropy_sign=entropy_sign)
+            y, starved = compute_targets(batch, pol, ens, spec, cfg)
+            assert starved == 1
+            expected = 0.3 + 0.9 * (q_safe_mean + sign * 0.4 * math.log(2))
+            assert y[0] == pytest.approx(expected, abs=1e-12)
+            assert y[1] == -0.7
 
 
 class TestUpdateCritics:
@@ -323,7 +341,6 @@ class TestLearnerConfigValidation:
             {"actor_lr": 1.5},
             {"actor_lr": float("nan")},
             {"entropy_sign": "literal"},
-            {"backup_mode": "masked"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -14,7 +14,6 @@ from guardedrl.mdp import (
     max_norm_distance,
     problem_from_dict,
     problem_to_dict,
-    safe_actions,
     solve_guarded_value_iteration,
     solve_pruned_value_iteration,
 )
@@ -93,21 +92,6 @@ class TestSafetySpec:
     def test_rejects_nonfinite_embeddings(self):
         with pytest.raises(ValueError, match="finite"):
             SafetySpec(safe=[[True, True]], action_embedding=[[0.0, 1.0], [np.inf, 0.0]])
-
-
-class TestSafeActions:
-    def test_all_true_predicate(self):
-        spec = SafetySpec(safe=np.ones((1, 4), dtype=bool), action_embedding=np.eye(4))
-        assert safe_actions(spec, 0).tolist() == [0, 1, 2, 3]
-
-    def test_pattern_read(self):
-        spec = SafetySpec(safe=[[False, True, False, True]], action_embedding=np.eye(4))
-        assert safe_actions(spec, 0).tolist() == [1, 3]
-
-    def test_out_of_range_state(self):
-        spec = SafetySpec(safe=np.ones((2, 2), dtype=bool), action_embedding=np.eye(2))
-        with pytest.raises(ValueError):
-            safe_actions(spec, 2)
 
 
 class TestGuardedBellman:

@@ -15,7 +15,7 @@ from guardedrl.envs import (
     collect_offline_dataset,
     uniform_safe_policy,
 )
-from guardedrl.guardian import project_action, renormalize_policy_safe, safe_entropy
+from guardedrl.guardian import project_action, safe_entropy
 from guardedrl.learner import LearnerConfig, PolicyTable, QEnsemble, softmax
 from guardedrl.metrics import (
     VisitationStats,
@@ -39,43 +39,43 @@ def tr(s=0, a=0, r=0.0, s_next=0, done=False, t=0, ep=0, a_prop=None):
 
 class TestVisitationStats:
     def test_coverage_counts_distinct_states(self):
-        stats = VisitationStats(5, 2)
+        stats = VisitationStats(5)
         assert coverage_count(stats) == 0
         for s in range(5):
-            stats.record(s, 0)
+            stats.record(s)
         assert coverage_count(stats) == 5
-        stats.record(3, 1)
+        stats.record(3)
         assert coverage_count(stats) == 5
 
     def test_coverage_monotone(self):
         rng = np.random.default_rng(0)
-        stats = VisitationStats(10, 2)
+        stats = VisitationStats(10)
         last = 0
         for _ in range(100):
-            stats.record(int(rng.integers(10)), int(rng.integers(2)))
+            stats.record(int(rng.integers(10)))
             cov = coverage_count(stats)
             assert cov >= last
             last = cov
 
     def test_entropy_trivial_cases(self):
-        stats = VisitationStats(4, 1)
+        stats = VisitationStats(4)
         with pytest.raises(ValueError):
             visitation_entropy(stats)
-        stats.record(2, 0)
-        stats.record(2, 0)
+        stats.record(2)
+        stats.record(2)
         assert visitation_entropy(stats) == 0.0
 
     def test_entropy_uniform(self):
-        stats = VisitationStats(6, 1)
+        stats = VisitationStats(6)
         for s in range(6):
-            stats.record(s, 0)
+            stats.record(s)
         assert visitation_entropy(stats) == pytest.approx(math.log(6), abs=1e-12)
 
     def test_entropy_three_one_split(self):
-        stats = VisitationStats(2, 1)
+        stats = VisitationStats(2)
         for _ in range(3):
-            stats.record(0, 0)
-        stats.record(1, 0)
+            stats.record(0)
+        stats.record(1)
         expected = -(0.75 * math.log(0.75) + 0.25 * math.log(0.25))
         assert visitation_entropy(stats) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.5623, abs=5e-5)
@@ -134,9 +134,8 @@ class TestTdErrorStats:
             if record.done:
                 y = record.r
             else:
-                probs, _ = renormalize_policy_safe(
-                    softmax(pol.logits[record.s_next]), record.s_next, spec
-                )
+                masked = np.where(spec.safe[record.s_next], softmax(pol.logits[record.s_next]), 0.0)
+                probs = masked / masked.sum()
                 y = record.r + cfg.gamma * (
                     probs @ qmin_targets[record.s_next] + cfg.alpha * safe_entropy(probs)
                 )
