@@ -60,49 +60,68 @@ def load_config(path: str | Path) -> dict:
     return json.loads(text)
 
 
-def grid_from_doc(doc: dict) -> GridWorldSpec:
-    numeric = {
-        key: doc[key]
-        for key in ("step_reward", "goal_reward", "hazard_reward", "slip_prob", "gamma")
-        if key in doc
-    }
-    if "map" in doc:
-        return GridWorldSpec.from_ascii(doc["map"], **numeric)
-    return GridWorldSpec(
-        width=int(doc["width"]),
-        height=int(doc["height"]),
-        start=tuple(doc["start"]),
-        goal=tuple(doc["goal"]),
-        hazards=frozenset(tuple(c) for c in doc.get("hazards", [])),
-        **numeric,
-    )
+# The JSON value kinds a config key accepts; a boolean is never a number.
+KINDS = {"a number": (int, float), "an integer": (int,), "a string": (str,),
+         "a boolean": (bool,), "an array": (list,), "a string or an array": (str, list)}
+_FIELD_KINDS = {"float": "a number", "int": "an integer", "str": "a string"}
+# Block name -> key -> kind: the block's dataclass fields (tuples and sets are
+# arrays), except schedule horizons, which always come from total_steps.
+BLOCK_KEYS = {
+    name: {f.name: _FIELD_KINDS.get(f.type, "an array") for f in fields(cls) if f.name != "horizon"}
+    for name, cls in (("env", GridWorldSpec), ("learner", LearnerConfig), ("dts", DtsConfig),
+                      ("dss", DssConfig))
+}
+BLOCK_KEYS["env"]["map"] = "a string or an array"
+BLOCK_KEYS["generate_offline"] = dict(episodes="an integer", max_ep_len="an integer",
+                                      behavior="a string", seed="an integer",
+                                      guardian_filter="a boolean")
 
 
-def config_block(doc: dict, name: str, cls: type) -> dict:
-    """The doc's `name` block; keys are cls's fields except horizon (from total_steps)."""
-    known = [f.name for f in fields(cls) if f.name != "horizon"]
+def config_block(doc: dict, name: str) -> dict:
+    """A copy of the doc's `name` block ({} if absent), numbers as floats.
+
+    Every key must be known and its value of the key's kind.
+    """
+    kinds = BLOCK_KEYS[name]
     block = doc.get(name, {})
     if not isinstance(block, dict):
         raise ValueError(f"config block {name!r} must be a JSON object")
-    for key in block:
-        if key not in known:
-            close = difflib.get_close_matches(key, known, n=1, cutoff=0.0)[0]
+    for key, value in block.items():
+        if key not in kinds:
+            close = difflib.get_close_matches(key, kinds, n=1, cutoff=0.0)[0]
             raise ValueError(f"unknown {name} key {key!r}; closest known key is {close!r} "
-                             f"(known: {', '.join(known)})")
-    return block
+                             f"(known: {', '.join(kinds)})")
+        kind = kinds[key]
+        if not isinstance(value, KINDS[kind]) or (isinstance(value, bool) and kind != "a boolean"):
+            raise ValueError(f"{name} key {key!r} must be {kind}, got {value!r}")
+    return {key: float(value) if kinds[key] == "a number" else value for key, value in block.items()}
+
+
+def grid_from_doc(doc: dict) -> GridWorldSpec:
+    """The grid of the doc's env block: a map plus the numbers, or every field."""
+    env = config_block(doc, "env")
+    if "map" in env:
+        numbers = {key: v for key, v in env.items() if BLOCK_KEYS["env"][key] == "a number"}
+        return GridWorldSpec.from_ascii(env["map"], **numbers)
+    for key in ("width", "height", "start", "goal"):
+        if key not in env:
+            raise ValueError(f"env block is missing key {key!r} "
+                             "(give 'map', or 'width', 'height', 'start' and 'goal')")
+    return GridWorldSpec(**env)
 
 
 def run_config_from_doc(doc: dict) -> RunConfig:
+    """Parse a train config; every block is checked before anything is built or written."""
     for key in ("env", "total_steps"):
         if key not in doc:
             raise ValueError(f"config is missing required key {key!r}")
-    dts_doc = config_block(doc, "dts", DtsConfig)
-    dss_doc = config_block(doc, "dss", DssConfig)
-    learner_doc = dict(config_block(doc, "learner", LearnerConfig))
-    grid = grid_from_doc(doc["env"])
+    dts_doc = config_block(doc, "dts")
+    dss_doc = config_block(doc, "dss")
+    learner_doc = config_block(doc, "learner")
+    config_block(doc, "generate_offline")
+    grid = grid_from_doc(doc)
     total_steps = int(doc["total_steps"])
     horizon = max(total_steps, 1)
-    learner_doc.setdefault("gamma", grid.gamma)
     optional = {
         key: doc[key]
         for key in (
@@ -115,19 +134,10 @@ def run_config_from_doc(doc: dict) -> RunConfig:
     return RunConfig(
         variant=doc.get("variant", "guardian"),
         grid=grid,
-        learner=LearnerConfig(**learner_doc),
-        dts=DtsConfig(
-            delta_min=int(dts_doc.get("delta_min", 1)),
-            delta_max=int(dts_doc.get("delta_max", 16)),
-            beta=float(dts_doc.get("beta", 2.0)),
-            horizon=horizon,
-        ),
-        dss=DssConfig(
-            lambda_min=float(dss_doc.get("lambda_min", 0.1)),
-            lambda_max=float(dss_doc.get("lambda_max", 0.5)),
-            k=float(dss_doc.get("k", 10.0 / horizon)),
-            horizon=horizon,
-        ),
+        learner=LearnerConfig(**{"gamma": grid.gamma, **learner_doc}),
+        dts=DtsConfig(**{"delta_min": 1, "delta_max": 16, "beta": 2.0, **dts_doc}, horizon=horizon),
+        dss=DssConfig(**{"lambda_min": 0.1, "lambda_max": 0.5, "k": 10.0 / horizon, **dss_doc},
+                      horizon=horizon),
         total_steps=total_steps,
         seed=int(doc.get("seed", 0)),
         offline_dataset_path=doc.get("offline_dataset"),
@@ -135,8 +145,8 @@ def run_config_from_doc(doc: dict) -> RunConfig:
     )
 
 
-def prepare_offline_dataset(doc: dict, out_dir: Path) -> Path:
-    """Locate or generate the offline dataset; returns its path.
+def prepare_offline_dataset(doc: dict, grid: GridWorldSpec, out_dir: Path) -> Path:
+    """Locate or generate the offline dataset of a parsed config; returns its path.
 
     An existing file named by "offline_dataset" wins; otherwise a
     "generate_offline" block rolls one out (deterministic per its seed)
@@ -150,7 +160,6 @@ def prepare_offline_dataset(doc: dict, out_dir: Path) -> Path:
         raise CliError(
             "no offline dataset: configured path missing and no generate_offline block"
         )
-    grid = grid_from_doc(doc["env"])
     mdp, spec = build_cliff_grid(grid)
     behavior_name = gen.get("behavior", "uniform_safe")
     if behavior_name == "uniform_safe":
@@ -163,10 +172,10 @@ def prepare_offline_dataset(doc: dict, out_dir: Path) -> Path:
         mdp,
         spec,
         behavior,
-        n_episodes=int(gen.get("episodes", 100)),
-        max_ep_len=int(gen.get("max_ep_len", 100)),
-        seed=int(gen.get("seed", 0)),
-        guardian_filter=bool(gen.get("guardian_filter", True)),
+        n_episodes=gen.get("episodes", 100),
+        max_ep_len=gen.get("max_ep_len", 100),
+        seed=gen.get("seed", 0),
+        guardian_filter=gen.get("guardian_filter", True),
         start_state=grid.start_state,
     )
     path = Path(configured) if configured else out_dir / "offline.jsonl"
@@ -177,7 +186,7 @@ def prepare_offline_dataset(doc: dict, out_dir: Path) -> Path:
 
 def _train_one(doc: dict, out_dir: Path) -> dict:
     cfg = run_config_from_doc(doc)  # before anything is written
-    dataset_path = prepare_offline_dataset(doc, out_dir)
+    dataset_path = prepare_offline_dataset(doc, cfg.grid, out_dir)
     doc = dict(doc)
     doc["offline_dataset"] = str(dataset_path.resolve())
     log = run_training(cfg, OfflineDataset.load_jsonl(dataset_path))
@@ -241,7 +250,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             gamma=float(rm.get("gamma", 0.9)),
         )
     elif "env" in doc:
-        mdp, spec = build_cliff_grid(grid_from_doc(doc["env"]))
+        mdp, spec = build_cliff_grid(grid_from_doc(doc))
     else:
         raise CliError("solve config needs an env or random_mdp block")
     tol = float(doc.get("tol", 1e-8))
@@ -340,10 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}", file=sys.stderr)
         return EXIT_USAGE
-    except CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_RUNTIME
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -8,9 +8,11 @@ value estimates stay consistent with what execution-time projection
 will actually allow.
 
 Batch updates apply per-sample in deterministic batch order; repeated
-(s, a) pairs fold sequentially. A learner instance is single-owner
-mutable state: one updater at a time, read-only queries freely between
-updates.
+keys fold sequentially. They run on a compact table: the distinct keys'
+rows are gathered once, ordered by multiplicity, so fold round r
+(occurrence r of each key) updates a prefix slice in place, and the rows
+are scattered back once. A learner instance is single-owner mutable
+state: one updater at a time, read-only queries freely between updates.
 """
 
 from __future__ import annotations
@@ -177,15 +179,24 @@ def compute_targets(
     return y, starved_count
 
 
-def _occurrence_rounds(keys: np.ndarray) -> np.ndarray:
-    """Occurrence index of each element within its equal-key group, in order."""
-    order = np.argsort(keys, kind="stable")
+def _fold_plan(keys: np.ndarray, num_keys: int) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """(distinct, active, positions) folding repeated keys in [0, num_keys) in batch order.
+
+    distinct: the keys by multiplicity (highest first, ties by key), so
+    round r's keys are the prefix distinct[:active[r]]; positions: the
+    batch position of occurrence r of each, rounds concatenated.
+    """
+    # The narrowest unsigned copy of the keys sorts alike, and a radix sort
+    # takes keys of up to 16 bits.
+    order = keys.astype(np.min_scalar_type(num_keys)).argsort(kind="stable")
     sorted_keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
-    group_start = np.repeat(starts, np.diff(np.concatenate((starts, [len(keys)]))))
-    occ = np.empty(len(keys), dtype=np.int64)
-    occ[order] = np.arange(len(keys)) - group_start
-    return occ
+    edges = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1], [True])))
+    counts = edges[1:] - edges[:-1]
+    starts = edges[(-counts).argsort(kind="stable")]
+    active = len(starts) - np.bincount(counts).cumsum()[:-1]
+    rank = np.arange(len(keys)) - (active.cumsum() - active).repeat(active)
+    round_of = np.arange(len(active)).repeat(active)
+    return sorted_keys[starts], active.tolist(), order[starts[rank] + round_of]
 
 
 def update_critics(
@@ -198,10 +209,12 @@ def update_critics(
 
     Each occurrence moves Q_i[s, a] by critic_lr * (y - Q_i[s, a]); the
     factor 2 of the squared-error gradient is absorbed into the rate.
-    Repeated (s, a) pairs fold sequentially in batch order (implemented
-    as rounds over unique pairs, which is exactly equivalent because
-    distinct table entries do not interact). Returns the pre-update mean
-    squared Bellman error per member.
+    Repeated (s, a) pairs fold sequentially in batch order: the members'
+    (N, U) values at the U distinct pairs are gathered once, round r
+    updates the pairs with an r-th occurrence (a prefix slice) toward its
+    target, and the values are scattered back once. Distinct entries do
+    not interact, so this equals one-sample steps in batch order bit for
+    bit. Returns the pre-update mean squared Bellman error per member.
     """
     if not len(batch):
         raise ValueError("batch must be non-empty")
@@ -211,12 +224,16 @@ def update_critics(
     y = np.asarray(targets, dtype=np.float64)
     values = ens.members[:, s, a]
     losses = ((values - y[None, :]) ** 2).mean(axis=1)
-    occ = _occurrence_rounds(s * ens.num_actions + a)
-    for rnd in range(int(occ.max()) + 1):
-        sel = occ == rnd
-        rs, ra, ry = s[sel], a[sel], y[sel]
-        current = ens.members[:, rs, ra]
-        ens.members[:, rs, ra] = current + cfg.critic_lr * (ry[None, :] - current)
+    keys, active, positions = _fold_plan(s * ens.num_actions + a, ens.num_states * ens.num_actions)
+    us, ua = np.divmod(keys, ens.num_actions)
+    table = ens.members[:, us, ua]
+    y_rounds = y[positions]
+    start = 0
+    for n in active:
+        current = table[:, :n]
+        current += cfg.critic_lr * (y_rounds[None, start:start + n] - current)
+        start += n
+    ens.members[:, us, ua] = table
     return losses
 
 
@@ -242,26 +259,31 @@ def update_actor(
 
     The gradient w.r.t. the logits is pi * (f - L(s)) with
     f_a = alpha * log pi(a) - Qmin(s, a); repeated states fold
-    sequentially in batch order. Returns the mean pre-update loss.
+    sequentially in batch order, in rounds over a compact (U, A) copy of
+    the distinct states' logits (see update_critics), bit for bit equal
+    to one-sample steps. Returns the mean pre-update loss, summed in
+    batch order.
     The raw (unconstrained) policy is optimized: no safety predicate
     enters here by design.
     """
     states = np.asarray(states, dtype=np.int64)
     if states.size == 0:
         raise ValueError("states must be non-empty")
-    qmin = ens.min_members()
-    losses = np.empty(states.size)
-    occ = _occurrence_rounds(states)
-    for rnd in range(int(occ.max()) + 1):
-        sel = occ == rnd
-        u = states[sel]
-        logp = log_softmax(pol.logits[u])
+    distinct, active, positions = _fold_plan(states, pol.num_states)
+    table = pol.logits[distinct]
+    qmin = ens.members[:, distinct].min(axis=0)
+    round_losses = []
+    for n in active:
+        logits = table[:n]
+        logp = log_softmax(logits)
         p = np.exp(logp)
-        f = cfg.alpha * logp - qmin[u]
+        f = cfg.alpha * logp - qmin[:n]
         row_loss = np.einsum("ij,ij->i", p, f)
-        grad = p * (f - row_loss[:, None])
-        pol.logits[u] -= cfg.actor_lr * grad
-        losses[sel] = row_loss
+        logits -= cfg.actor_lr * (p * (f - row_loss[:, None]))
+        round_losses.append(row_loss)
+    pol.logits[distinct] = table
+    losses = np.empty(states.size)
+    losses[positions] = np.concatenate(round_losses)
     return float(losses.mean())
 
 

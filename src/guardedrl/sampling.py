@@ -65,6 +65,8 @@ _COLUMNS = {
 _TYPECODES = "qqdqBqq"
 # JSONL key of each column, in the same order.
 _JSONL_KEYS = ("s", "a", "r", "s2", "done", "t", "ep")
+# One JSONL row: str() of a Python int or finite float is its JSON spelling.
+_JSONL_ROW = "{" + ", ".join(f'"{key}": %s' for key in _JSONL_KEYS) + "}\n"
 # What a JSONL value must be to fill a buffer of each typecode.
 _EXPECTED = {"q": "an integer", "d": "a number", "B": "a boolean"}
 # A done flag must be a JSON boolean (or 0/1); other values are rejected.
@@ -309,13 +311,19 @@ class OfflineDataset:
         return self.transitions.take(positions)
 
     def save_jsonl(self, path: str | Path) -> None:
+        """Write one line per transition, the bytes of json.dumps on each row's dict.
+
+        A non-finite "r", which load_jsonl refuses, raises ValueError
+        naming the row before the file is opened.
+        """
+        cols = self.transitions
+        bad = np.flatnonzero(~np.isfinite(cols.r))
+        if bad.size:
+            raise ValueError(f"row {bad[0]}: key 'r' must be finite, got {float(cols.r[bad[0]])!r}")
+        columns = [col.tolist() for col in cols.columns()]
+        columns[4] = [("false", "true")[flag] for flag in columns[4]]
         with open(path, "w") as fh:
-            rows = zip(*(col.tolist() for col in self.transitions.columns()))
-            for s, a, r, s2, done, t, ep in rows:
-                fh.write(
-                    json.dumps({"s": s, "a": a, "r": r, "s2": s2, "done": done, "t": t, "ep": ep})
-                    + "\n"
-                )
+            fh.writelines(map(_JSONL_ROW.__mod__, zip(*columns)))
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "OfflineDataset":

@@ -77,6 +77,12 @@ class TestSolve:
     def test_missing_blocks_is_runtime_failure(self, tmp_path):
         assert main(["solve", write_config(tmp_path, {"tol": 1e-8})]) == 1
 
+    def test_unknown_env_key_exits_1_before_writing(self, tmp_path, capsys):
+        doc = {"env": {"map": ["S.G"], "slip": 0.5}, "output_dir": str(tmp_path / "solve")}
+        assert main(["solve", write_config(tmp_path, doc)]) == 1
+        assert "unknown env key 'slip'; closest known key is 'slip_prob'" in capsys.readouterr().err
+        assert not (tmp_path / "solve").exists()
+
 
 class TestTrain:
     def test_zero_steps_summary_only(self, tmp_path, capsys):
@@ -150,7 +156,19 @@ class TestTrain:
         (lambda doc: doc["dts"].update(horizon=99), "unknown dts key 'horizon'"),
         (lambda doc: doc.pop("total_steps"), "config is missing required key 'total_steps'"),
         (lambda doc: doc.pop("env"), "config is missing required key 'env'"),
-    ], ids=["learner-typo", "backup-mode", "dss-typo", "dts-horizon", "no-total-steps", "no-env"])
+        (lambda doc: doc["env"].update(slip=0.5),
+         "unknown env key 'slip'; closest known key is 'slip_prob'"),
+        (lambda doc: doc["generate_offline"].update(episode=10),
+         "unknown generate_offline key 'episode'; closest known key is 'episodes'"),
+        (lambda doc: doc.update(env={"width": 3}), "env block is missing key 'height'"),
+        (lambda doc: doc["learner"].update(alpha="x"), "learner key 'alpha' must be a number, got 'x'"),
+        (lambda doc: doc["dts"].update(delta_max=8.5), "dts key 'delta_max' must be an integer, got 8.5"),
+        (lambda doc: doc["dss"].update(k=True), "dss key 'k' must be a number, got True"),
+        (lambda doc: doc["generate_offline"].update(guardian_filter="yes"),
+         "generate_offline key 'guardian_filter' must be a boolean, got 'yes'"),
+    ], ids=["learner-typo", "backup-mode", "dss-typo", "dts-horizon", "no-total-steps", "no-env",
+            "env-typo", "generate-offline-typo", "env-incomplete", "learner-wrong-type",
+            "dts-float-integer", "dss-boolean-number", "generate-offline-wrong-type"])
     def test_bad_config_exits_1_before_writing(self, tmp_path, capsys, edit, problem):
         doc = base_train_config(tmp_path)
         edit(doc)

@@ -268,6 +268,66 @@ class TestUpdateActor:
         assert "spec" not in inspect.signature(update_actor).parameters
 
 
+def fold_case_keys(case, rng, num_states, num_actions):
+    """(s, a) columns of one fold-test batch."""
+    if case == "single":
+        return rng.integers(num_states, size=1), rng.integers(num_actions, size=1)
+    if case == "same-key":
+        return np.full(64, rng.integers(num_states)), np.full(64, rng.integers(num_actions))
+    if case == "distinct":
+        return rng.permutation(num_states)[:32], rng.integers(num_actions, size=32)
+    # "skewed": about 30 % of 256 rows share one (s, a) key.
+    s, a = rng.integers(num_states, size=256), rng.integers(num_actions, size=256)
+    heavy = rng.random(256) < 0.3
+    s[heavy], a[heavy] = rng.integers(num_states), rng.integers(num_actions)
+    return s, a
+
+
+class TestFoldMatchesOneSampleCalls:
+    """Batched updates equal a loop of one-sample calls bit for bit."""
+
+    CASES = [("single", 0.3, 0.2), ("same-key", 0.3, 0.2), ("distinct", 0.3, 0.2),
+             ("skewed", 0.3, 0.2), ("skewed", 1.0, 1.0)]
+
+    @staticmethod
+    def draw(case, seed):
+        rng = np.random.default_rng(seed)
+        s, a = fold_case_keys(case, rng, num_states=40, num_actions=4)
+        batch = cols([tr(s=int(si), a=int(ai)) for si, ai in zip(s, a)])
+        members = rng.normal(scale=2.0, size=(3, 40, 4))
+        return batch, rng.normal(size=len(batch)), members, rng.normal(scale=3.0, size=(40, 4))
+
+    @pytest.mark.parametrize("case, critic_lr, actor_lr", CASES)
+    def test_update_critics(self, case, critic_lr, actor_lr):
+        cfg = LearnerConfig(critic_lr=critic_lr, actor_lr=actor_lr)
+        for seed in range(20):
+            batch, y, members, _ = self.draw(case, seed)
+            ens = QEnsemble(members, members)
+            losses = update_critics(ens, batch, y, cfg)
+            loop = QEnsemble(members, members)
+            pre_update = []
+            for i in range(len(batch)):
+                row = batch.take(np.array([i]))
+                update_critics(loop, row, y[i:i + 1], cfg)
+                pre_update.append(update_critics(QEnsemble(members, members), row, y[i:i + 1], cfg))
+            np.testing.assert_array_equal(ens.members, loop.members)
+            # (N, n) in the layout of members[:, s, a], so the mean sums in the same order.
+            np.testing.assert_array_equal(losses, np.stack(pre_update).T.mean(axis=1))
+
+    @pytest.mark.parametrize("case, critic_lr, actor_lr", CASES)
+    def test_update_actor(self, case, critic_lr, actor_lr):
+        cfg = LearnerConfig(alpha=0.3, critic_lr=critic_lr, actor_lr=actor_lr)
+        for seed in range(20):
+            batch, _, members, logits = self.draw(case, seed)
+            ens = QEnsemble(members, members)
+            pol = PolicyTable(logits)
+            loss = update_actor(pol, batch.s, ens, cfg)
+            loop = PolicyTable(logits)
+            losses = [update_actor(loop, [s], ens, cfg) for s in batch.s]
+            np.testing.assert_array_equal(pol.logits, loop.logits)
+            np.testing.assert_array_equal(loss, np.mean(losses))
+
+
 class TestSoftUpdateTargets:
     def test_tau_one_copies(self):
         ens = QEnsemble(members=np.full((2, 1, 1), 3.0), targets=np.zeros((2, 1, 1)))

@@ -151,6 +151,15 @@ class TestOfflineDataset:
             '{"s": 6, "a": 1, "r": 1.0, "s2": 7, "done": true, "t": 1, "ep": 0}\n'
         )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_save_rejects_non_finite_reward_before_opening(self, tmp_path, bad):
+        ds = OfflineDataset([[tr(s=0, s_next=1, t=0), tr(s=1, r=bad, s_next=2, t=1),
+                              tr(s=2, s_next=3, t=2)]])
+        path = tmp_path / "data.jsonl"
+        with pytest.raises(ValueError, match=rf"^row 1: key 'r' must be finite, got {bad!r}$"):
+            ds.save_jsonl(path)
+        assert not path.exists()
+
     def test_loader_validates_continuity(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(
