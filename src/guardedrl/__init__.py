@@ -16,7 +16,7 @@ from .envs import (
     uniform_policy,
     uniform_safe_policy,
 )
-from .guardian import ProjectionResult, project_action, renormalize_policy_safe, safe_entropy
+from .guardian import ProjectionResult, project_action, renormalize_policy_safe
 from .learner import (
     LearnerConfig,
     PolicyTable,
@@ -45,7 +45,6 @@ from .metrics import (
     action_novelty_rate,
     coverage_count,
     margin_scan,
-    shadow_rates,
     support_kl,
     td_error_stats,
     visitation_entropy,

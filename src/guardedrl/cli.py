@@ -57,13 +57,17 @@ def load_config(path: str | Path) -> dict:
         text = Path(path).read_text()
     except OSError as exc:
         raise CliError(f"cannot read config {path}: {exc}") from exc
-    return json.loads(text)
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise CliError(f"config {path} must be a JSON object")
+    return doc
 
 
 # The JSON value kinds a config key accepts; a boolean is never a number.
 KINDS = {"a number": (int, float), "an integer": (int,), "a string": (str,),
          "a boolean": (bool,), "an array": (list,), "a string or an array": (str, list)}
-_FIELD_KINDS = {"float": "a number", "int": "an integer", "str": "a string"}
+_FIELD_KINDS = {"float": "a number", "int": "an integer", "str": "a string", "bool": "a boolean",
+                "str | None": "a string"}
 # Block name -> key -> kind: the block's dataclass fields (tuples and sets are
 # arrays), except schedule horizons, which always come from total_steps.
 BLOCK_KEYS = {
@@ -75,15 +79,28 @@ BLOCK_KEYS["env"]["map"] = "a string or an array"
 BLOCK_KEYS["generate_offline"] = dict(episodes="an integer", max_ep_len="an integer",
                                       behavior="a string", seed="an integer",
                                       guardian_filter="a boolean")
+BLOCK_KEYS["random_mdp"] = dict(num_states="an integer", num_actions="an integer",
+                                safe_fraction="a number", seed="an integer", gamma="a number")
+# The top level itself: RunConfig's scalar fields (the dataset path is
+# "offline_dataset"), the output directory and solve's tolerances. Other
+# top-level keys are ignored, so one file can serve every subcommand.
+TOP_LEVEL = "top-level"
+BLOCK_KEYS[TOP_LEVEL] = {
+    ("offline_dataset" if f.name == "offline_dataset_path" else f.name): _FIELD_KINDS[f.type]
+    for f in fields(RunConfig) if f.type in _FIELD_KINDS
+}
+BLOCK_KEYS[TOP_LEVEL].update(output_dir="a string", tol="a number", gap_tolerance="a number")
+_RUN_FIELDS = {f.name for f in fields(RunConfig)}
 
 
 def config_block(doc: dict, name: str) -> dict:
     """A copy of the doc's `name` block ({} if absent), numbers as floats.
 
-    Every key must be known and its value of the key's kind.
+    Every key must be known and its value of the key's kind. For
+    TOP_LEVEL the block is the doc's known top-level keys.
     """
     kinds = BLOCK_KEYS[name]
-    block = doc.get(name, {})
+    block = {k: v for k, v in doc.items() if k in kinds} if name == TOP_LEVEL else doc.get(name, {})
     if not isinstance(block, dict):
         raise ValueError(f"config block {name!r} must be a JSON object")
     for key, value in block.items():
@@ -95,6 +112,13 @@ def config_block(doc: dict, name: str) -> dict:
         if not isinstance(value, KINDS[kind]) or (isinstance(value, bool) and kind != "a boolean"):
             raise ValueError(f"{name} key {key!r} must be {kind}, got {value!r}")
     return {key: float(value) if kinds[key] == "a number" else value for key, value in block.items()}
+
+
+def output_dir(args: argparse.Namespace, doc: dict, default: str) -> Path:
+    """--out if given, else the config's output_dir, else default."""
+    if args.out is not None:
+        return Path(args.out)
+    return Path(config_block(doc, TOP_LEVEL).get("output_dir", default))
 
 
 def grid_from_doc(doc: dict) -> GridWorldSpec:
@@ -115,33 +139,21 @@ def run_config_from_doc(doc: dict) -> RunConfig:
     for key in ("env", "total_steps"):
         if key not in doc:
             raise ValueError(f"config is missing required key {key!r}")
+    top = config_block(doc, TOP_LEVEL)
     dts_doc = config_block(doc, "dts")
     dss_doc = config_block(doc, "dss")
     learner_doc = config_block(doc, "learner")
     config_block(doc, "generate_offline")
     grid = grid_from_doc(doc)
-    total_steps = int(doc["total_steps"])
-    horizon = max(total_steps, 1)
-    optional = {
-        key: doc[key]
-        for key in (
-            "ensemble_size", "batch_size", "updates_per_step", "eval_every",
-            "eval_episodes", "eval_max_len", "ttfv_episodes", "ttfv_max_steps",
-            "max_episode_len", "online_buffer_capacity", "stochastic_eval",
-        )
-        if key in doc
-    }
+    horizon = max(top["total_steps"], 1)
     return RunConfig(
-        variant=doc.get("variant", "guardian"),
+        **{"variant": "guardian", "seed": 0, **{k: v for k, v in top.items() if k in _RUN_FIELDS}},
         grid=grid,
         learner=LearnerConfig(**{"gamma": grid.gamma, **learner_doc}),
         dts=DtsConfig(**{"delta_min": 1, "delta_max": 16, "beta": 2.0, **dts_doc}, horizon=horizon),
         dss=DssConfig(**{"lambda_min": 0.1, "lambda_max": 0.5, "k": 10.0 / horizon, **dss_doc},
                       horizon=horizon),
-        total_steps=total_steps,
-        seed=int(doc.get("seed", 0)),
-        offline_dataset_path=doc.get("offline_dataset"),
-        **optional,
+        offline_dataset_path=top.get("offline_dataset"),
     )
 
 
@@ -203,7 +215,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         doc["variant"] = args.variant
     if args.steps is not None:
         doc["total_steps"] = args.steps
-    out_dir = Path(args.out if args.out is not None else doc.get("output_dir", "runs/run"))
+    out_dir = output_dir(args, doc, "runs/run")
     summary = _train_one(doc, out_dir)
     print(json.dumps(summary, indent=2))
     return EXIT_OK
@@ -220,7 +232,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sweep = doc.get("sweep")
     if not sweep or not sweep.get("variants") or not sweep.get("seeds"):
         raise CliError("config needs a sweep block with non-empty variants and seeds")
-    base_out = Path(args.out if args.out is not None else doc.get("output_dir", "runs/sweep"))
+    base_out = output_dir(args, doc, "runs/sweep")
     jobs = []
     for variant in sweep["variants"]:
         for seed in sweep["seeds"]:
@@ -240,22 +252,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     doc = load_config(args.config)
+    top = config_block(doc, TOP_LEVEL)
     if "random_mdp" in doc:
-        rm = doc["random_mdp"]
-        mdp, spec = build_random_safe_mdp(
-            num_states=int(rm["num_states"]),
-            num_actions=int(rm["num_actions"]),
-            safe_fraction=float(rm.get("safe_fraction", 0.7)),
-            seed=int(rm.get("seed", 0)),
-            gamma=float(rm.get("gamma", 0.9)),
-        )
+        rm = config_block(doc, "random_mdp")
+        for key in ("num_states", "num_actions"):
+            if key not in rm:
+                raise ValueError(f"random_mdp block is missing key {key!r}")
+        mdp, spec = build_random_safe_mdp(**{"safe_fraction": 0.7, "seed": 0, **rm})
     elif "env" in doc:
         mdp, spec = build_cliff_grid(grid_from_doc(doc))
     else:
         raise CliError("solve config needs an env or random_mdp block")
-    tol = float(doc.get("tol", 1e-8))
-    gap_tolerance = float(doc.get("gap_tolerance", 1e-6))
-    out_dir = Path(args.out if args.out is not None else doc.get("output_dir", "runs/solve"))
+    tol = top.get("tol", 1e-8)
+    gap_tolerance = top.get("gap_tolerance", 1e-6)
+    out_dir = output_dir(args, doc, "runs/solve")
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         result = solve_guarded_value_iteration(mdp, spec, tol=tol)

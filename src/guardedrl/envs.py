@@ -11,6 +11,7 @@ tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -25,6 +26,17 @@ GRID_DISPLACEMENTS = np.array(
     [(0, 1), (0, -1), (-1, 0), (1, 0), (0, 0)], dtype=np.float64
 )
 _PERPENDICULAR = {UP: (LEFT, RIGHT), DOWN: (LEFT, RIGHT), LEFT: (UP, DOWN), RIGHT: (UP, DOWN)}
+
+
+def _cell(name: str, value) -> tuple[int, int]:
+    """value as an (x, y) cell; anything but two integers raises ValueError."""
+    try:
+        x, y = value
+    except (TypeError, ValueError):
+        x = y = None
+    if any(isinstance(v, bool) or not isinstance(v, Integral) for v in (x, y)):
+        raise ValueError(f"{name} cell must be two integers [x, y], got {value!r}")
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -45,9 +57,9 @@ class GridWorldSpec:
     def __post_init__(self):
         if self.width < 1 or self.height < 1 or self.width * self.height < 2:
             raise ValueError("grid must contain at least two cells")
-        object.__setattr__(self, "hazards", frozenset(tuple(c) for c in self.hazards))
-        object.__setattr__(self, "start", tuple(self.start))
-        object.__setattr__(self, "goal", tuple(self.goal))
+        object.__setattr__(self, "hazards", frozenset(_cell("hazard", c) for c in self.hazards))
+        object.__setattr__(self, "start", _cell("start", self.start))
+        object.__setattr__(self, "goal", _cell("goal", self.goal))
         for name, cell in (("start", self.start), ("goal", self.goal), *(("hazard", c) for c in self.hazards)):
             if not (0 <= cell[0] < self.width and 0 <= cell[1] < self.height):
                 raise ValueError(f"{name} cell {cell} outside {self.width}x{self.height} grid")
@@ -271,4 +283,4 @@ def collect_offline_dataset(
             s = s_next
             if done:
                 break
-    return OfflineDataset.from_columns(buffers)
+    return OfflineDataset(buffers)

@@ -16,8 +16,6 @@ from .mdp import ProjectionResult, SafetySpec
 # numerically starved and falls back to uniform-over-safe.
 STARVATION_EPS = 1e-12
 
-DISTRIBUTION_ATOL = 1e-9
-
 
 def project_action(s: int, a_raw: int, spec: SafetySpec) -> ProjectionResult:
     """Nearest safe action to a_raw in squared embedding distance.
@@ -33,18 +31,6 @@ def project_action(s: int, a_raw: int, spec: SafetySpec) -> ProjectionResult:
     if not 0 <= s < spec.num_states:
         raise ValueError(f"state {s} out of range [0, {spec.num_states})")
     return spec.projection_table[s][a_raw]
-
-
-def check_distribution(probs: np.ndarray) -> np.ndarray:
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1:
-        raise ValueError(f"distribution must be 1-D, got shape {probs.shape}")
-    if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
-        raise ValueError("distribution entries must be finite and non-negative")
-    total = float(probs.sum())
-    if abs(total - 1.0) > DISTRIBUTION_ATOL:
-        raise ValueError(f"distribution sums to {total}, expected 1 within {DISTRIBUTION_ATOL}")
-    return probs
 
 
 def renormalize_policy_safe(
@@ -66,10 +52,3 @@ def renormalize_policy_safe(
         masked[starved] = uniform / uniform.sum(axis=1, keepdims=True)
         totals = masked.sum(axis=1)
     return masked / totals[:, None], starved
-
-
-def safe_entropy(probs: np.ndarray) -> float:
-    """Shannon entropy in nats with the 0 * log 0 = 0 convention."""
-    probs = check_distribution(probs)
-    positive = probs[probs > 0.0]
-    return float(-np.sum(positive * np.log(positive)))

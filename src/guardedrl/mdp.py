@@ -6,9 +6,10 @@ predicates are (S, A) boolean tables. Everything here is a pure function
 of its inputs and doubles as the ground-truth oracle for the learning
 code in the rest of the package.
 
-The per-step primitives of a rollout (envs.env_step, guardian.project_action)
-read lookup tables that TabularMdp and SafetySpec build lazily, once per
-instance, from their arrays. The exact solvers never touch them.
+The per-step primitives of a rollout (envs.env_step, guardian.project_action,
+the trainer's near-miss count) read lookup tables that TabularMdp and
+SafetySpec build lazily, once per instance, from their arrays. The exact
+solvers never touch them.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from typing import Sequence
 import numpy as np
 
 PROB_ATOL = 1e-9
+# A safe action whose embedding lies closer than this (Euclidean) to an
+# unsafe action's embedding at the same state is a near miss.
+NEAR_MISS_MARGIN = 1.5
 
 
 class ConvergenceError(RuntimeError):
@@ -144,8 +148,8 @@ class SafetySpec:
     a well-defined geometry).
 
     The arrays must not be mutated in place after construction: the
-    projection table is built from them on first use and cached for the
-    instance's lifetime.
+    projection and near-miss tables are built from them on first use and
+    cached for the instance's lifetime.
     """
 
     safe: np.ndarray
@@ -203,6 +207,19 @@ class SafetySpec:
             for best_row, dist_row in zip(best.tolist(), distance.tolist())
         ]
 
+    @cached_property
+    def near_miss_table(self) -> list[list[bool]]:
+        """[s][a] -> a is safe at s and within NEAR_MISS_MARGIN of an unsafe action there.
+
+        The distance is Euclidean between embeddings; an unsafe action is
+        never a near miss, so the two categories are disjoint.
+        """
+        emb = self.action_embedding
+        diffs = emb[None, :, :] - emb[:, None, :]  # [a, b] = emb[b] - emb[a]
+        close = np.sqrt(np.einsum("abd,abd->ab", diffs, diffs)) < NEAR_MISS_MARGIN
+        near_unsafe = (close[None, :, :] & ~self.safe[:, None, :]).any(axis=2)
+        return (self.safe & near_unsafe).tolist()
+
 
 def categorical_draw(cdf: Sequence[float], u: float) -> int:
     """Inverse-CDF draw: the first index whose cumulative mass exceeds u.
@@ -250,19 +267,6 @@ def max_norm_distance(q1: np.ndarray, q2: np.ndarray) -> float:
     if q1.shape != q2.shape:
         raise ValueError(f"shape mismatch: {q1.shape} vs {q2.shape}")
     return float(np.max(np.abs(q1 - q2))) if q1.size else 0.0
-
-
-def max_gap(f: np.ndarray, g: np.ndarray) -> float:
-    """|max f - max g| over a shared index set.
-
-    The contraction proof hinges on this never exceeding max|f - g|;
-    that bound is property-tested directly against this helper.
-    """
-    f = np.asarray(f, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if f.shape != g.shape or f.size == 0:
-        raise ValueError("inputs must be non-empty and share one index set")
-    return float(abs(np.max(f) - np.max(g)))
 
 
 def safe_state_values(q: np.ndarray, spec: SafetySpec) -> np.ndarray:

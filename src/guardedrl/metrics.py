@@ -4,8 +4,9 @@ All functions here are pure over immutable snapshots. The exploration
 metrics (state coverage, visitation entropy) read a VisitationStats
 accumulator; the distributional metrics (support KL, action novelty
 rate) compare the final policy against the smoothed behavior-cloning
-policy; the shadow metrics read the pre-projection proposals recorded
-alongside executed actions. The novelty-rate and support-KL
+policy. The shadow metrics (pre-guard violation and near-miss rates) are
+not computed here: the trainer counts each proposal against spec.safe and
+SafetySpec.near_miss_table as it steps. The novelty-rate and support-KL
 formalizations (argmax-below-threshold, visit-weighted smoothed KL) are
 this package's definitions; margin scanning is grounded in the exact
 solver's fixed point as decision ground truth.
@@ -13,9 +14,7 @@ solver's fixed point as decision ground truth.
 
 from __future__ import annotations
 
-import csv
 import warnings
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from .guardian import project_action
 from .learner import LearnerConfig, PolicyTable, QEnsemble, compute_targets
 from .mdp import SafetySpec, TabularMdp, solve_guarded_value_iteration
-from .sampling import TransitionBatch, TransitionRecord
+from .sampling import TransitionBatch
 
 
 class VisitationStats:
@@ -124,35 +123,6 @@ def action_novelty_rate(
     return float(np.mean(bc_probs[states, greedy] < eps))
 
 
-def shadow_rates(
-    records: Sequence[TransitionRecord], spec: SafetySpec, margin: float = 1.5
-) -> tuple[float, float]:
-    """Pre-guard violation rate and near-miss rate over proposal-bearing records.
-
-    A record is a pre-guard violation when its raw proposal was unsafe;
-    a near miss when the proposal was safe but its embedding lies within
-    the margin (Euclidean) of some unsafe action's embedding at that
-    state. The categories are disjoint by construction.
-    """
-    proposals = [tr for tr in records if tr.a_prop is not None]
-    if not proposals:
-        raise ValueError("no records carry a pre-projection proposal")
-    violations = 0
-    near_misses = 0
-    for tr in proposals:
-        if not spec.safe[tr.s, tr.a_prop]:
-            violations += 1
-            continue
-        unsafe = np.flatnonzero(~spec.safe[tr.s])
-        if unsafe.size == 0:
-            continue
-        diffs = spec.action_embedding[unsafe] - spec.action_embedding[tr.a_prop]
-        if float(np.sqrt(np.einsum("ij,ij->i", diffs, diffs).min())) < margin:
-            near_misses += 1
-    n = len(proposals)
-    return violations / n, near_misses / n
-
-
 def margin_scan(
     pol: PolicyTable,
     mdp: TabularMdp,
@@ -186,19 +156,3 @@ def margin_scan(
             hits += 1
     return hits / boundary.size
 
-
-def export_csv(records: Sequence[dict], path: str | Path) -> None:
-    """Flatten per-interval log records into a CSV for external plotting."""
-    records = list(records)
-    if not records:
-        raise ValueError("no records to export")
-    fields: list[str] = []
-    for rec in records:
-        for key in rec:
-            if key not in fields:
-                fields.append(key)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, restval="")
-        writer.writeheader()
-        for rec in records:
-            writer.writerow({k: ("" if v is None else v) for k, v in rec.items()})

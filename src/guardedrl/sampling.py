@@ -9,10 +9,12 @@ then a transition uniformly from the contiguous intra-episode window of
 the current curriculum length starting at the anchor. Windows never
 cross episode boundaries.
 
-Both stores keep transitions as numpy columns (TransitionBatch), and a
-batch is drawn with array operations. The generator is consumed in this
-order, each step one vectorized draw over the slots it concerns, taken
-in slot order:
+Both stores keep transitions as numpy columns (TransitionBatch) and
+offer no per-record views: rows go in through column buffers (offline)
+or OnlineBuffer.append (online) and come out as column batches, drawn
+with array operations. The generator is consumed in this order, each
+step one vectorized draw over the slots it concerns, taken in slot
+order:
 
   1. one uniform per slot for the source (online iff u < lambda);
   2. the online anchors, then the online in-window offsets;
@@ -30,16 +32,15 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 
 @dataclass
 class TransitionRecord:
-    """One sanitized transition; a_prop is the pre-projection proposal, if any."""
+    """One executed transition: the row OnlineBuffer.append writes into its columns."""
 
     s: int
     a_exec: int
@@ -48,7 +49,6 @@ class TransitionRecord:
     done: bool
     t: int
     episode: int
-    a_prop: int | None = None
 
 
 # Column name -> dtype, in TransitionBatch field order.
@@ -103,31 +103,9 @@ class TransitionBatch:
     def zeros(cls, n: int) -> "TransitionBatch":
         return cls(*(np.zeros(n, dtype=dtype) for dtype in _COLUMNS.values()))
 
-    @classmethod
-    def from_records(cls, records: Sequence[TransitionRecord]) -> "TransitionBatch":
-        """Fill each column straight from the records' attributes."""
-        return cls(
-            *(
-                np.fromiter(map(attrgetter("a_exec" if name == "a" else name), records),
-                            dtype=dtype, count=len(records))
-                for name, dtype in _COLUMNS.items()
-            )
-        )
-
     def take(self, index: np.ndarray) -> "TransitionBatch":
         """Rows at the given positions, in that order."""
         return TransitionBatch(*(col[index] for col in self.columns()))
-
-    def record(self, i: int) -> TransitionRecord:
-        return TransitionRecord(
-            s=int(self.s[i]),
-            a_exec=int(self.a[i]),
-            r=float(self.r[i]),
-            s_next=int(self.s_next[i]),
-            done=bool(self.done[i]),
-            t=int(self.t[i]),
-            episode=int(self.episode[i]),
-        )
 
 
 @dataclass(frozen=True)
@@ -242,29 +220,20 @@ def _row_problem(row) -> str:
 class OfflineDataset:
     """Static episode-structured transition columns with O(1) flat access."""
 
-    def __init__(self, episodes: Iterable[Iterable[TransitionRecord]]):
-        episodes = [ep for ep in map(list, episodes) if ep]
-        bounds = np.cumsum([0] + [len(ep) for ep in episodes])
-        flat = [tr for ep in episodes for tr in ep]
-        self._set_columns(TransitionBatch.from_records(flat), bounds)
+    def __init__(self, buffers: Sequence):
+        """Dataset over row-ordered column buffers in TransitionBatch field order.
 
-    @classmethod
-    def from_columns(cls, buffers: Sequence[array]) -> "OfflineDataset":
-        """Dataset over row-ordered column buffers (see column_buffers).
-
-        Rows of one episode are contiguous; a change of episode id
-        starts a new episode. The buffers are wrapped, not copied.
+        Each buffer holds one column's items in its dtype: the array
+        buffers of column_buffers, or contiguous numpy arrays. Rows of
+        one episode are contiguous; a change of episode id starts a new
+        episode. The buffers are wrapped, not copied.
         """
         data = TransitionBatch(
             *(np.frombuffer(buf, dtype=dtype) for buf, dtype in zip(buffers, _COLUMNS.values()))
         )
         starts = np.ones(len(data), dtype=bool)
         starts[1:] = data.episode[1:] != data.episode[:-1]
-        dataset = cls.__new__(cls)
-        dataset._set_columns(data, np.append(np.flatnonzero(starts), len(data)))
-        return dataset
-
-    def _set_columns(self, data: TransitionBatch, bounds: np.ndarray) -> None:
+        bounds = np.append(np.flatnonzero(starts), len(data))
         _check_episode_continuity(data, bounds)
         self.transitions = data
         self.num_episodes = len(bounds) - 1
@@ -273,12 +242,6 @@ class OfflineDataset:
 
     def __len__(self) -> int:
         return len(self.transitions)
-
-    def record(self, i: int) -> TransitionRecord:
-        return self.transitions.record(i)
-
-    def records(self) -> list[TransitionRecord]:
-        return [self.record(i) for i in range(len(self))]
 
     def check_index_ranges(self, num_states: int, num_actions: int) -> None:
         """Raise on the first row whose s or s_next is outside [0, S) or a outside [0, A)."""
@@ -357,11 +320,10 @@ class OfflineDataset:
                 if not math.isfinite(r[-1]):
                     # json reads NaN and Infinity, which are not JSON numbers.
                     raise ValueError(f"{path}:{lineno}: key 'r' must be finite, got {r[-1]!r}")
-        return cls.from_columns(buffers)
+        return cls(buffers)
 
 
-# Sentinels: a record whose proposal was not recorded, and a run still growing.
-_NO_PROPOSAL = -1
+# Sentinel run end of a run still growing.
 _OPEN_RUN = np.iinfo(np.int64).max
 
 
@@ -382,7 +344,6 @@ class OnlineBuffer:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._cols = TransitionBatch.zeros(capacity)
-        self._a_prop = np.zeros(capacity, dtype=np.int64)
         self._run_end = np.zeros(capacity, dtype=np.int64)
         self._appended = 0
         self._run_start = 0
@@ -406,26 +367,12 @@ class OnlineBuffer:
         cols.done[i] = tr.done
         cols.t[i] = tr.t
         cols.episode[i] = tr.episode
-        self._a_prop[i] = _NO_PROPOSAL if tr.a_prop is None else tr.a_prop
         self._run_end[i] = _OPEN_RUN
         self._appended = n + 1
 
     def _slots(self, positions):
         """Ring slots of positions counted from the oldest retained record."""
         return (self._appended - len(self) + positions) % self.capacity
-
-    def record(self, i: int) -> TransitionRecord:
-        """i-th record in arrival order, 0 = oldest retained."""
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        slot = self._slots(i)
-        tr = self._cols.record(slot)
-        a_prop = int(self._a_prop[slot])
-        tr.a_prop = None if a_prop == _NO_PROPOSAL else a_prop
-        return tr
-
-    def records(self) -> list[TransitionRecord]:
-        return [self.record(i) for i in range(len(self))]
 
     def window_positions(
         self, anchors: np.ndarray, delta: int, rng: np.random.Generator

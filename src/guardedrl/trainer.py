@@ -4,8 +4,10 @@ One loop owns all mutable state. Per step: the policy proposes a raw
 action, the projection (variant-dependent) certifies it, the sanitized
 transition lands in the online buffer, and the learner takes hybrid
 batches under the current curriculum schedules. The raw proposal is
-recorded in every variant (shadow channel) so pre-guard metrics stay
-comparable at zero behavioral cost.
+counted in every interactive variant (shadow channel): per interval, how
+many proposals were unsafe before the guard and how many were near misses
+(SafetySpec.near_miss_table), so pre-guard metrics stay comparable at zero
+behavioral cost. The proposal itself is not stored.
 
 Variants:
   guardian        projected execution + guarded backup targets
@@ -43,7 +45,6 @@ from .mdp import SafetySpec, TabularMdp, categorical_draw
 from .metrics import (
     VisitationStats,
     coverage_count,
-    shadow_rates,
     support_kl,
     action_novelty_rate,
     td_error_stats,
@@ -300,7 +301,9 @@ def run_training(
     starvation_events = 0
     offline_fallbacks = 0
     last_actor_loss: float | None = None
-    interval_records: list[TransitionRecord] = []
+    # Shadow channel of the current interval: proposals, unsafe ones, near misses.
+    proposals = pre_guard_violations = near_misses = 0
+    near_miss = spec.near_miss_table
 
     start = cfg.grid.start_state
     hazard_states = cfg.grid.hazard_states
@@ -309,14 +312,14 @@ def run_training(
     t_ep = 0
 
     def emit(step: int) -> None:
-        nonlocal interval_records
+        nonlocal proposals, pre_guard_violations, near_misses
         lam = dss_mixing(step, cfg.dss) if cfg.total_steps > 0 else cfg.dss.lambda_min
         delta = dts_interval(step, cfg.dts) if cfg.total_steps > 0 else cfg.dts.delta_min
         probe = sample_hybrid_batch(offline, buffer, lam, delta, cfg.batch_size, rng_probe)
         td = td_error_stats(probe.transitions, ens, pol, backup_spec, cfg.learner)
         variance = ensemble_variance(ens, probe.transitions)
-        if interval_records:
-            pre_rate, near_rate = shadow_rates(interval_records, spec)
+        if proposals:
+            pre_rate, near_rate = pre_guard_violations / proposals, near_misses / proposals
         else:
             pre_rate, near_rate = None, None
         eval_seed = cfg.seed * 1_000_003 + step
@@ -350,12 +353,17 @@ def run_training(
                 "starvation_events": starvation_events,
             }
         )
-        interval_records = []
+        proposals = pre_guard_violations = near_misses = 0
 
     emit(0)
     for step in range(1, cfg.total_steps + 1):
         if interactive:
             a_prop = _sample_action(pol.probs(state), rng_env)
+            proposals += 1
+            if not spec.safe[state, a_prop]:
+                pre_guard_violations += 1
+            elif near_miss[state][a_prop]:
+                near_misses += 1
             if guard_exec:
                 a_exec = project_action(state, a_prop, spec).exec_action
             else:
@@ -363,12 +371,9 @@ def run_training(
             if not spec.safe[state, a_exec]:
                 executed_violations += 1
             r, s_next, done = env_step(mdp, state, a_exec, rng_env)
-            tr = TransitionRecord(
-                s=state, a_exec=a_exec, r=r, s_next=s_next, done=done,
-                t=t_ep, episode=episode, a_prop=a_prop,
-            )
-            buffer.append(tr)
-            interval_records.append(tr)
+            buffer.append(TransitionRecord(
+                s=state, a_exec=a_exec, r=r, s_next=s_next, done=done, t=t_ep, episode=episode,
+            ))
             stats.record(state)
             t_ep += 1
             if done or t_ep >= cfg.max_episode_len:

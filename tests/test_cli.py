@@ -1,5 +1,6 @@
 """Subcommand behavior, exit-code discipline, and file outputs."""
 
+import hashlib
 import json
 import statistics
 
@@ -77,11 +78,42 @@ class TestSolve:
     def test_missing_blocks_is_runtime_failure(self, tmp_path):
         assert main(["solve", write_config(tmp_path, {"tol": 1e-8})]) == 1
 
+    @pytest.mark.parametrize("command", ["solve", "train"])
+    def test_non_object_config_exits_1(self, tmp_path, capsys, command):
+        assert main([command, write_config(tmp_path, [1, 2])]) == 1
+        assert "must be a JSON object" in capsys.readouterr().err
+
     def test_unknown_env_key_exits_1_before_writing(self, tmp_path, capsys):
         doc = {"env": {"map": ["S.G"], "slip": 0.5}, "output_dir": str(tmp_path / "solve")}
         assert main(["solve", write_config(tmp_path, doc)]) == 1
         assert "unknown env key 'slip'; closest known key is 'slip_prob'" in capsys.readouterr().err
         assert not (tmp_path / "solve").exists()
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda doc: doc["random_mdp"].pop("num_states"),
+         "random_mdp block is missing key 'num_states'"),
+        (lambda doc: doc["random_mdp"].update(num_actions="4"),
+         "random_mdp key 'num_actions' must be an integer, got '4'"),
+        (lambda doc: doc["random_mdp"].update(num_state=12),
+         "unknown random_mdp key 'num_state'; closest known key is 'num_states'"),
+        (lambda doc: doc.update(random_mdp=[12, 4]), "config block 'random_mdp' must be a JSON object"),
+        (lambda doc: doc.update(tol="small"), "top-level key 'tol' must be a number, got 'small'"),
+        (lambda doc: doc.update(output_dir=5), "top-level key 'output_dir' must be a string, got 5"),
+    ], ids=["no-num-states", "text-num-actions", "random-mdp-typo", "random-mdp-array",
+            "text-tol", "number-output-dir"])
+    def test_bad_random_mdp_config_exits_1_before_writing(self, tmp_path, capsys, edit, problem):
+        doc = {"random_mdp": {"num_states": 12, "num_actions": 4}, "output_dir": str(tmp_path / "solve")}
+        edit(doc)
+        assert main(["solve", write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert problem in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "solve").exists()
+
+    def test_unknown_top_level_key_is_ignored(self, tmp_path):
+        doc = {"env": {"map": ["S.G"], "gamma": 0.0}, "notes": {"any": "thing"},
+               "output_dir": str(tmp_path / "solve")}
+        assert main(["solve", write_config(tmp_path, doc)]) == 0
 
 
 class TestTrain:
@@ -166,9 +198,26 @@ class TestTrain:
         (lambda doc: doc["dss"].update(k=True), "dss key 'k' must be a number, got True"),
         (lambda doc: doc["generate_offline"].update(guardian_filter="yes"),
          "generate_offline key 'guardian_filter' must be a boolean, got 'yes'"),
+        (lambda doc: doc.update(batch_size="x"), "top-level key 'batch_size' must be an integer, got 'x'"),
+        (lambda doc: doc.update(total_steps=150.0),
+         "top-level key 'total_steps' must be an integer, got 150.0"),
+        (lambda doc: doc.update(variant=["guardian"]),
+         "top-level key 'variant' must be a string, got ['guardian']"),
+        (lambda doc: doc.update(stochastic_eval=1),
+         "top-level key 'stochastic_eval' must be a boolean, got 1"),
+        (lambda doc: doc.update(offline_dataset=7), "top-level key 'offline_dataset' must be a string, got 7"),
+        (lambda doc: doc.update(env={"width": 3, "height": 3, "start": [0], "goal": [2, 1]}),
+         "start cell must be two integers [x, y], got [0]"),
+        (lambda doc: doc.update(env={"width": 3, "height": 3, "start": [0, 1], "goal": [2, 1.5]}),
+         "goal cell must be two integers [x, y], got [2, 1.5]"),
+        (lambda doc: doc.update(env={"width": 3, "height": 3, "start": [0, 1], "goal": [2, 1],
+                                     "hazards": [[1, 0], 4]}),
+         "hazard cell must be two integers [x, y], got 4"),
     ], ids=["learner-typo", "backup-mode", "dss-typo", "dts-horizon", "no-total-steps", "no-env",
             "env-typo", "generate-offline-typo", "env-incomplete", "learner-wrong-type",
-            "dts-float-integer", "dss-boolean-number", "generate-offline-wrong-type"])
+            "dts-float-integer", "dss-boolean-number", "generate-offline-wrong-type",
+            "top-level-wrong-type", "float-total-steps", "array-variant", "integer-flag",
+            "number-dataset-path", "env-short-cell", "env-float-cell", "env-scalar-hazard"])
     def test_bad_config_exits_1_before_writing(self, tmp_path, capsys, edit, problem):
         doc = base_train_config(tmp_path)
         edit(doc)
@@ -178,6 +227,35 @@ class TestTrain:
         assert problem in err
         assert err.count("\n") == 1
         assert not out.exists()
+
+
+class TestGoldenRuns:
+    """Run logs of a fixed config, pinned byte for byte across code changes."""
+
+    DIGESTS = {  # sha256 of log.jsonl + summary.json
+        "guardian": "54d354f9157fa1c1fe7766b013c2e00f13d3df66b9ca03a8e1c64c11d0aeca72",
+        "exec_mask_only": "1f5c676feb4cd7f8740deb768c9bb16769a872fd9365ab56b9cd277579f85e0d",
+        "no_guard": "cb8076af8aeed795a9362f27b6e16bf24fd0c86d5bff80e0ce7d2fd0777e2725",
+        "offline_only": "e269e7f3feb3e7c672222565d64b2bed8463e687cdf8f4ba72e0b43632ebab3d",
+    }
+
+    @pytest.mark.parametrize("variant", list(DIGESTS))
+    def test_cliff_run_log_digest(self, tmp_path, variant):
+        # Criterion-7 settings on the 5x5 slippery cliff, shortened to 300 steps.
+        doc = {
+            "env": {"map": [".....", ".....", ".....", "S...G", "XXXXX"], "step_reward": -0.02,
+                    "goal_reward": 1.0, "hazard_reward": -1.0, "slip_prob": 0.2, "gamma": 0.95},
+            "learner": {"alpha": 0.02, "tau": 0.05, "critic_lr": 0.3, "actor_lr": 0.2},
+            "dts": {"delta_min": 1, "delta_max": 8, "beta": 2.0},
+            "total_steps": 300, "seed": 0, "batch_size": 32, "eval_every": 100,
+            "eval_episodes": 5, "eval_max_len": 60, "max_episode_len": 60,
+            "generate_offline": {"episodes": 50, "max_ep_len": 60, "seed": 999},
+        }
+        out = tmp_path / variant
+        assert main(["train", write_config(tmp_path, doc), "--variant", variant,
+                     "--out", str(out)]) == 0
+        data = (out / "log.jsonl").read_bytes() + (out / "summary.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.DIGESTS[variant]
 
 
 class TestSweepAndReport:

@@ -191,8 +191,10 @@ class TestCollectOfflineDataset:
         behavior[:, RIGHT] = 1.0
         ds = collect_offline_dataset(mdp, safety, behavior, n_episodes=5, max_ep_len=10,
                                      seed=3, start_state=spec.start_state)
-        episodes = [[(r.s, r.a_exec, r.s_next, r.done) for r in ep]
-                    for _, ep in groupby(ds.records(), key=lambda r: r.episode)]
+        data = ds.transitions
+        rows = zip(data.episode.tolist(), zip(data.s.tolist(), data.a.tolist(),
+                                              data.s_next.tolist(), data.done.tolist()))
+        episodes = [[row for _, row in ep] for _, ep in groupby(rows, key=lambda r: r[0])]
         assert all(ep == episodes[0] for ep in episodes)
         assert episodes[0][-1][3] is True
 
@@ -202,9 +204,7 @@ class TestCollectOfflineDataset:
         ds = collect_offline_dataset(mdp, safety, uniform_policy(mdp.num_states, 5),
                                      n_episodes=40, max_ep_len=30, seed=4,
                                      start_state=spec.start_state)
-        for i in range(len(ds)):
-            record = ds.record(i)
-            assert safety.safe[record.s, record.a_exec]
+        assert safety.safe[ds.transitions.s, ds.transitions.a].all()
 
     def test_unfiltered_collection_can_violate(self):
         spec = GridWorldSpec.from_ascii(["S.G", "XXX"], gamma=0.9)
@@ -212,7 +212,7 @@ class TestCollectOfflineDataset:
         ds = collect_offline_dataset(mdp, safety, uniform_policy(mdp.num_states, 5),
                                      n_episodes=40, max_ep_len=30, seed=4,
                                      guardian_filter=False, start_state=spec.start_state)
-        assert any(not safety.safe[ds.record(i).s, ds.record(i).a_exec] for i in range(len(ds)))
+        assert not safety.safe[ds.transitions.s, ds.transitions.a].all()
 
     def test_counts_match_occupancy_oracle_on_chain(self):
         # 4-state ring, 2 actions (advance / stay), no terminals.
@@ -238,8 +238,7 @@ class TestCollectOfflineDataset:
             p = p @ chain
 
         counts = np.zeros((n, 2, n_episodes))
-        for record in ds.records():
-            counts[record.s, record.a_exec, record.episode] += 1.0
+        np.add.at(counts, (ds.transitions.s, ds.transitions.a, ds.transitions.episode), 1.0)
         mean = counts.mean(axis=2)
         stderr = counts.std(axis=2, ddof=1) / np.sqrt(n_episodes)
         assert np.all(np.abs(mean - expected) <= 3.0 * stderr + 1e-9)

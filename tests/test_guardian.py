@@ -1,18 +1,10 @@
 """Projection and safe-renormalization contracts."""
 
-import math
-
 import numpy as np
 import pytest
 
 from guardedrl.envs import GRID_DISPLACEMENTS, NOOP, UP
-from guardedrl.guardian import (
-    ProjectionResult,
-    check_distribution,
-    project_action,
-    renormalize_policy_safe,
-    safe_entropy,
-)
+from guardedrl.guardian import ProjectionResult, project_action, renormalize_policy_safe
 from guardedrl.mdp import SafetySpec
 
 
@@ -124,31 +116,3 @@ class TestRenormalizePolicySafe:
             np.testing.assert_array_equal(probs[i], row)
             assert starved[i] == row_starved
 
-
-class TestSafeEntropy:
-    def test_one_hot_is_zero(self):
-        assert safe_entropy(np.array([0.0, 1.0, 0.0])) == 0.0
-
-    def test_uniform_is_log_k(self):
-        for k in (2, 3, 7):
-            assert safe_entropy(np.full(k, 1.0 / k)) == pytest.approx(math.log(k), abs=1e-12)
-
-    def test_two_point_distribution(self):
-        expected = -(0.6 * math.log(0.6) + 0.4 * math.log(0.4))
-        assert safe_entropy(np.array([0.6, 0.4])) == pytest.approx(expected, abs=1e-12)
-        assert expected == pytest.approx(0.6730, abs=5e-5)
-
-
-class TestCheckDistribution:
-    def test_accepts_valid(self):
-        check_distribution(np.array([0.25, 0.75]))
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            check_distribution(np.eye(2))
-
-    def test_rejects_invalid_distribution(self):
-        with pytest.raises(ValueError, match="sums to 1.5"):
-            check_distribution(np.array([0.5, 0.5, 0.5, 0.0, 0.0]))
-        with pytest.raises(ValueError, match="non-negative"):
-            check_distribution(np.array([-0.1, 1.1, 0.0, 0.0, 0.0]))

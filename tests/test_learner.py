@@ -5,8 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from columns import columns_of
 
-from guardedrl.guardian import safe_entropy
 from guardedrl.learner import (
     ENTROPY_BONUS,
     ENTROPY_PENALTY,
@@ -22,7 +22,7 @@ from guardedrl.learner import (
     update_critics,
 )
 from guardedrl.mdp import SafetySpec
-from guardedrl.sampling import TransitionBatch, TransitionRecord
+from guardedrl.sampling import TransitionRecord
 
 
 def make_spec(safe, dim=None):
@@ -34,13 +34,14 @@ def tr(s=0, a=0, r=0.0, s_next=0, done=False, t=0, ep=0):
     return TransitionRecord(s=s, a_exec=a, r=r, s_next=s_next, done=done, t=t, episode=ep)
 
 
-def cols(records):
-    return TransitionBatch.from_records(records)
+def entropy(probs):
+    """Reference Shannon entropy in nats, 0 * log 0 = 0."""
+    return float(-np.sum(probs[probs > 0.0] * np.log(probs[probs > 0.0])))
 
 
 def target(record, pol, ens, spec, cfg):
     """Backup target of a one-row batch."""
-    y, _ = compute_targets(cols([record]), pol, ens, spec, cfg)
+    y, _ = compute_targets(columns_of([record]), pol, ens, spec, cfg)
     return float(y[0])
 
 
@@ -110,7 +111,7 @@ class TestComputeGuardedTarget:
         y = target(record, self.pol, self.ens, self.spec, cfg)
         probs = safe_probs(self.pol, 0, self.spec)
         qmin = self.ens.targets.min(axis=0)[0]
-        expected = 1.0 + 0.8 * (probs @ qmin + 0.2 * safe_entropy(probs))
+        expected = 1.0 + 0.8 * (probs @ qmin + 0.2 * entropy(probs))
         assert y == pytest.approx(expected, abs=1e-12)
 
     def test_entropy_sign_switch(self):
@@ -120,7 +121,7 @@ class TestComputeGuardedTarget:
         y_bonus = target(record, self.pol, self.ens, self.spec, bonus)
         y_penalty = target(record, self.pol, self.ens, self.spec, penalty)
         probs = safe_probs(self.pol, 0, self.spec)
-        gap = 2 * 0.9 * 0.5 * safe_entropy(probs)
+        gap = 2 * 0.9 * 0.5 * entropy(probs)
         assert y_bonus - y_penalty == pytest.approx(gap, abs=1e-12)
 
     def test_unguarded_uses_raw_policy(self):
@@ -154,7 +155,7 @@ class TestComputeGuardedTarget:
         spec = make_spec([[False, True, True]])
         pol = PolicyTable(np.array([[60.0, -60.0, -60.0]]))  # all mass on the unsafe action
         ens = QEnsemble.init_random(1, 3, rng=np.random.default_rng(0))
-        batch = cols([tr(r=0.3, s_next=0), tr(r=-0.7, s_next=0, done=True)])
+        batch = columns_of([tr(r=0.3, s_next=0), tr(r=-0.7, s_next=0, done=True)])
         q_safe_mean = ens.min_targets()[0, 1:].mean()
         for entropy_sign, sign in ((ENTROPY_BONUS, 1.0), (ENTROPY_PENALTY, -1.0)):
             cfg = LearnerConfig(gamma=0.9, alpha=0.4, entropy_sign=entropy_sign)
@@ -168,14 +169,14 @@ class TestComputeGuardedTarget:
 class TestUpdateCritics:
     def test_no_change_when_already_at_target(self):
         ens = QEnsemble(members=np.full((2, 1, 1), 3.0), targets=np.full((2, 1, 1), 3.0))
-        losses = update_critics(ens, cols([tr()]), [3.0], LearnerConfig())
+        losses = update_critics(ens, columns_of([tr()]), [3.0], LearnerConfig())
         np.testing.assert_array_equal(losses, [0.0, 0.0])
         assert np.all(ens.members == 3.0)
 
     def test_full_step_sets_value_exactly(self):
         ens = QEnsemble(members=np.zeros((2, 1, 1)), targets=np.zeros((2, 1, 1)))
         cfg = LearnerConfig(critic_lr=1.0)
-        losses = update_critics(ens, cols([tr()]), [7.0], cfg)
+        losses = update_critics(ens, columns_of([tr()]), [7.0], cfg)
         np.testing.assert_array_equal(losses, [49.0, 49.0])
         assert np.all(ens.members[:, 0, 0] == 7.0)
 
@@ -186,7 +187,7 @@ class TestUpdateCritics:
         ens = QEnsemble(members=members.copy(), targets=members.copy())
         batch = [tr(s=0, a=1), tr(s=2, a=0), tr(s=0, a=1), tr(s=0, a=1), tr(s=2, a=0)]
         ys = rng.normal(size=len(batch))
-        update_critics(ens, cols(batch), ys, cfg)
+        update_critics(ens, columns_of(batch), ys, cfg)
 
         # Oracle: replay the per-sample fold one record at a time.
         expected = members.copy()
@@ -199,7 +200,7 @@ class TestUpdateCritics:
     def test_length_mismatch_rejected(self):
         ens = QEnsemble.init_random(2, 2, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            update_critics(ens, cols([tr()]), [1.0, 2.0], LearnerConfig())
+            update_critics(ens, columns_of([tr()]), [1.0, 2.0], LearnerConfig())
 
 
 class TestUpdateActor:
@@ -293,7 +294,7 @@ class TestFoldMatchesOneSampleCalls:
     def draw(case, seed):
         rng = np.random.default_rng(seed)
         s, a = fold_case_keys(case, rng, num_states=40, num_actions=4)
-        batch = cols([tr(s=int(si), a=int(ai)) for si, ai in zip(s, a)])
+        batch = columns_of([tr(s=int(si), a=int(ai)) for si, ai in zip(s, a)])
         members = rng.normal(scale=2.0, size=(3, 40, 4))
         return batch, rng.normal(size=len(batch)), members, rng.normal(scale=3.0, size=(40, 4))
 
@@ -367,13 +368,13 @@ class TestSoftUpdateTargets:
 class TestEnsembleVariance:
     def test_identical_members_zero(self):
         ens = QEnsemble(members=np.full((3, 2, 2), 1.5), targets=np.full((3, 2, 2), 1.5))
-        assert ensemble_variance(ens, cols([tr()])) == 0.0
+        assert ensemble_variance(ens, columns_of([tr()])) == 0.0
 
     def test_two_member_population_variance(self):
         members = np.zeros((2, 1, 1))
         members[1] = 2.0
         ens = QEnsemble(members=members, targets=members.copy())
-        assert ensemble_variance(ens, cols([tr(), tr()])) == 1.0
+        assert ensemble_variance(ens, columns_of([tr(), tr()])) == 1.0
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(9)
@@ -385,7 +386,7 @@ class TestEnsembleVariance:
             vals = [members[i, record.s, record.a_exec] for i in range(4)]
             mean = sum(vals) / 4
             per_pair.append(sum((v - mean) ** 2 for v in vals) / 4)
-        assert ensemble_variance(ens, cols(batch)) == pytest.approx(np.mean(per_pair), abs=1e-12)
+        assert ensemble_variance(ens, columns_of(batch)) == pytest.approx(np.mean(per_pair), abs=1e-12)
 
 
 class TestLearnerConfigValidation:

@@ -1,10 +1,10 @@
 """Metric definitions against independent recomputation oracles."""
 
-import csv
 import math
 
 import numpy as np
 import pytest
+from columns import columns_of
 
 from guardedrl.envs import (
     NOOP,
@@ -15,26 +15,24 @@ from guardedrl.envs import (
     collect_offline_dataset,
     uniform_safe_policy,
 )
-from guardedrl.guardian import project_action, safe_entropy
+from guardedrl.guardian import project_action
 from guardedrl.learner import LearnerConfig, PolicyTable, QEnsemble, softmax
 from guardedrl.metrics import (
     VisitationStats,
     action_novelty_rate,
     coverage_count,
-    export_csv,
     margin_scan,
-    shadow_rates,
     support_kl,
     td_error_stats,
     visitation_entropy,
 )
-from guardedrl.mdp import SafetySpec, solve_guarded_value_iteration
-from guardedrl.sampling import OfflineDataset, TransitionBatch, TransitionRecord
+from guardedrl.mdp import NEAR_MISS_MARGIN, SafetySpec, solve_guarded_value_iteration
+from guardedrl.sampling import DssConfig, DtsConfig, OfflineDataset, TransitionRecord
+from guardedrl.trainer import RunConfig, run_training
 
 
-def tr(s=0, a=0, r=0.0, s_next=0, done=False, t=0, ep=0, a_prop=None):
-    return TransitionRecord(s=s, a_exec=a, r=r, s_next=s_next, done=done, t=t,
-                            episode=ep, a_prop=a_prop)
+def tr(s=0, a=0, r=0.0, s_next=0, done=False, t=0, ep=0):
+    return TransitionRecord(s=s, a_exec=a, r=r, s_next=s_next, done=done, t=t, episode=ep)
 
 
 class TestVisitationStats:
@@ -87,7 +85,7 @@ class TestTdErrorStats:
         ens = QEnsemble(members=np.zeros((2, 3, 2)), targets=np.zeros((2, 3, 2)))
         pol = PolicyTable.zeros(3, 2)
         cfg = LearnerConfig(gamma=0.0)
-        batch = TransitionBatch.from_records([tr(r=1.0), tr(r=-2.0), tr(r=0.5)])
+        batch = columns_of([tr(r=1.0), tr(r=-2.0), tr(r=0.5)])
         assert td_error_stats(batch, ens, pol, spec, cfg) == pytest.approx(3.5 / 3)
 
     def test_converged_q_on_deterministic_mdp(self):
@@ -136,11 +134,12 @@ class TestTdErrorStats:
             else:
                 masked = np.where(spec.safe[record.s_next], softmax(pol.logits[record.s_next]), 0.0)
                 probs = masked / masked.sum()
+                entropy = -np.sum(probs[probs > 0.0] * np.log(probs[probs > 0.0]))
                 y = record.r + cfg.gamma * (
-                    probs @ qmin_targets[record.s_next] + cfg.alpha * safe_entropy(probs)
+                    probs @ qmin_targets[record.s_next] + cfg.alpha * entropy
                 )
             errors.append(abs(qmin_members[record.s, record.a_exec] - y))
-        observed = td_error_stats(TransitionBatch.from_records(batch), ens, pol, spec, cfg)
+        observed = td_error_stats(columns_of(batch), ens, pol, spec, cfg)
         assert observed == pytest.approx(np.mean(errors), abs=1e-12)
 
 
@@ -188,10 +187,11 @@ class TestActionNoveltyRate:
         assert action_novelty_rate(bc, bc, [0, 1], eps=0.05) == 0.0
 
     def test_one_when_argmax_unsupported(self):
-        episodes = [[tr(s=0, a=2, s_next=1, t=0, ep=ep)] for ep in range(100)]
+        records = [tr(s=0, a=2, s_next=1, t=0, ep=ep) for ep in range(100)]
         from guardedrl.sampling import derive_bc_policy
 
-        bc = derive_bc_policy(OfflineDataset(episodes), num_states=1, num_actions=4)
+        bc = derive_bc_policy(OfflineDataset(columns_of(records).columns()), num_states=1,
+                              num_actions=4)
         final = np.array([[1.0, 0.0, 0.0, 0.0]])  # argmax on a never-taken action
         assert bc[0, 0] < 0.05
         assert action_novelty_rate(final, bc, [0]) == 1.0
@@ -208,64 +208,82 @@ class TestActionNoveltyRate:
 
 
 class TestShadowRates:
+    """Pre-guard violation and near-miss rates, counted from spec.safe and near_miss_table."""
+
     def grid(self):
         spec = GridWorldSpec(width=3, height=2, start=(0, 0), goal=(2, 0),
                              hazards=frozenset({(1, 1)}))
         return spec, *build_cliff_grid(spec)
 
+    @staticmethod
+    def rates(proposals, safety):
+        """What the trainer logs for an interval with these (s, a_prop) proposals."""
+        violations = sum(not safety.safe[s, a] for s, a in proposals)
+        near = sum(safety.near_miss_table[s][a] for s, a in proposals)
+        return violations / len(proposals), near / len(proposals)
+
     def test_all_safe_and_far(self):
         _, _, safety = self.grid()
-        records = [tr(s=0, a_prop=NOOP)]  # state (0,0): all actions safe
-        assert shadow_rates(records, safety) == (0.0, 0.0)
+        proposals = [(0, NOOP)]  # state (0,0): all actions safe
+        assert self.rates(proposals, safety) == (0.0, 0.0)
 
     def test_all_unsafe_proposals(self):
         grid, _, safety = self.grid()
         s = grid.state_index((1, 0))  # UP leads into the hazard
-        records = [tr(s=s, a_prop=UP) for _ in range(4)]
-        assert shadow_rates(records, safety) == (1.0, 0.0)
+        proposals = [(s, UP) for _ in range(4)]
+        assert self.rates(proposals, safety) == (1.0, 0.0)
 
     def test_near_miss_noop_next_to_hazard(self):
         grid, _, safety = self.grid()
         s = grid.state_index((1, 0))
-        records = [tr(s=s, a_prop=NOOP) for _ in range(3)]  # |NOOP - UP| = 1 < 1.5
-        assert shadow_rates(records, safety) == (0.0, 1.0)
+        proposals = [(s, NOOP) for _ in range(3)]  # |NOOP - UP| = 1 < 1.5
+        assert self.rates(proposals, safety) == (0.0, 1.0)
 
     def test_categories_disjoint(self):
         grid, _, safety = self.grid()
         rng = np.random.default_rng(4)
-        records = [
-            tr(s=int(rng.integers(grid.num_states)), a_prop=int(rng.integers(5)))
-            for _ in range(300)
+        proposals = [
+            (int(rng.integers(grid.num_states)), int(rng.integers(5))) for _ in range(300)
         ]
-        violation, near = shadow_rates(records, safety)
+        violation, near = self.rates(proposals, safety)
         assert 0.0 <= violation <= 1.0 and 0.0 <= near <= 1.0
         assert violation + near <= 1.0
+        assert not np.any(np.array(safety.near_miss_table) & ~safety.safe)
 
     def test_matches_per_record_oracle(self):
         grid, _, safety = self.grid()
         rng = np.random.default_rng(7)
-        records = [
-            tr(s=int(rng.integers(grid.num_states)), a_prop=int(rng.integers(5)))
-            for _ in range(200)
+        proposals = [
+            (int(rng.integers(grid.num_states)), int(rng.integers(5))) for _ in range(200)
         ]
         violations = near = 0
-        for record in records:
-            if not safety.safe[record.s, record.a_prop]:
+        for s, a_prop in proposals:
+            if not safety.safe[s, a_prop]:
                 violations += 1
                 continue
             best = math.inf
             for a in range(5):
-                if not safety.safe[record.s, a]:
-                    gap = safety.action_embedding[a] - safety.action_embedding[record.a_prop]
+                if not safety.safe[s, a]:
+                    gap = safety.action_embedding[a] - safety.action_embedding[a_prop]
                     best = min(best, math.sqrt(float(gap @ gap)))
             if best < 1.5:
                 near += 1
-        assert shadow_rates(records, safety) == (violations / 200, near / 200)
+        assert NEAR_MISS_MARGIN == 1.5
+        assert near > 0
+        assert self.rates(proposals, safety) == (violations / 200, near / 200)
 
     def test_requires_proposals(self):
-        _, _, safety = self.grid()
-        with pytest.raises(ValueError, match="proposal"):
-            shadow_rates([tr(a_prop=None)], safety)
+        # offline_only never proposes: every interval logs null rates.
+        grid, mdp, safety = self.grid()
+        offline = collect_offline_dataset(mdp, safety, uniform_safe_policy(safety), n_episodes=5,
+                                          max_ep_len=10, seed=0, start_state=grid.start_state)
+        cfg = RunConfig(
+            variant="offline_only", grid=grid, learner=LearnerConfig(gamma=grid.gamma),
+            dts=DtsConfig(1, 4, 2.0, horizon=20), dss=DssConfig(0.1, 0.5, 0.5, horizon=20),
+            total_steps=20, seed=0, batch_size=8, eval_every=10, eval_episodes=1,
+        )
+        for rec in run_training(cfg, offline).records:
+            assert rec["pre_guard_violation_rate"] is None and rec["near_miss_rate"] is None
 
 
 class TestMarginScan:
@@ -329,21 +347,3 @@ class TestMarginScan:
         with pytest.raises(ValueError, match="boundary"):
             margin_scan(pol, mdp, safety, guard_on=True)
 
-
-class TestExportCsv:
-    def test_round_trip(self, tmp_path):
-        records = [
-            {"step": 0, "td_error": 1.5, "note": None},
-            {"step": 10, "td_error": 0.5, "extra": 3},
-        ]
-        path = tmp_path / "series.csv"
-        export_csv(records, path)
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert rows[0]["step"] == "0"
-        assert rows[0]["note"] == ""
-        assert rows[1]["extra"] == "3"
-
-    def test_empty_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            export_csv([], tmp_path / "empty.csv")

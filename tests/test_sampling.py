@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from columns import columns_of
 
 from guardedrl.sampling import (
     DssConfig,
@@ -89,12 +90,12 @@ class TestOnlineBuffer:
         for record in (a, b, c):
             buf.append(record)
         assert len(buf) == 2
-        assert [buf.record(0).s, buf.record(1).s] == [2, 3]
+        assert buf.take(np.arange(len(buf))).s.tolist() == [2, 3]
 
     def test_single_record_sampled_back(self):
         buf = OnlineBuffer(capacity=4)
         buf.append(tr(s=9))
-        off = OfflineDataset([chain_episode(0, 3)])
+        off = OfflineDataset(columns_of(chain_episode(0, 3)).columns())
         batch = sample_hybrid_batch(off, buf, lam=1.0, delta=1, batch_size=1,
                                     rng=np.random.default_rng(0))
         assert batch.transitions.s[0] == 9
@@ -116,34 +117,29 @@ class TestOfflineDataset:
     def test_rejects_broken_state_chain(self):
         episode = [tr(s=0, s_next=1, t=0), tr(s=5, s_next=2, t=1)]
         with pytest.raises(ValueError, match="state chain"):
-            OfflineDataset([episode])
+            OfflineDataset(columns_of(episode).columns())
 
     def test_rejects_done_mid_episode(self):
         episode = [tr(s=0, s_next=1, t=0, done=True), tr(s=1, s_next=2, t=1)]
         with pytest.raises(ValueError, match="done mid-episode"):
-            OfflineDataset([episode])
+            OfflineDataset(columns_of(episode).columns())
 
     def test_rejects_step_index_jump(self):
         episode = [tr(s=0, s_next=1, t=0), tr(s=1, s_next=2, t=2)]
         with pytest.raises(ValueError, match="step index"):
-            OfflineDataset([episode])
+            OfflineDataset(columns_of(episode).columns())
 
     def test_jsonl_round_trip(self, tmp_path):
-        ds = OfflineDataset([chain_episode(0, 5), chain_episode(1, 3, start=7)])
+        ds = OfflineDataset(columns_of(chain_episode(0, 5) + chain_episode(1, 3, start=7)).columns())
         path = tmp_path / "data.jsonl"
         ds.save_jsonl(path)
         loaded = OfflineDataset.load_jsonl(path)
-        assert len(loaded) == len(ds)
         assert loaded.num_episodes == 2
-        for i in range(len(ds)):
-            a, b = ds.record(i), loaded.record(i)
-            assert (a.s, a.a_exec, a.r, a.s_next, a.done, a.t, a.episode) == (
-                b.s, b.a_exec, b.r, b.s_next, b.done, b.t, b.episode
-            )
+        assert_same_columns(loaded.transitions, ds.transitions)
 
     def test_jsonl_line_format(self, tmp_path):
-        ds = OfflineDataset([[tr(s=5, a=3, r=-0.02, s_next=6, t=0, ep=0),
-                              tr(s=6, a=1, r=1.0, s_next=7, done=True, t=1, ep=0)]])
+        ds = OfflineDataset(columns_of([tr(s=5, a=3, r=-0.02, s_next=6, t=0, ep=0),
+                                        tr(s=6, a=1, r=1.0, s_next=7, done=True, t=1, ep=0)]).columns())
         path = tmp_path / "data.jsonl"
         ds.save_jsonl(path)
         assert path.read_text() == (
@@ -153,8 +149,8 @@ class TestOfflineDataset:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_save_rejects_non_finite_reward_before_opening(self, tmp_path, bad):
-        ds = OfflineDataset([[tr(s=0, s_next=1, t=0), tr(s=1, r=bad, s_next=2, t=1),
-                              tr(s=2, s_next=3, t=2)]])
+        ds = OfflineDataset(columns_of([tr(s=0, s_next=1, t=0), tr(s=1, r=bad, s_next=2, t=1),
+                                        tr(s=2, s_next=3, t=2)]).columns())
         path = tmp_path / "data.jsonl"
         with pytest.raises(ValueError, match=rf"^row 1: key 'r' must be finite, got {bad!r}$"):
             ds.save_jsonl(path)
@@ -196,13 +192,14 @@ class TestOfflineDataset:
         (tr(s=0, a=5, s_next=1, ep=1), r"a = 5 outside \[0, 5\)"),
     ], ids=["s", "s2", "a"])
     def test_index_range_check_names_first_bad_row(self, bad, problem):
-        OfflineDataset([chain_episode(0, 3)]).check_index_ranges(num_states=5, num_actions=5)
-        ds = OfflineDataset([chain_episode(0, 3), [bad]])
+        OfflineDataset(columns_of(chain_episode(0, 3)).columns()).check_index_ranges(
+            num_states=5, num_actions=5)
+        ds = OfflineDataset(columns_of(chain_episode(0, 3) + [bad]).columns())
         with pytest.raises(ValueError, match=r"offline row 3 \(episode 1, t 0\): " + problem):
             ds.check_index_ranges(num_states=5, num_actions=5)
 
     def test_window_stays_inside_episode(self):
-        ds = OfflineDataset([chain_episode(0, 4), chain_episode(1, 6, start=20)])
+        ds = OfflineDataset(columns_of(chain_episode(0, 4) + chain_episode(1, 6, start=20)).columns())
         rng = np.random.default_rng(2)
         anchors = np.full(100, 2)  # anchor: episode 0, t=2
         drawn = ds.take(ds.window_positions(anchors, delta=50, rng=rng))
@@ -233,13 +230,11 @@ def drawn_windows(store, delta, seeds=200):
     return seen
 
 
-def assert_columns_match_records(batch, records):
-    assert len(batch) == len(records)
-    for i, record in enumerate(records):
-        assert batch.record(i) == TransitionRecord(
-            s=record.s, a_exec=record.a_exec, r=record.r, s_next=record.s_next,
-            done=record.done, t=record.t, episode=record.episode,
-        )
+def assert_same_columns(batch, expected):
+    assert len(batch) == len(expected)
+    for got, want in zip(batch.columns(), expected.columns()):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 class TestWindowSupport:
@@ -265,8 +260,7 @@ class TestWindowSupport:
         for n, record in enumerate(arrivals, start=1):
             buf.append(record)
             retained = arrivals[max(0, n - buf.capacity):n]
-            assert buf.records() == retained
-            assert_columns_match_records(buf.take(np.arange(len(buf))), retained)
+            assert_same_columns(buf.take(np.arange(len(buf))), columns_of(retained))
             seen = drawn_windows(buf, delta)
             for anchor in range(len(buf)):
                 assert seen[anchor] == forward_run(retained, anchor, delta), (n, anchor)
@@ -275,13 +269,13 @@ class TestWindowSupport:
 
     @pytest.mark.parametrize("delta", [1, 3, 10])
     def test_offline_windows_built_and_loaded(self, delta, tmp_path):
-        built = OfflineDataset(self.episodes())
+        records = [record for ep in self.episodes() for record in ep]
+        built = OfflineDataset(columns_of(records).columns())
         built.save_jsonl(tmp_path / "data.jsonl")
         loaded = OfflineDataset.load_jsonl(tmp_path / "data.jsonl")
-        records = [record for ep in self.episodes() for record in ep]
         for ds in (built, loaded):
             assert ds.num_episodes == len(self.LENGTHS)
-            assert_columns_match_records(ds.transitions, records)
+            assert_same_columns(ds.transitions, columns_of(records))
             seen = drawn_windows(ds, delta)
             for anchor in range(len(ds)):
                 assert seen[anchor] == forward_run(records, anchor, delta), anchor
@@ -289,7 +283,8 @@ class TestWindowSupport:
 
 class TestSampleHybridBatch:
     def setup_method(self):
-        self.off = OfflineDataset([chain_episode(0, 10), chain_episode(1, 10, start=20)])
+        self.off = OfflineDataset(
+            columns_of(chain_episode(0, 10) + chain_episode(1, 10, start=20)).columns())
         self.on = OnlineBuffer(capacity=64)
         for record in chain_episode(5, 12, start=40):
             self.on.append(record)
@@ -314,7 +309,7 @@ class TestSampleHybridBatch:
 
     def test_empty_offline_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            sample_hybrid_batch(OfflineDataset([]), self.on, lam=0.5, delta=4,
+            sample_hybrid_batch(OfflineDataset(columns_of([]).columns()), self.on, lam=0.5, delta=4,
                                 batch_size=4, rng=np.random.default_rng(6))
 
     def test_online_fraction_concentrates(self):
@@ -355,28 +350,25 @@ class TestSampleHybridBatch:
 
 class TestDeriveBcPolicy:
     def test_concentrated_counts_smoothed(self):
-        episodes = []
-        for ep in range(100):
-            episodes.append([tr(s=0, a=2, s_next=1, t=0, ep=ep)])
-        ds = OfflineDataset(episodes)
+        records = [tr(s=0, a=2, s_next=1, t=0, ep=ep) for ep in range(100)]
+        ds = OfflineDataset(columns_of(records).columns())
         bc = derive_bc_policy(ds, num_states=2, num_actions=4)
         assert bc[0, 2] == pytest.approx(100.01 / 100.04, abs=1e-12)
         assert bc[0, 0] == pytest.approx(0.01 / 100.04, abs=1e-12)
 
     def test_unvisited_state_uniform(self):
-        ds = OfflineDataset([[tr(s=0, a=1, s_next=1)]])
+        ds = OfflineDataset(columns_of([tr(s=0, a=1, s_next=1)]).columns())
         bc = derive_bc_policy(ds, num_states=3, num_actions=4)
         np.testing.assert_allclose(bc[2], np.full(4, 0.25))
 
     def test_rows_normalized(self):
         rng = np.random.default_rng(11)
-        episodes = []
+        records = []
         for ep in range(30):
             s = 0
-            records = []
             for t in range(10):
                 records.append(tr(s=s, a=int(rng.integers(3)), s_next=s + 1, t=t, ep=ep))
                 s += 1
-            episodes.append(records)
-        bc = derive_bc_policy(OfflineDataset(episodes), num_states=12, num_actions=3)
+        bc = derive_bc_policy(OfflineDataset(columns_of(records).columns()), num_states=12,
+                              num_actions=3)
         np.testing.assert_allclose(bc.sum(axis=1), np.ones(12), atol=1e-12)

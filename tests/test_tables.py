@@ -1,17 +1,25 @@
 """Cached rollout tables against plain reference computations.
 
 TabularMdp caches per-(s, a) successor CDFs, rewards and terminal flags;
-SafetySpec caches one projection per (s, a_raw). The per-step
-primitives (env_step, project_action) only read these tables, so each
-entry is checked here against the computation it replaced.
+SafetySpec caches one projection and one near-miss flag per (s, a). The
+per-step primitives (env_step, project_action, the trainer's near-miss
+count) only read these tables, so each entry is checked here against the
+computation it replaced.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from guardedrl.envs import GridWorldSpec, build_cliff_grid, build_random_safe_mdp, env_step
 from guardedrl.guardian import project_action
-from guardedrl.mdp import categorical_draw, solve_guarded_value_iteration, solve_pruned_value_iteration
+from guardedrl.mdp import (
+    NEAR_MISS_MARGIN,
+    categorical_draw,
+    solve_guarded_value_iteration,
+    solve_pruned_value_iteration,
+)
 
 CLIFF5 = [".....", ".....", ".....", "S...G", "XXXXX"]
 WIDE12X8 = ["............"] * 6 + ["S..........G", "XXXXXXXXXXXX"]
@@ -84,6 +92,18 @@ def test_projection_table_matches_brute_force(name):
 
 
 @pytest.mark.parametrize("name", list(PROBLEMS))
+def test_near_miss_table_matches_brute_force(name):
+    _, spec = PROBLEMS[name]
+    emb = spec.action_embedding.tolist()
+    for s in range(spec.num_states):
+        for a in range(spec.num_actions):
+            closest = min((math.sqrt(sum((x - y) ** 2 for x, y in zip(emb[b], emb[a])))
+                           for b in range(spec.num_actions) if not spec.safe[s, b]), default=math.inf)
+            expected = bool(spec.safe[s, a]) and closest < NEAR_MISS_MARGIN
+            assert spec.near_miss_table[s][a] is expected, (s, a)
+
+
+@pytest.mark.parametrize("name", list(PROBLEMS))
 def test_categorical_draw_matches_searchsorted(name):
     mdp, _ = PROBLEMS[name]
     last = mdp.num_states - 1
@@ -113,5 +133,6 @@ def test_exact_solvers_build_no_rollout_tables():
     mdp, spec = build_random_safe_mdp(20, 4, 0.6, seed=1)
     solve_guarded_value_iteration(mdp, spec)
     solve_pruned_value_iteration(mdp, spec)
-    cached = {"successor_cdfs", "reward_rows", "terminal_flags", "projection_table"}
+    cached = {"successor_cdfs", "reward_rows", "terminal_flags", "projection_table",
+              "near_miss_table"}
     assert cached.isdisjoint(vars(mdp)) and cached.isdisjoint(vars(spec))

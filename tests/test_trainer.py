@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from columns import columns_of
 
 from guardedrl.envs import (
     RIGHT,
@@ -101,9 +102,10 @@ class TestRunTraining:
         log, state = run_training(cfg, dataset, return_state=True)
         assert log.summary["executed_violations"] == 0
         _, spec = build_cliff_grid(grid)
-        for record in state.buffer.records():
-            assert spec.safe[record.s, record.a_exec]
-            assert record.a_prop is not None
+        executed = state.buffer.take(np.arange(len(state.buffer)))
+        assert len(executed) == 400
+        assert spec.safe[executed.s, executed.a].all()
+        assert all(rec["pre_guard_violation_rate"] is not None for rec in log.records[1:])
 
     def test_offline_only_keeps_buffer_empty(self, grid, dataset):
         cfg = make_config(grid, variant="offline_only", total_steps=150)
@@ -142,7 +144,7 @@ class TestRunTraining:
 
         cfg = make_config(grid, total_steps=10)
         with pytest.raises(ValueError, match="empty"):
-            run_training(cfg, OfflineDataset([]))
+            run_training(cfg, OfflineDataset(columns_of([]).columns()))
 
     def test_out_of_range_dataset_state_fails_before_run(self, grid, tmp_path):
         # Numpy would wrap s = -3 to a valid state and train on it silently.
