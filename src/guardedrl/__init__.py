@@ -54,7 +54,7 @@ from .sampling import (
     DtsConfig,
     HybridBatch,
     OfflineDataset,
-    OnlineBuffer,
+    ReplayStore,
     TransitionBatch,
     TransitionRecord,
     derive_bc_policy,

@@ -31,7 +31,7 @@ from .envs import (
 from .learner import LearnerConfig
 from .mdp import ConvergenceError, max_norm_distance, save_problem, solve_guarded_value_iteration, solve_pruned_value_iteration
 from .sampling import DssConfig, DtsConfig, OfflineDataset
-from .trainer import RunConfig, RunLog, run_training
+from .trainer import VARIANTS, RunConfig, RunLog, run_training
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -81,6 +81,7 @@ BLOCK_KEYS["generate_offline"] = dict(episodes="an integer", max_ep_len="an inte
                                       guardian_filter="a boolean")
 BLOCK_KEYS["random_mdp"] = dict(num_states="an integer", num_actions="an integer",
                                 safe_fraction="a number", seed="an integer", gamma="a number")
+BLOCK_KEYS["sweep"] = dict(variants="an array", seeds="an array")
 # The top level itself: RunConfig's scalar fields (the dataset path is
 # "offline_dataset"), the output directory and solve's tolerances. Other
 # top-level keys are ignored, so one file can serve every subcommand.
@@ -227,18 +228,31 @@ def _sweep_worker(payload: tuple[dict, str]) -> str:
     return out_dir
 
 
+def sweep_from_doc(doc: dict) -> tuple[list[str], list[int]]:
+    """The sweep block's variants (known names) and seeds (JSON integers), both non-empty."""
+    sweep = config_block(doc, "sweep")
+    variants, seeds = sweep.get("variants"), sweep.get("seeds")
+    if not variants or not seeds:
+        raise CliError("config needs a sweep block with non-empty variants and seeds")
+    for variant in variants:
+        if variant not in VARIANTS:
+            raise ValueError(f"sweep variants must be among {', '.join(VARIANTS)}, got {variant!r}")
+    for seed in seeds:
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"sweep seeds must be integers, got {seed!r}")
+    return variants, seeds
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     doc = load_config(args.config)
-    sweep = doc.get("sweep")
-    if not sweep or not sweep.get("variants") or not sweep.get("seeds"):
-        raise CliError("config needs a sweep block with non-empty variants and seeds")
+    variants, seeds = sweep_from_doc(doc)
     base_out = output_dir(args, doc, "runs/sweep")
     jobs = []
-    for variant in sweep["variants"]:
-        for seed in sweep["seeds"]:
+    for variant in variants:
+        for seed in seeds:
             run_doc = dict(doc)
             run_doc["variant"] = variant
-            run_doc["seed"] = int(seed)
+            run_doc["seed"] = seed
             jobs.append((run_doc, str(base_out / f"{variant}_seed{seed}")))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -204,7 +204,7 @@ def update_critics(
     batch: TransitionBatch,
     targets: Sequence[float],
     cfg: LearnerConfig,
-) -> np.ndarray:
+) -> None:
     """One tabular gradient step toward y per sample, per ensemble member.
 
     Each occurrence moves Q_i[s, a] by critic_lr * (y - Q_i[s, a]); the
@@ -214,7 +214,7 @@ def update_critics(
     updates the pairs with an r-th occurrence (a prefix slice) toward its
     target, and the values are scattered back once. Distinct entries do
     not interact, so this equals one-sample steps in batch order bit for
-    bit. Returns the pre-update mean squared Bellman error per member.
+    bit. Returns nothing: the members are updated in place.
     """
     if not len(batch):
         raise ValueError("batch must be non-empty")
@@ -222,8 +222,6 @@ def update_critics(
         raise ValueError("batch and targets must have equal length")
     s, a = batch.s, batch.a
     y = np.asarray(targets, dtype=np.float64)
-    values = ens.members[:, s, a]
-    losses = ((values - y[None, :]) ** 2).mean(axis=1)
     keys, active, positions = _fold_plan(s * ens.num_actions + a, ens.num_states * ens.num_actions)
     us, ua = np.divmod(keys, ens.num_actions)
     table = ens.members[:, us, ua]
@@ -234,7 +232,6 @@ def update_critics(
         current += cfg.critic_lr * (y_rounds[None, start:start + n] - current)
         start += n
     ens.members[:, us, ua] = table
-    return losses
 
 
 def actor_loss(logits_row: np.ndarray, qmin_row: np.ndarray, alpha: float) -> float:

@@ -9,20 +9,20 @@ then a transition uniformly from the contiguous intra-episode window of
 the current curriculum length starting at the anchor. Windows never
 cross episode boundaries.
 
-Both stores keep transitions as numpy columns (TransitionBatch) and
-offer no per-record views: rows go in through column buffers (offline)
-or OnlineBuffer.append (online) and come out as column batches, drawn
-with array operations. The generator is consumed in this order, each
-step one vectorized draw over the slots it concerns, taken in slot
-order:
+A run keeps both sources in one ReplayStore: the learner's five columns
+(s, a, r, s_next, done) with the offline rows first, then the ring's
+slots, allocated once. One window-end array beside them bounds every
+anchor's window. A batch is one vector of store rows and one gather per
+column. The generator is consumed in this order, each step one
+vectorized draw over the slots it concerns, taken in slot order:
 
   1. one uniform per slot for the source (online iff u < lambda);
   2. the online anchors, then the online in-window offsets;
   3. the offline anchors, then the offline in-window offsets; the
      offline slots include online requests that fell back because the
-     online buffer was empty.
+     online ring was empty.
 
-A step with no slots draws nothing. The online buffer is single-writer;
+A step with no slots draws nothing. The store is single-writer;
 sampling takes place between writes.
 """
 
@@ -40,7 +40,11 @@ import numpy as np
 
 @dataclass
 class TransitionRecord:
-    """One executed transition: the row OnlineBuffer.append writes into its columns."""
+    """One transition as a row of scalars, in dataset row order.
+
+    The package writes rows as columns; this type stays exported for
+    code that builds rows one at a time (the benchmark's tests do).
+    """
 
     s: int
     a_exec: int
@@ -51,19 +55,19 @@ class TransitionRecord:
     episode: int
 
 
-# Column name -> dtype, in TransitionBatch field order.
+# Column name -> dtype of the learner's columns, in TransitionBatch field order.
 _COLUMNS = {
     "s": np.int64,
     "a": np.int64,
     "r": np.float64,
     "s_next": np.int64,
     "done": np.bool_,
-    "t": np.int64,
-    "episode": np.int64,
 }
-# array typecodes of the same columns: compact buffers filled row by row.
+# A dataset row adds its step index t and its episode id.
+_ROW_DTYPES = (*_COLUMNS.values(), np.int64, np.int64)
+# array typecodes of the same row: compact buffers filled row by row.
 _TYPECODES = "qqdqBqq"
-# JSONL key of each column, in the same order.
+# JSONL key of each row column, in the same order.
 _JSONL_KEYS = ("s", "a", "r", "s2", "done", "t", "ep")
 # One JSONL row: str() of a Python int or finite float is its JSON spelling.
 _JSONL_ROW = "{" + ", ".join(f'"{key}": %s' for key in _JSONL_KEYS) + "}\n"
@@ -74,15 +78,15 @@ _FLAGS = {False: 0, True: 1}
 
 
 def column_buffers() -> tuple[array, ...]:
-    """Empty typed buffers, one per TransitionBatch column in field order."""
+    """Empty typed buffers, one per dataset row column (s, a, r, s_next, done, t, episode)."""
     return tuple(array(code) for code in _TYPECODES)
 
 
 @dataclass(frozen=True, eq=False)  # columns are arrays: no elementwise ==
 class TransitionBatch:
-    """Transitions as equal-length columns: the one batch type of replay and learning.
+    """The learner's columns of equal-length transitions: the one batch type.
 
-    Column a holds the executed action (TransitionRecord.a_exec).
+    Column a holds the executed action.
     """
 
     s: np.ndarray
@@ -90,14 +94,12 @@ class TransitionBatch:
     r: np.ndarray
     s_next: np.ndarray
     done: np.ndarray
-    t: np.ndarray
-    episode: np.ndarray
 
     def __len__(self) -> int:
         return self.s.shape[0]
 
     def columns(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, name) for name in _COLUMNS)
+        return (self.s, self.a, self.r, self.s_next, self.done)
 
     @classmethod
     def zeros(cls, n: int) -> "TransitionBatch":
@@ -175,7 +177,7 @@ def dss_mixing(t: int, cfg: DssConfig) -> float:
     return cfg.lambda_min + (cfg.lambda_max - cfg.lambda_min) * _logistic(cfg.k * (t - cfg.horizon / 2.0))
 
 
-def _check_episode_continuity(data: TransitionBatch, bounds: np.ndarray) -> None:
+def _check_episode_continuity(data: TransitionBatch, t: np.ndarray, bounds: np.ndarray) -> None:
     """Raise on the first record that does not continue its predecessor's episode.
 
     bounds[i]:bounds[i + 1] are the rows of episode i. Within an episode
@@ -187,7 +189,7 @@ def _check_episode_continuity(data: TransitionBatch, bounds: np.ndarray) -> None
     inside = np.ones(len(data) - 1, dtype=bool)  # pair (k, k + 1) in one episode
     inside[bounds[1:-1] - 1] = False
     done_mid = inside & data.done[:-1]
-    t_jump = inside & (data.t[1:] != data.t[:-1] + 1)
+    t_jump = inside & (t[1:] != t[:-1] + 1)
     chain_broken = inside & (data.s[1:] != data.s_next[:-1])
     bad = np.flatnonzero(done_mid | t_jump | chain_broken)
     if bad.size == 0:
@@ -218,24 +220,27 @@ def _row_problem(row) -> str:
 
 
 class OfflineDataset:
-    """Static episode-structured transition columns with O(1) flat access."""
+    """Static episode-structured transitions: the learner's columns plus t and episode."""
 
     def __init__(self, buffers: Sequence):
-        """Dataset over row-ordered column buffers in TransitionBatch field order.
+        """Dataset over row-ordered column buffers (s, a, r, s_next, done, t, episode).
 
         Each buffer holds one column's items in its dtype: the array
         buffers of column_buffers, or contiguous numpy arrays. Rows of
         one episode are contiguous; a change of episode id starts a new
         episode. The buffers are wrapped, not copied.
         """
-        data = TransitionBatch(
-            *(np.frombuffer(buf, dtype=dtype) for buf, dtype in zip(buffers, _COLUMNS.values()))
+        *columns, t, episode = (
+            np.frombuffer(buf, dtype=dtype) for buf, dtype in zip(buffers, _ROW_DTYPES)
         )
+        data = TransitionBatch(*columns)
         starts = np.ones(len(data), dtype=bool)
-        starts[1:] = data.episode[1:] != data.episode[:-1]
+        starts[1:] = episode[1:] != episode[:-1]
         bounds = np.append(np.flatnonzero(starts), len(data))
-        _check_episode_continuity(data, bounds)
+        _check_episode_continuity(data, t, bounds)
         self.transitions = data
+        self.t = t
+        self.episode = episode
         self.num_episodes = len(bounds) - 1
         # One past the last row of each row's episode: an anchor's window end.
         self._end = np.repeat(bounds[1:], np.diff(bounds))
@@ -260,18 +265,8 @@ class OfflineDataset:
         else:
             what = f"a = {int(data.a[i])} outside [0, {num_actions})"
         raise ValueError(
-            f"offline row {i} (episode {int(data.episode[i])}, t {int(data.t[i])}): {what}"
+            f"offline row {i} (episode {int(self.episode[i])}, t {int(self.t[i])}): {what}"
         )
-
-    def window_positions(
-        self, anchors: np.ndarray, delta: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Uniform draw per anchor from its in-episode window of length <= delta."""
-        span = np.minimum(delta, self._end[anchors] - anchors)
-        return anchors + rng.integers(0, span)
-
-    def take(self, positions: np.ndarray) -> TransitionBatch:
-        return self.transitions.take(positions)
 
     def save_jsonl(self, path: str | Path) -> None:
         """Write one line per transition, the bytes of json.dumps on each row's dict.
@@ -283,7 +278,7 @@ class OfflineDataset:
         bad = np.flatnonzero(~np.isfinite(cols.r))
         if bad.size:
             raise ValueError(f"row {bad[0]}: key 'r' must be finite, got {float(cols.r[bad[0]])!r}")
-        columns = [col.tolist() for col in cols.columns()]
+        columns = [col.tolist() for col in (*cols.columns(), self.t, self.episode)]
         columns[4] = [("false", "true")[flag] for flag in columns[4]]
         with open(path, "w") as fh:
             fh.writelines(map(_JSONL_ROW.__mod__, zip(*columns)))
@@ -327,68 +322,84 @@ class OfflineDataset:
 _OPEN_RUN = np.iinfo(np.int64).max
 
 
-class OnlineBuffer:
-    """Fixed-capacity ring of transition columns with strictly FIFO eviction.
+class ReplayStore:
+    """A run's replay: the offline rows, then an online FIFO ring, in one set of columns.
 
-    The record with arrival number n (0 = first ever appended) sits in
-    slot n % capacity; positions 0..len-1 count from the oldest retained
+    Rows [0, num_offline) hold the offline dataset in its order. The
+    online record with arrival number n (0 = first ever appended) sits
+    in row num_offline + n % capacity; eviction is strictly FIFO, and
+    online positions 0..online_count-1 count from the oldest retained
     record. A run is a maximal stretch of arrivals with the same episode
-    and consecutive t. Appends arrive in order and eviction is FIFO, so
-    a run's retained records are contiguous, and each slot stores the
-    arrival number one past its run's last record (_OPEN_RUN while the
-    run still grows).
+    and consecutive t; a run's retained records are contiguous in
+    arrival order. The window-end array holds, per offline row, the row
+    one past its episode, and per ring slot, the arrival number one past
+    its run (_OPEN_RUN while the run still grows).
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, offline: OfflineDataset, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        n = len(offline)
+        self.num_offline = n
         self.capacity = capacity
-        self._cols = TransitionBatch.zeros(capacity)
-        self._run_end = np.zeros(capacity, dtype=np.int64)
+        self.columns = TransitionBatch.zeros(n + capacity)
+        for column, source in zip(self.columns.columns(), offline.transitions.columns()):
+            column[:n] = source
+        self._end = np.empty(n + capacity, dtype=np.int64)
+        self._end[:n] = offline._end
+        self._run_end = self._end[n:]  # the ring's part, by slot
         self._appended = 0
         self._run_start = 0
+        self._episode = self._next_t = 0  # what continues the newest record's run
 
-    def __len__(self) -> int:
+    @property
+    def online_count(self) -> int:
+        """Online records retained in the ring."""
         return min(self._appended, self.capacity)
 
-    def append(self, tr: TransitionRecord) -> None:
+    def append(self, s: int, a: int, r: float, s_next: int, done: bool, t: int,
+               episode: int) -> None:
+        """Write one executed transition into the ring, evicting the oldest when full."""
         n = self._appended
-        cols = self._cols
-        last = (n - 1) % self.capacity
-        if n and (tr.episode != cols.episode[last] or tr.t != cols.t[last] + 1):
-            retained = np.arange(max(self._run_start, n - len(self)), n)
+        if n and (episode != self._episode or t != self._next_t):
+            retained = np.arange(max(self._run_start, n - self.online_count), n)
             self._run_end[retained % self.capacity] = n
             self._run_start = n
-        i = n % self.capacity
-        cols.s[i] = tr.s
-        cols.a[i] = tr.a_exec
-        cols.r[i] = tr.r
-        cols.s_next[i] = tr.s_next
-        cols.done[i] = tr.done
-        cols.t[i] = tr.t
-        cols.episode[i] = tr.episode
-        self._run_end[i] = _OPEN_RUN
+        row = self.num_offline + n % self.capacity
+        columns = self.columns
+        columns.s[row] = s
+        columns.a[row] = a
+        columns.r[row] = r
+        columns.s_next[row] = s_next
+        columns.done[row] = done
+        self._end[row] = _OPEN_RUN
+        self._episode, self._next_t = episode, t + 1
         self._appended = n + 1
 
-    def _slots(self, positions):
-        """Ring slots of positions counted from the oldest retained record."""
-        return (self._appended - len(self) + positions) % self.capacity
+    def online_rows(self) -> np.ndarray:
+        """Rows of the retained online records, oldest first."""
+        arrivals = np.arange(self._appended - self.online_count, self._appended)
+        return self.num_offline + arrivals % self.capacity
 
-    def window_positions(
+    def offline_window(
         self, anchors: np.ndarray, delta: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Uniform draw per anchor from the forward same-episode run of length <= delta.
+        """Row drawn uniformly per offline anchor row from its episode window of length <= delta."""
+        span = np.minimum(delta, self._end[anchors] - anchors)
+        return anchors + rng.integers(0, span)
+
+    def online_window(
+        self, anchors: np.ndarray, delta: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Row drawn uniformly per online anchor position from its forward run of length <= delta.
 
         The window ends at the episode boundary (or a break in t) or at
         the newest record.
         """
-        oldest = self._appended - len(self)
-        run_end = np.minimum(self._run_end[self._slots(anchors)], self._appended) - oldest
-        span = np.minimum(delta, run_end - anchors)
-        return anchors + rng.integers(0, span)
-
-    def take(self, positions: np.ndarray) -> TransitionBatch:
-        return self._cols.take(self._slots(positions))
+        n = self._appended
+        arrivals = anchors + (n - self.online_count)
+        span = np.minimum(delta, np.minimum(self._run_end[arrivals % self.capacity], n) - arrivals)
+        return self.num_offline + (arrivals + rng.integers(0, span)) % self.capacity
 
 
 @dataclass
@@ -401,8 +412,7 @@ class HybridBatch:
 
 
 def sample_hybrid_batch(
-    off: OfflineDataset,
-    on: OnlineBuffer,
+    store: ReplayStore,
     lam: float,
     delta: int,
     batch_size: int,
@@ -410,12 +420,12 @@ def sample_hybrid_batch(
 ) -> HybridBatch:
     """Draw a batch mixing online and offline sources.
 
-    Each slot independently samples from the online buffer with
-    probability lam, else offline; an empty online buffer falls back to
-    offline and the fallback is counted. Within the chosen source an
-    anchor is drawn uniformly and the returned transition uniformly from
-    the anchor's in-episode window of length min(delta, available span).
-    Identical seed and buffer history reproduce identical batches; the
+    Each slot independently samples from the online ring with
+    probability lam, else offline; an empty ring falls back to offline
+    and the fallback is counted. Within the chosen source an anchor is
+    drawn uniformly and the returned transition uniformly from the
+    anchor's in-episode window of length min(delta, available span).
+    Identical seed and store history reproduce identical batches; the
     generator order is given in the module docstring.
     """
     if batch_size < 1:
@@ -424,32 +434,25 @@ def sample_hybrid_batch(
         raise ValueError("lam must lie in [0, 1]")
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    if len(off) == 0:
+    if store.num_offline == 0:
         raise ValueError("offline dataset is empty; nothing to sample")
     want_online = rng.random(batch_size) < lam
-    if len(on) > 0:
+    online = store.online_count
+    if online:
         online_mask, fallback = want_online, 0
+        n_online = int(np.count_nonzero(online_mask))
     else:
         online_mask = np.zeros(batch_size, dtype=bool)
-        fallback = int(np.count_nonzero(want_online))
-    n_online = int(np.count_nonzero(online_mask))
-
-    def draw(store, n: int) -> TransitionBatch:
-        return store.take(store.window_positions(rng.integers(len(store), size=n), delta, rng))
-
+        fallback, n_online = int(np.count_nonzero(want_online)), 0
     if n_online == 0:
-        transitions = draw(off, batch_size)
+        rows = store.offline_window(rng.integers(store.num_offline, size=batch_size), delta, rng)
     else:
-        from_on = draw(on, n_online)
-        from_off = draw(off, batch_size - n_online)
-        columns = []
-        for on_col, off_col in zip(from_on.columns(), from_off.columns()):
-            col = np.empty(batch_size, dtype=on_col.dtype)
-            col[online_mask] = on_col
-            col[~online_mask] = off_col
-            columns.append(col)
-        transitions = TransitionBatch(*columns)
-    return HybridBatch(transitions=transitions, online_mask=online_mask, fallback_count=fallback)
+        rows = np.empty(batch_size, dtype=np.int64)
+        rows[online_mask] = store.online_window(rng.integers(online, size=n_online), delta, rng)
+        rows[~online_mask] = store.offline_window(
+            rng.integers(store.num_offline, size=batch_size - n_online), delta, rng
+        )
+    return HybridBatch(store.columns.take(rows), online_mask, fallback)
 
 
 def derive_bc_policy(

@@ -2,12 +2,12 @@
 
 One loop owns all mutable state. Per step: the policy proposes a raw
 action, the projection (variant-dependent) certifies it, the sanitized
-transition lands in the online buffer, and the learner takes hybrid
-batches under the current curriculum schedules. The raw proposal is
-counted in every interactive variant (shadow channel): per interval, how
-many proposals were unsafe before the guard and how many were near misses
-(SafetySpec.near_miss_table), so pre-guard metrics stay comparable at zero
-behavioral cost. The proposal itself is not stored.
+transition lands in the replay store's online ring, and the learner
+takes hybrid batches under the current curriculum schedules. The raw
+proposal is counted in every interactive variant (shadow channel): per
+interval, how many proposals were unsafe before the guard and how many
+were near misses (SafetySpec.near_miss_table), so pre-guard metrics stay
+comparable at zero behavioral cost. The proposal itself is not stored.
 
 Variants:
   guardian        projected execution + guarded backup targets
@@ -15,12 +15,14 @@ Variants:
   no_guard        raw execution + unguarded targets
   offline_only    no interaction at all; guarded targets on offline data
 
-Two runs with identical config produce bit-identical logs.
+Two runs with identical config produce bit-identical logs. A run whose
+log or summary would hold a non-finite number fails instead.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -54,8 +56,7 @@ from .sampling import (
     DssConfig,
     DtsConfig,
     OfflineDataset,
-    OnlineBuffer,
-    TransitionRecord,
+    ReplayStore,
     dss_mixing,
     dts_interval,
     sample_hybrid_batch,
@@ -125,7 +126,7 @@ class RunLog:
         self.records.append(record)
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(rec) + "\n" for rec in self.records)
+        return "".join(json.dumps(rec, allow_nan=False) + "\n" for rec in self.records)
 
     def save(self, directory: str | Path) -> tuple[Path, Path]:
         directory = Path(directory)
@@ -133,7 +134,7 @@ class RunLog:
         log_path = directory / "log.jsonl"
         summary_path = directory / "summary.json"
         log_path.write_text(self.to_jsonl())
-        summary_path.write_text(json.dumps(self.summary, indent=2) + "\n")
+        summary_path.write_text(json.dumps(self.summary, indent=2, allow_nan=False) + "\n")
         return log_path, summary_path
 
     @classmethod
@@ -162,7 +163,7 @@ class TrainerState:
 
     pol: PolicyTable
     ens: QEnsemble
-    buffer: OnlineBuffer
+    store: ReplayStore
     stats: VisitationStats
 
 
@@ -260,6 +261,13 @@ def measure_ttfv(
     return float(statistics.median(firsts))
 
 
+def _check_finite(record: dict, where: str) -> None:
+    """Raise ValueError naming the first key whose number is NaN or infinite."""
+    for key, value in record.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{where}: {key} is {value!r}; the run diverged")
+
+
 def run_training(
     cfg: RunConfig,
     offline: OfflineDataset | None = None,
@@ -272,7 +280,9 @@ def run_training(
     one whose state or action ids fall outside the grid's MDP, fails
     before any step runs. Returns the per-interval log with a final
     summary (never writes files itself); with return_state the final
-    learner/buffer internals come back too.
+    learner/store internals come back too. A non-finite number in an
+    interval record or the summary raises ValueError naming the step and
+    the key.
     """
     if offline is None:
         if cfg.offline_dataset_path is None:
@@ -293,7 +303,7 @@ def run_training(
     )
     ens = QEnsemble.init_random(mdp.num_states, mdp.num_actions, cfg.ensemble_size, rng_init)
     pol = PolicyTable.zeros(mdp.num_states, mdp.num_actions)
-    buffer = OnlineBuffer(cfg.online_buffer_capacity)
+    store = ReplayStore(offline, cfg.online_buffer_capacity)
     stats = VisitationStats(mdp.num_states)
     log = RunLog()
 
@@ -315,7 +325,7 @@ def run_training(
         nonlocal proposals, pre_guard_violations, near_misses
         lam = dss_mixing(step, cfg.dss) if cfg.total_steps > 0 else cfg.dss.lambda_min
         delta = dts_interval(step, cfg.dts) if cfg.total_steps > 0 else cfg.dts.delta_min
-        probe = sample_hybrid_batch(offline, buffer, lam, delta, cfg.batch_size, rng_probe)
+        probe = sample_hybrid_batch(store, lam, delta, cfg.batch_size, rng_probe)
         td = td_error_stats(probe.transitions, ens, pol, backup_spec, cfg.learner)
         variance = ensemble_variance(ens, probe.transitions)
         if proposals:
@@ -353,6 +363,7 @@ def run_training(
                 "starvation_events": starvation_events,
             }
         )
+        _check_finite(log.records[-1], f"step {step}")
         proposals = pre_guard_violations = near_misses = 0
 
     emit(0)
@@ -371,9 +382,7 @@ def run_training(
             if not spec.safe[state, a_exec]:
                 executed_violations += 1
             r, s_next, done = env_step(mdp, state, a_exec, rng_env)
-            buffer.append(TransitionRecord(
-                s=state, a_exec=a_exec, r=r, s_next=s_next, done=done, t=t_ep, episode=episode,
-            ))
+            store.append(state, a_exec, r, s_next, done, t_ep, episode)
             stats.record(state)
             t_ep += 1
             if done or t_ep >= cfg.max_episode_len:
@@ -384,7 +393,7 @@ def run_training(
         lam = dss_mixing(step, cfg.dss)
         delta = dts_interval(step, cfg.dts)
         for _ in range(cfg.updates_per_step):
-            batch = sample_hybrid_batch(offline, buffer, lam, delta, cfg.batch_size, rng_sample)
+            batch = sample_hybrid_batch(store, lam, delta, cfg.batch_size, rng_sample)
             offline_fallbacks += batch.fallback_count
             transitions = batch.transitions
             targets, starved = compute_targets(transitions, pol, ens, backup_spec, cfg.learner)
@@ -424,6 +433,7 @@ def run_training(
             action_novelty_rate(pol.all_probs(), bc, list(range(mdp.num_states)))
         ),
     }
+    _check_finite(log.summary, f"summary after step {cfg.total_steps}")
     if return_state:
-        return log, TrainerState(pol=pol, ens=ens, buffer=buffer, stats=stats)
+        return log, TrainerState(pol=pol, ens=ens, store=store, stats=stats)
     return log

@@ -31,8 +31,7 @@ from guardedrl.sampling import (
     DssConfig,
     DtsConfig,
     OfflineDataset,
-    OnlineBuffer,
-    TransitionRecord,
+    ReplayStore,
     dss_mixing,
     dts_interval,
     sample_hybrid_batch,
@@ -172,7 +171,7 @@ def test_criterion_5_zero_executed_violations():
     cfg = make_run_config(grid, "guardian", total_steps=20_000, seed=0,
                           alpha=0.01, eval_every=2000)
     log, state = run_training(cfg, offline, return_state=True)
-    executed = state.buffer.take(np.arange(len(state.buffer)))
+    executed = state.store.columns.take(state.store.online_rows())
     buffer_clean = bool(spec.safe[executed.s, executed.a].all())
     elapsed = time.time() - start
     ok = log.summary["executed_violations"] == 0 and buffer_clean and elapsed < 60.0
@@ -277,15 +276,14 @@ def test_criterion_8_sampling_statistics():
     k = np.tile(np.arange(20), 5)  # 5 episodes of 20 steps along states 0..20
     off = OfflineDataset((k, np.zeros(100, dtype=np.int64), np.zeros(100), k + 1, k == 19, k,
                           np.repeat(np.arange(5), 20)))
-    on = OnlineBuffer(capacity=256)
+    store = ReplayStore(off, capacity=256)
     for k in range(100):
-        on.append(TransitionRecord(s=k, a_exec=1, r=0.0, s_next=k + 1, done=False,
-                                   t=k, episode=77))
+        store.append(s=k, a=1, r=0.0, s_next=k + 1, done=False, t=k, episode=77)
     rng = np.random.default_rng(808)
-    batch = sample_hybrid_batch(off, on, lam=0.5, delta=4, batch_size=10_000, rng=rng)
+    batch = sample_hybrid_batch(store, lam=0.5, delta=4, batch_size=10_000, rng=rng)
     fraction = float(batch.online_mask.mean())
-    pure_off = not sample_hybrid_batch(off, on, 0.0, 4, 2000, rng).online_mask.any()
-    pure_on = sample_hybrid_batch(off, on, 1.0, 4, 2000, rng).online_mask.all()
+    pure_off = not sample_hybrid_batch(store, 0.0, 4, 2000, rng).online_mask.any()
+    pure_on = sample_hybrid_batch(store, 1.0, 4, 2000, rng).online_mask.all()
     ok = abs(fraction - 0.5) <= 0.015 and pure_off and pure_on
     _report("criterion 8 (sampling statistics)", ok,
             f"online fraction={fraction:.4f} (target 0.5 +/- 0.015), "

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import re
 import statistics
 
+import numpy as np
 import pytest
 
 from guardedrl.cli import main
@@ -228,6 +230,15 @@ class TestTrain:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_non_finite_run_exits_1_without_logs(self, tmp_path, capsys):
+        doc = base_train_config(tmp_path, total_steps=60)
+        doc["learner"]["alpha"] = 1e300
+        with np.errstate(all="ignore"):
+            assert main(["train", write_config(tmp_path, doc)]) == 1
+        assert re.fullmatch(r"step \d+: \w+ is nan; the run diverged\n", capsys.readouterr().err)
+        assert not (tmp_path / "run" / "log.jsonl").exists()
+        assert not (tmp_path / "run" / "summary.json").exists()
+
 
 class TestGoldenRuns:
     """Run logs of a fixed config, pinned byte for byte across code changes."""
@@ -308,6 +319,28 @@ class TestSweepAndReport:
     def test_sweep_without_block_fails(self, tmp_path):
         doc = base_train_config(tmp_path)
         assert main(["sweep", write_config(tmp_path, doc)]) == 1
+
+    @pytest.mark.parametrize("sweep, problem", [
+        ({"variants": ["guardian"], "seeds": [1.7]}, "sweep seeds must be integers, got 1.7"),
+        ({"variants": ["guardian"], "seeds": [True]}, "sweep seeds must be integers, got True"),
+        ({"variants": "guardian", "seeds": [0]},
+         "sweep key 'variants' must be an array, got 'guardian'"),
+        ({"variants": ["guardian", "guardain"], "seeds": [0]},
+         "sweep variants must be among guardian, exec_mask_only, no_guard, offline_only, "
+         "got 'guardain'"),
+        ({"variants": [], "seeds": [0]}, "non-empty variants and seeds"),
+        ({"variants": ["guardian"], "seed": [0]}, "unknown sweep key 'seed'"),
+    ], ids=["float-seed", "boolean-seed", "string-variants", "unknown-variant", "no-variants",
+            "sweep-typo"])
+    def test_bad_sweep_block_exits_1_before_writing(self, tmp_path, capsys, sweep, problem):
+        doc = base_train_config(tmp_path, total_steps=0)
+        doc["sweep"] = sweep
+        out = tmp_path / "sweep"
+        assert main(["sweep", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert problem in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_parallel_sweep_matches_serial(self, tmp_path):
         doc = base_train_config(tmp_path, total_steps=60)

@@ -192,7 +192,7 @@ class TestCollectOfflineDataset:
         ds = collect_offline_dataset(mdp, safety, behavior, n_episodes=5, max_ep_len=10,
                                      seed=3, start_state=spec.start_state)
         data = ds.transitions
-        rows = zip(data.episode.tolist(), zip(data.s.tolist(), data.a.tolist(),
+        rows = zip(ds.episode.tolist(), zip(data.s.tolist(), data.a.tolist(),
                                               data.s_next.tolist(), data.done.tolist()))
         episodes = [[row for _, row in ep] for _, ep in groupby(rows, key=lambda r: r[0])]
         assert all(ep == episodes[0] for ep in episodes)
@@ -238,7 +238,7 @@ class TestCollectOfflineDataset:
             p = p @ chain
 
         counts = np.zeros((n, 2, n_episodes))
-        np.add.at(counts, (ds.transitions.s, ds.transitions.a, ds.transitions.episode), 1.0)
+        np.add.at(counts, (ds.transitions.s, ds.transitions.a, ds.episode), 1.0)
         mean = counts.mean(axis=2)
         stderr = counts.std(axis=2, ddof=1) / np.sqrt(n_episodes)
         assert np.all(np.abs(mean - expected) <= 3.0 * stderr + 1e-9)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from columns import columns_of
+from columns import columns_of, dataset_of
 
 from guardedrl.envs import (
     NOOP,
@@ -27,7 +27,7 @@ from guardedrl.metrics import (
     visitation_entropy,
 )
 from guardedrl.mdp import NEAR_MISS_MARGIN, SafetySpec, solve_guarded_value_iteration
-from guardedrl.sampling import DssConfig, DtsConfig, OfflineDataset, TransitionRecord
+from guardedrl.sampling import DssConfig, DtsConfig, TransitionRecord
 from guardedrl.trainer import RunConfig, run_training
 
 
@@ -190,7 +190,7 @@ class TestActionNoveltyRate:
         records = [tr(s=0, a=2, s_next=1, t=0, ep=ep) for ep in range(100)]
         from guardedrl.sampling import derive_bc_policy
 
-        bc = derive_bc_policy(OfflineDataset(columns_of(records).columns()), num_states=1,
+        bc = derive_bc_policy(dataset_of(records), num_states=1,
                               num_actions=4)
         final = np.array([[1.0, 0.0, 0.0, 0.0]])  # argmax on a never-taken action
         assert bc[0, 0] < 0.05

@@ -1,8 +1,10 @@
 """Training-loop orchestration, evaluation, and run-log contracts."""
 
+import math
+
 import numpy as np
 import pytest
-from columns import columns_of
+from columns import dataset_of
 
 from guardedrl.envs import (
     RIGHT,
@@ -102,7 +104,7 @@ class TestRunTraining:
         log, state = run_training(cfg, dataset, return_state=True)
         assert log.summary["executed_violations"] == 0
         _, spec = build_cliff_grid(grid)
-        executed = state.buffer.take(np.arange(len(state.buffer)))
+        executed = state.store.columns.take(state.store.online_rows())
         assert len(executed) == 400
         assert spec.safe[executed.s, executed.a].all()
         assert all(rec["pre_guard_violation_rate"] is not None for rec in log.records[1:])
@@ -110,7 +112,7 @@ class TestRunTraining:
     def test_offline_only_keeps_buffer_empty(self, grid, dataset):
         cfg = make_config(grid, variant="offline_only", total_steps=150)
         log, state = run_training(cfg, dataset, return_state=True)
-        assert len(state.buffer) == 0
+        assert state.store.online_count == 0
         assert log.summary["executed_violations"] == 0
         assert log.summary["offline_fallbacks"] > 0
 
@@ -140,11 +142,9 @@ class TestRunTraining:
             run_training(cfg, None)
 
     def test_empty_dataset_rejected(self, grid):
-        from guardedrl.sampling import OfflineDataset
-
         cfg = make_config(grid, total_steps=10)
         with pytest.raises(ValueError, match="empty"):
-            run_training(cfg, OfflineDataset(columns_of([]).columns()))
+            run_training(cfg, dataset_of([]))
 
     def test_out_of_range_dataset_state_fails_before_run(self, grid, tmp_path):
         # Numpy would wrap s = -3 to a valid state and train on it silently.
@@ -216,6 +216,20 @@ class TestRunLog:
         log.append({"step": 5})
         with pytest.raises(ValueError):
             log.append({"step": 5})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_save_refuses_non_finite_numbers(self, tmp_path, bad):
+        with pytest.raises(ValueError):
+            RunLog(records=[{"step": 0, "td_error": bad}]).to_jsonl()
+        with pytest.raises(ValueError):
+            RunLog(records=[{"step": 0}], summary={"final_td_error": bad}).save(tmp_path / "run")
+        assert not (tmp_path / "run" / "summary.json").exists()
+
+    def test_diverging_run_names_step_and_key(self, grid, dataset):
+        cfg = make_config(grid, total_steps=60)
+        cfg.learner = LearnerConfig(alpha=1e300, tau=0.05, gamma=0.9)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^step \d+: \w+ is nan"):
+            run_training(cfg, dataset)
 
 
 class TestEvaluatePolicy:
