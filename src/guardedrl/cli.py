@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
+import shutil
 import statistics
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from pathlib import Path
@@ -198,13 +200,30 @@ def prepare_offline_dataset(doc: dict, grid: GridWorldSpec, out_dir: Path) -> Pa
 
 
 def _train_one(doc: dict, out_dir: Path) -> dict:
+    """Train one config; its files reach out_dir only once the run succeeded.
+
+    The generated dataset and the run files are written to a temporary
+    sibling of out_dir and moved into it after training, summary.json
+    last. A failed run removes the sibling and leaves out_dir untouched.
+    """
     cfg = run_config_from_doc(doc)  # before anything is written
-    dataset_path = prepare_offline_dataset(doc, cfg.grid, out_dir)
-    doc = dict(doc)
-    doc["offline_dataset"] = str(dataset_path.resolve())
-    log = run_training(cfg, OfflineDataset.load_jsonl(dataset_path))
-    log.save(out_dir)
-    (out_dir / "effective_config.json").write_text(json.dumps(doc, indent=2) + "\n")
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
+    try:
+        dataset_path = prepare_offline_dataset(doc, cfg.grid, staging)
+        offline = OfflineDataset.load_jsonl(dataset_path)
+        if dataset_path.parent == staging:
+            dataset_path = out_dir / dataset_path.name
+        doc = dict(doc)
+        doc["offline_dataset"] = str(dataset_path.resolve())
+        log = run_training(cfg, offline)
+        log.save(staging)
+        (staging / "effective_config.json").write_text(json.dumps(doc, indent=2) + "\n")
+        out_dir.mkdir(exist_ok=True)
+        for path in sorted(staging.iterdir(), key=lambda p: p.name == "summary.json"):
+            path.replace(out_dir / path.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return log.summary
 
 

@@ -5,7 +5,9 @@ against the pessimistic ensemble and never reads the safety predicate.
 Safety enters only through the backup target, which (given a SafetySpec)
 takes its next-state expectation under the safe-renormalized policy so
 value estimates stay consistent with what execution-time projection
-will actually allow.
+will actually allow. That next-state value is a function of the state
+alone, so compute_targets builds it once per state and indexes it by
+each row's next state.
 
 Batch updates apply per-sample in deterministic batch order; repeated
 keys fold sequentially. They run on a compact table: the distinct keys'
@@ -154,27 +156,31 @@ def compute_targets(
 ) -> tuple[np.ndarray, int]:
     """Backup targets for a whole batch, plus the starvation-fallback count.
 
-    y = r + gamma * (E_{a' ~ pi'}[Qmin_target(s', a')] + sign * alpha * H(pi'))
-    where pi' is the next-state policy renormalized onto spec's safe set,
-    or the raw softmax policy when spec is None (unguarded backup);
-    terminal transitions get y = r and never count as starved. sign is
-    +1 under entropy_sign "bonus", -1 under "penalty".
+    y = r + gamma * V(s'), with the next-state value
+    V(s) = E_{a ~ pi'(.|s)}[Qmin_target(s, a)] + sign * alpha * H(pi'(.|s))
+    where pi' is the policy renormalized onto spec's safe set, or the raw
+    softmax policy when spec is None (unguarded backup). V and the
+    starved mask are built once per state, as (S,) tables, and indexed by
+    s'; each state's row is computed exactly as a row of s' would be, so
+    the targets do not depend on the batch size. Terminal transitions get
+    y = r and never count as starved. sign is +1 under entropy_sign
+    "bonus", -1 under "penalty".
     """
     if not len(batch):
         raise ValueError("batch must be non-empty")
     r, s_next, done = batch.r, batch.s_next, batch.done
-    probs = softmax(pol.logits[s_next])
+    probs = pol.all_probs()
     starved_count = 0
     if spec is not None:
-        probs, starved = renormalize_policy_safe(probs, spec.safe[s_next])
-        starved_count = int(np.count_nonzero(starved & ~done))
+        probs, starved = renormalize_policy_safe(probs, spec.safe)
+        starved_count = int(np.count_nonzero(starved[s_next] & ~done))
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(probs > 0.0, probs * np.log(probs), 0.0)
     entropy = -plogp.sum(axis=1)
     sign = 1.0 if cfg.entropy_sign == ENTROPY_BONUS else -1.0
-    q_next = ens.min_targets()[s_next]
-    expectation = np.einsum("ij,ij->i", probs, q_next)
-    y = r + cfg.gamma * (expectation + sign * cfg.alpha * entropy)
+    expectation = np.einsum("ij,ij->i", probs, ens.min_targets())
+    values = expectation + sign * cfg.alpha * entropy
+    y = r + cfg.gamma * values[s_next]
     y[done] = r[done]
     return y, starved_count
 
@@ -268,7 +274,7 @@ def update_actor(
         raise ValueError("states must be non-empty")
     distinct, active, positions = _fold_plan(states, pol.num_states)
     table = pol.logits[distinct]
-    qmin = ens.members[:, distinct].min(axis=0)
+    qmin = ens.min_members()[distinct]
     round_losses = []
     for n in active:
         logits = table[:n]

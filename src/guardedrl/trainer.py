@@ -16,7 +16,8 @@ Variants:
   offline_only    no interaction at all; guarded targets on offline data
 
 Two runs with identical config produce bit-identical logs. A run whose
-log or summary would hold a non-finite number fails instead.
+log, summary or learner tables would hold a non-finite number fails
+instead.
 """
 
 from __future__ import annotations
@@ -167,10 +168,6 @@ class TrainerState:
     stats: VisitationStats
 
 
-def _greedy_action(pol: PolicyTable, s: int) -> int:
-    return int(np.argmax(pol.probs(s)))
-
-
 def _sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
     return categorical_draw(list(accumulate(probs.tolist())), rng.random())
 
@@ -189,10 +186,14 @@ def evaluate_policy(
     """Fixed-episode evaluation: undiscounted return, predicate violations.
 
     Action selection is greedy by probability (stochastic draw behind a
-    flag) with projection applied iff guard_on. Deterministic per seed.
+    flag) with projection applied iff guard_on. The policy's probability
+    table is computed once per call; a step reads its state's row (the
+    row's argmax, or a draw from the row). Deterministic per seed.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    probs = pol.all_probs()
+    greedy = probs.argmax(axis=1).tolist()
     rng = np.random.default_rng(seed)
     returns: list[float] = []
     violations = 0
@@ -202,7 +203,7 @@ def evaluate_policy(
         total = 0.0
         for _ in range(max_len):
             visits[s] += 1
-            a = _sample_action(pol.probs(s), rng) if stochastic else _greedy_action(pol, s)
+            a = _sample_action(probs[s], rng) if stochastic else greedy[s]
             if guard_on:
                 a = project_action(s, a, spec).exec_action
             if not spec.safe[s, a]:
@@ -236,8 +237,10 @@ def measure_ttfv(
 
     A violation is an executed transition with g(s, a) false or entry
     into a hazard state. Episodes that end (or time out) without one
-    count as max_steps.
+    count as max_steps. Actions are greedy, read from the policy's
+    probability table, which is computed once per call.
     """
+    greedy = pol.all_probs().argmax(axis=1).tolist()
     hazard_states = frozenset(hazard_states)
     rng = np.random.default_rng(seed)
     firsts: list[int] = []
@@ -245,7 +248,7 @@ def measure_ttfv(
         s = start_state
         first = max_steps
         for step in range(1, max_steps + 1):
-            a = _greedy_action(pol, s)
+            a = greedy[s]
             if guard_on:
                 a = project_action(s, a, spec).exec_action
             if not spec.safe[s, a]:
@@ -282,7 +285,8 @@ def run_training(
     summary (never writes files itself); with return_state the final
     learner/store internals come back too. A non-finite number in an
     interval record or the summary raises ValueError naming the step and
-    the key.
+    the key; so does, at each interval, a non-finite entry anywhere in the
+    policy logits or the Q member and target tables.
     """
     if offline is None:
         if cfg.offline_dataset_path is None:
@@ -364,6 +368,10 @@ def run_training(
             }
         )
         _check_finite(log.records[-1], f"step {step}")
+        for name, table in (("pol.logits", pol.logits), ("ens.members", ens.members),
+                            ("ens.targets", ens.targets)):
+            if not np.isfinite(table).all():
+                raise ValueError(f"step {step}: {name} holds a non-finite entry; the run diverged")
         proposals = pre_guard_violations = near_misses = 0
 
     emit(0)

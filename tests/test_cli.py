@@ -239,6 +239,32 @@ class TestTrain:
         assert not (tmp_path / "run" / "log.jsonl").exists()
         assert not (tmp_path / "run" / "summary.json").exists()
 
+    def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys):
+        # The generated dataset is written before training starts; a run
+        # that then fails must leave neither its directory nor a staging copy.
+        doc = base_train_config(tmp_path, total_steps=60)
+        doc["learner"]["alpha"] = 1e300
+        cfg = write_config(tmp_path, doc)
+        with np.errstate(all="ignore"):
+            assert main(["train", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "the run diverged" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_rerun_into_existing_directory_replaces_run_files(self, tmp_path):
+        doc = base_train_config(tmp_path, total_steps=60)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        (out / "summary.json").write_text("stale")
+        assert main(["train", write_config(tmp_path, doc)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "effective_config.json", "log.jsonl", "notes.txt", "offline.jsonl", "summary.json"]
+        assert (out / "notes.txt").read_text() == "kept"
+        assert RunLog.load(out).summary["total_steps"] == 60
+        pinned = json.loads((out / "effective_config.json").read_text())["offline_dataset"]
+        assert pinned == str((out / "offline.jsonl").resolve())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "run"]
+
 
 class TestGoldenRuns:
     """Run logs of a fixed config, pinned byte for byte across code changes."""
@@ -248,11 +274,19 @@ class TestGoldenRuns:
         "exec_mask_only": "1f5c676feb4cd7f8740deb768c9bb16769a872fd9365ab56b9cd277579f85e0d",
         "no_guard": "cb8076af8aeed795a9362f27b6e16bf24fd0c86d5bff80e0ce7d2fd0777e2725",
         "offline_only": "e269e7f3feb3e7c672222565d64b2bed8463e687cdf8f4ba72e0b43632ebab3d",
+        # The guardian variant with one option changed (see OPTIONS).
+        "guardian+stochastic_eval": "21426edab35fa401e2e8907aa1e366aac29ab617905ca4d874db3c3c5a742896",
+        "guardian+penalty": "e99c2b9ad965e0176697b86831cc829ce3a3c9e21978a317bb261e00d1b684b4",
+    }
+    OPTIONS = {
+        "stochastic_eval": lambda doc: doc.update(stochastic_eval=True),
+        "penalty": lambda doc: doc["learner"].update(entropy_sign="penalty"),
     }
 
-    @pytest.mark.parametrize("variant", list(DIGESTS))
-    def test_cliff_run_log_digest(self, tmp_path, variant):
+    @pytest.mark.parametrize("case", list(DIGESTS))
+    def test_cliff_run_log_digest(self, tmp_path, case):
         # Criterion-7 settings on the 5x5 slippery cliff, shortened to 300 steps.
+        variant, _, option = case.partition("+")
         doc = {
             "env": {"map": [".....", ".....", ".....", "S...G", "XXXXX"], "step_reward": -0.02,
                     "goal_reward": 1.0, "hazard_reward": -1.0, "slip_prob": 0.2, "gamma": 0.95},
@@ -262,11 +296,13 @@ class TestGoldenRuns:
             "eval_episodes": 5, "eval_max_len": 60, "max_episode_len": 60,
             "generate_offline": {"episodes": 50, "max_ep_len": 60, "seed": 999},
         }
+        if option:
+            self.OPTIONS[option](doc)
         out = tmp_path / variant
         assert main(["train", write_config(tmp_path, doc), "--variant", variant,
                      "--out", str(out)]) == 0
         data = (out / "log.jsonl").read_bytes() + (out / "summary.json").read_bytes()
-        assert hashlib.sha256(data).hexdigest() == self.DIGESTS[variant]
+        assert hashlib.sha256(data).hexdigest() == self.DIGESTS[case]
 
 
 class TestSweepAndReport:

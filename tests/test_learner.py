@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from columns import columns_of
 
+from guardedrl.guardian import renormalize_policy_safe
 from guardedrl.learner import (
     ENTROPY_BONUS,
     ENTROPY_PENALTY,
@@ -22,7 +23,7 @@ from guardedrl.learner import (
     update_critics,
 )
 from guardedrl.mdp import SafetySpec
-from guardedrl.sampling import TransitionRecord
+from guardedrl.sampling import TransitionBatch, TransitionRecord
 
 
 def make_spec(safe, dim=None):
@@ -164,6 +165,74 @@ class TestComputeGuardedTarget:
             expected = 0.3 + 0.9 * (q_safe_mean + sign * 0.4 * math.log(2))
             assert y[0] == pytest.approx(expected, abs=1e-12)
             assert y[1] == -0.7
+
+
+def per_row_targets(batch, pol, ens, spec, cfg):
+    """Reference backup computed row by row: the next-state softmax, its safe
+    renormalization, entropy and Qmin expectation are redone for every row."""
+    r, s_next, done = batch.r, batch.s_next, batch.done
+    probs = softmax(pol.logits[s_next])
+    starved_count = 0
+    if spec is not None:
+        probs, starved = renormalize_policy_safe(probs, spec.safe[s_next])
+        starved_count = int(np.count_nonzero(starved & ~done))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(probs > 0.0, probs * np.log(probs), 0.0)
+    sign = 1.0 if cfg.entropy_sign == ENTROPY_BONUS else -1.0
+    expectation = np.einsum("ij,ij->i", probs, ens.min_targets()[s_next])
+    y = r + cfg.gamma * (expectation + sign * cfg.alpha * -plogp.sum(axis=1))
+    y[done] = r[done]
+    return y, starved_count
+
+
+class TestPerStateTargetsMatchPerRow:
+    """compute_targets builds V once per state; it must equal the per-row backup bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("entropy_sign", [ENTROPY_BONUS, ENTROPY_PENALTY])
+    @pytest.mark.parametrize("guarded", [True, False], ids=["guarded", "unguarded"])
+    def test_bit_identical(self, seed, entropy_sign, guarded):
+        rng = np.random.default_rng(seed)
+        num_states, num_actions, size = int(rng.integers(3, 40)), int(rng.integers(2, 7)), 64
+        safe = rng.random((num_states, num_actions)) < 0.6
+        safe[np.arange(num_states), rng.integers(num_actions, size=num_states)] = True
+        logits = rng.normal(scale=3.0, size=(num_states, num_actions))
+        # A third of the states put all their mass on one unsafe action (starved).
+        for s in rng.choice(num_states, size=num_states // 3, replace=False):
+            if not safe[s].all():
+                logits[s] = -60.0
+                logits[s, np.flatnonzero(~safe[s])[0]] = 60.0
+        ens = QEnsemble.init_random(num_states, num_actions, size=3, rng=rng)
+        ens.targets += rng.normal(size=ens.targets.shape)
+        batch = TransitionBatch(
+            s=rng.integers(num_states, size=size),
+            a=rng.integers(num_actions, size=size),
+            r=rng.normal(size=size),
+            s_next=rng.integers(num_states, size=size),  # repeats: 64 rows, at most 39 states
+            done=rng.random(size) < 0.25,
+        )
+        spec = make_spec(safe) if guarded else None
+        cfg = LearnerConfig(gamma=0.9, alpha=float(rng.uniform(0.0, 1.0)), entropy_sign=entropy_sign)
+        pol = PolicyTable(logits)
+        y, starved = compute_targets(batch, pol, ens, spec, cfg)
+        y_ref, starved_ref = per_row_targets(batch, pol, ens, spec, cfg)
+        np.testing.assert_array_equal(y, y_ref)
+        assert starved == starved_ref
+        if guarded and seed == 0:
+            assert starved > 0  # the case covers counted starved rows
+
+    def test_starved_terminal_rows_are_not_counted(self):
+        spec = make_spec([[False, True], [True, True]])
+        pol = PolicyTable(np.array([[60.0, -60.0], [0.0, 0.0]]))
+        ens = QEnsemble.init_random(2, 2, rng=np.random.default_rng(1))
+        batch = columns_of([tr(r=0.5, s_next=0, done=True), tr(r=0.1, s_next=0),
+                            tr(r=0.2, s_next=1), tr(r=0.3, s_next=0, done=True)])
+        cfg = LearnerConfig(gamma=0.9, alpha=0.2)
+        y, starved = compute_targets(batch, pol, ens, spec, cfg)
+        y_ref, starved_ref = per_row_targets(batch, pol, ens, spec, cfg)
+        np.testing.assert_array_equal(y, y_ref)
+        assert starved == starved_ref == 1
+        assert y[0] == 0.5 and y[3] == 0.3
 
 
 class TestUpdateCritics:

@@ -1,6 +1,9 @@
 """Training-loop orchestration, evaluation, and run-log contracts."""
 
 import math
+import re
+import statistics
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -12,9 +15,13 @@ from guardedrl.envs import (
     GridWorldSpec,
     build_cliff_grid,
     collect_offline_dataset,
+    env_step,
     uniform_safe_policy,
 )
-from guardedrl.learner import LearnerConfig, PolicyTable
+from guardedrl import trainer
+from guardedrl.guardian import project_action
+from guardedrl.learner import LearnerConfig, PolicyTable, update_actor
+from guardedrl.mdp import categorical_draw
 from guardedrl.sampling import DssConfig, DtsConfig
 from guardedrl.trainer import (
     RunConfig,
@@ -230,6 +237,126 @@ class TestRunLog:
         cfg.learner = LearnerConfig(alpha=1e300, tau=0.05, gamma=0.9)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^step \d+: \w+ is nan"):
             run_training(cfg, dataset)
+
+    @pytest.mark.parametrize("table", ["pol.logits", "ens.members", "ens.targets"])
+    def test_non_finite_table_stops_the_run(self, grid, dataset, monkeypatch, table):
+        # A NaN at the goal reaches no logged number: the goal is terminal,
+        # so no batch row starts there and its targets are never backed up.
+        # Only the interval check of the tables themselves can see it.
+        def poisoning_update_actor(pol, states, ens, cfg):
+            loss = update_actor(pol, states, ens, cfg)
+            owner, _, name = table.partition(".")
+            getattr(pol if owner == "pol" else ens, name)[..., grid.goal_state, :] = math.nan
+            return loss
+
+        monkeypatch.setattr(trainer, "update_actor", poisoning_update_actor)
+        cfg = make_config(grid, total_steps=60)
+        message = rf"^step 60: {re.escape(table)} holds a non-finite entry; the run diverged$"
+        with pytest.raises(ValueError, match=message):
+            run_training(cfg, dataset)
+
+
+def per_step_action(pol, s, stochastic, rng):
+    """Reference action choice: the softmax of state s's logits, redone at every step."""
+    probs = pol.probs(s)
+    if stochastic:
+        return categorical_draw(list(accumulate(probs.tolist())), rng.random())
+    return int(np.argmax(probs))
+
+
+def per_step_evaluation(pol, mdp, spec, episodes, max_len, guard_on, seed, start, stochastic):
+    rng = np.random.default_rng(seed)
+    returns, violations = [], 0
+    visits = np.zeros(mdp.num_states, dtype=np.int64)
+    for _ in range(episodes):
+        s, total = start, 0.0
+        for _ in range(max_len):
+            visits[s] += 1
+            a = per_step_action(pol, s, stochastic, rng)
+            if guard_on:
+                a = project_action(s, a, spec).exec_action
+            violations += not spec.safe[s, a]
+            r, s, done = env_step(mdp, s, a, rng)
+            total += r
+            if done:
+                visits[s] += 1
+                break
+        returns.append(total)
+    return tuple(returns), violations, visits
+
+
+def per_step_ttfv(pol, mdp, spec, episodes, max_steps, guard_on, seed, start, hazards):
+    rng = np.random.default_rng(seed)
+    firsts = []
+    for _ in range(episodes):
+        s, first = start, max_steps
+        for step in range(1, max_steps + 1):
+            a = per_step_action(pol, s, False, rng)
+            if guard_on:
+                a = project_action(s, a, spec).exec_action
+            if not spec.safe[s, a]:
+                first = step
+                break
+            _, s, done = env_step(mdp, s, a, rng)
+            if s in hazards:
+                first = step
+                break
+            if done:
+                break
+        firsts.append(first)
+    return float(statistics.median(firsts))
+
+
+class TestRolloutsMatchPerStepReference:
+    """One probability table per call must choose every action the per-step softmax did."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("guard_on", [True, False], ids=["guard", "no-guard"])
+    @pytest.mark.parametrize("stochastic", [False, True], ids=["greedy", "stochastic"])
+    def test_evaluate_policy(self, seed, guard_on, stochastic):
+        grid = make_grid(slip=0.2)
+        mdp, spec = build_cliff_grid(grid)
+        pol = PolicyTable(np.random.default_rng(seed).normal(scale=2.0, size=(mdp.num_states, 5)))
+        result = evaluate_policy(pol, mdp, spec, episodes=8, max_len=40, guard_on=guard_on,
+                                 seed=100 + seed, start_state=grid.start_state, stochastic=stochastic)
+        returns, violations, visits = per_step_evaluation(
+            pol, mdp, spec, 8, 40, guard_on, 100 + seed, grid.start_state, stochastic)
+        assert result.returns == returns
+        assert result.violations == violations
+        np.testing.assert_array_equal(result.state_visits, visits)
+        assert result.mean_return == float(np.mean(returns))
+
+    def test_probability_ties_break_toward_the_lowest_action(self):
+        # Logits 1e-17 apart map to equal probabilities; the greedy action is
+        # the argmax of the probabilities (action 0), not of the logits.
+        grid = make_grid()
+        mdp, spec = build_cliff_grid(grid)
+        logits = np.zeros((mdp.num_states, 5))
+        logits[:, [0, RIGHT]] = [0.0, 1e-17]
+        pol = PolicyTable(logits)
+        result = evaluate_policy(pol, mdp, spec, episodes=2, max_len=10, guard_on=False,
+                                 seed=0, start_state=grid.start_state)
+        returns, violations, visits = per_step_evaluation(
+            pol, mdp, spec, 2, 10, False, 0, grid.start_state, False)
+        assert result.returns == returns and result.violations == violations
+        np.testing.assert_array_equal(result.state_visits, visits)
+        assert visits[grid.start_state + 1] == 0  # never moved right
+        ttfv = measure_ttfv(pol, mdp, spec, episodes=2, max_steps=10, guard_on=False, seed=0,
+                            start_state=grid.start_state, hazard_states=grid.hazard_states)
+        assert ttfv == per_step_ttfv(pol, mdp, spec, 2, 10, False, 0, grid.start_state,
+                                     grid.hazard_states)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("guard_on", [True, False], ids=["guard", "no-guard"])
+    def test_measure_ttfv(self, seed, guard_on):
+        grid = make_grid(slip=0.2)
+        mdp, spec = build_cliff_grid(grid)
+        pol = PolicyTable(np.random.default_rng(seed).normal(scale=2.0, size=(mdp.num_states, 5)))
+        ttfv = measure_ttfv(pol, mdp, spec, episodes=7, max_steps=30, guard_on=guard_on,
+                            seed=200 + seed, start_state=grid.start_state,
+                            hazard_states=grid.hazard_states)
+        assert ttfv == per_step_ttfv(pol, mdp, spec, 7, 30, guard_on, 200 + seed,
+                                     grid.start_state, grid.hazard_states)
 
 
 class TestEvaluatePolicy:
