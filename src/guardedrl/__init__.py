@@ -34,17 +34,14 @@ from .mdp import (
     ValueIterationResult,
     apply_guarded_bellman,
     assert_contraction_pair,
-    load_problem,
     max_norm_distance,
     save_problem,
     solve_guarded_value_iteration,
     solve_pruned_value_iteration,
 )
 from .metrics import (
-    VisitationStats,
     action_novelty_rate,
     coverage_count,
-    margin_scan,
     support_kl,
     td_error_stats,
     visitation_entropy,

@@ -68,8 +68,7 @@ def load_config(path: str | Path) -> dict:
 # The JSON value kinds a config key accepts; a boolean is never a number.
 KINDS = {"a number": (int, float), "an integer": (int,), "a string": (str,),
          "a boolean": (bool,), "an array": (list,), "a string or an array": (str, list)}
-_FIELD_KINDS = {"float": "a number", "int": "an integer", "str": "a string", "bool": "a boolean",
-                "str | None": "a string"}
+_FIELD_KINDS = {"float": "a number", "int": "an integer", "str": "a string", "bool": "a boolean"}
 # Block name -> key -> kind: the block's dataclass fields (tuples and sets are
 # arrays), except schedule horizons, which always come from total_steps.
 BLOCK_KEYS = {
@@ -84,15 +83,13 @@ BLOCK_KEYS["generate_offline"] = dict(episodes="an integer", max_ep_len="an inte
 BLOCK_KEYS["random_mdp"] = dict(num_states="an integer", num_actions="an integer",
                                 safe_fraction="a number", seed="an integer", gamma="a number")
 BLOCK_KEYS["sweep"] = dict(variants="an array", seeds="an array")
-# The top level itself: RunConfig's scalar fields (the dataset path is
-# "offline_dataset"), the output directory and solve's tolerances. Other
-# top-level keys are ignored, so one file can serve every subcommand.
+# The top level itself: RunConfig's scalar fields, the dataset path, the
+# output directory and solve's tolerances. Other top-level keys are
+# ignored, so one file can serve every subcommand.
 TOP_LEVEL = "top-level"
-BLOCK_KEYS[TOP_LEVEL] = {
-    ("offline_dataset" if f.name == "offline_dataset_path" else f.name): _FIELD_KINDS[f.type]
-    for f in fields(RunConfig) if f.type in _FIELD_KINDS
-}
-BLOCK_KEYS[TOP_LEVEL].update(output_dir="a string", tol="a number", gap_tolerance="a number")
+BLOCK_KEYS[TOP_LEVEL] = {f.name: _FIELD_KINDS[f.type] for f in fields(RunConfig) if f.type in _FIELD_KINDS}
+BLOCK_KEYS[TOP_LEVEL].update(offline_dataset="a string", output_dir="a string", tol="a number",
+                             gap_tolerance="a number")
 _RUN_FIELDS = {f.name for f in fields(RunConfig)}
 
 
@@ -156,16 +153,15 @@ def run_config_from_doc(doc: dict) -> RunConfig:
         dts=DtsConfig(**{"delta_min": 1, "delta_max": 16, "beta": 2.0, **dts_doc}, horizon=horizon),
         dss=DssConfig(**{"lambda_min": 0.1, "lambda_max": 0.5, "k": 10.0 / horizon, **dss_doc},
                       horizon=horizon),
-        offline_dataset_path=top.get("offline_dataset"),
     )
 
 
-def prepare_offline_dataset(doc: dict, grid: GridWorldSpec, out_dir: Path) -> Path:
+def prepare_offline_dataset(doc: dict, grid: GridWorldSpec, staging: Path) -> Path:
     """Locate or generate the offline dataset of a parsed config; returns its path.
 
     An existing file named by "offline_dataset" wins; otherwise a
     "generate_offline" block rolls one out (deterministic per its seed)
-    and writes it to that path (default: <out_dir>/offline.jsonl).
+    into <staging>/offline.jsonl.
     """
     configured = doc.get("offline_dataset")
     if configured and Path(configured).exists():
@@ -193,8 +189,7 @@ def prepare_offline_dataset(doc: dict, grid: GridWorldSpec, out_dir: Path) -> Pa
         guardian_filter=gen.get("guardian_filter", True),
         start_state=grid.start_state,
     )
-    path = Path(configured) if configured else out_dir / "offline.jsonl"
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = staging / "offline.jsonl"
     dataset.save_jsonl(path)
     return path
 
@@ -203,8 +198,10 @@ def _train_one(doc: dict, out_dir: Path) -> dict:
     """Train one config; its files reach out_dir only once the run succeeded.
 
     The generated dataset and the run files are written to a temporary
-    sibling of out_dir and moved into it after training, summary.json
-    last. A failed run removes the sibling and leaves out_dir untouched.
+    sibling of out_dir and moved into place after training: the dataset
+    to its configured path (default: <out_dir>/offline.jsonl), then the
+    run files into out_dir, summary.json last. A failed run removes the
+    sibling and leaves out_dir and the configured path untouched.
     """
     cfg = run_config_from_doc(doc)  # before anything is written
     out_dir.parent.mkdir(parents=True, exist_ok=True)
@@ -212,13 +209,16 @@ def _train_one(doc: dict, out_dir: Path) -> dict:
     try:
         dataset_path = prepare_offline_dataset(doc, cfg.grid, staging)
         offline = OfflineDataset.load_jsonl(dataset_path)
-        if dataset_path.parent == staging:
-            dataset_path = out_dir / dataset_path.name
+        generated = dataset_path.parent == staging
+        final = Path(doc.get("offline_dataset") or out_dir / dataset_path.name) if generated else dataset_path
         doc = dict(doc)
-        doc["offline_dataset"] = str(dataset_path.resolve())
+        doc["offline_dataset"] = str(final.resolve())
         log = run_training(cfg, offline)
         log.save(staging)
         (staging / "effective_config.json").write_text(json.dumps(doc, indent=2) + "\n")
+        if generated:
+            final.parent.mkdir(parents=True, exist_ok=True)
+            shutil.move(dataset_path, final)
         out_dir.mkdir(exist_ok=True)
         for path in sorted(staging.iterdir(), key=lambda p: p.name == "summary.json"):
             path.replace(out_dir / path.name)

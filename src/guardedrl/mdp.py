@@ -357,7 +357,7 @@ def solve_pruned_value_iteration(
     )
 
 
-# --- JSON round trip -------------------------------------------------------
+# --- JSON output -----------------------------------------------------------
 
 def problem_to_dict(mdp: TabularMdp, spec: SafetySpec) -> dict:
     check_compatible(mdp, spec)
@@ -376,27 +376,6 @@ def problem_to_dict(mdp: TabularMdp, spec: SafetySpec) -> dict:
     return doc
 
 
-def problem_from_dict(doc: dict) -> tuple[TabularMdp, SafetySpec]:
-    mdp = TabularMdp(
-        transition=np.array(doc["transition"], dtype=np.float64),
-        reward=np.array(doc["reward"], dtype=np.float64),
-        gamma=float(doc["gamma"]),
-        r_max=doc.get("r_max"),
-        terminal=np.array(doc["terminal"], dtype=bool) if "terminal" in doc else None,
-    )
-    spec = SafetySpec(
-        safe=np.array(doc["safe"], dtype=bool),
-        action_embedding=np.array(doc["action_embedding"], dtype=np.float64),
-    )
-    if (mdp.num_states, mdp.num_actions) != (int(doc["num_states"]), int(doc["num_actions"])):
-        raise ValueError("declared num_states/num_actions do not match the tables")
-    check_compatible(mdp, spec)
-    return mdp, spec
-
-
 def save_problem(path: str | Path, mdp: TabularMdp, spec: SafetySpec) -> None:
     Path(path).write_text(json.dumps(problem_to_dict(mdp, spec)))
 
-
-def load_problem(path: str | Path) -> tuple[TabularMdp, SafetySpec]:
-    return problem_from_dict(json.loads(Path(path).read_text()))

@@ -325,7 +325,8 @@ _OPEN_RUN = np.iinfo(np.int64).max
 class ReplayStore:
     """A run's replay: the offline rows, then an online FIFO ring, in one set of columns.
 
-    Rows [0, num_offline) hold the offline dataset in its order. The
+    Rows [0, num_offline) hold the offline dataset in its order; an
+    empty dataset is refused here, and these rows never change. The
     online record with arrival number n (0 = first ever appended) sits
     in row num_offline + n % capacity; eviction is strictly FIFO, and
     online positions 0..online_count-1 count from the oldest retained
@@ -337,9 +338,11 @@ class ReplayStore:
     """
 
     def __init__(self, offline: OfflineDataset, capacity: int):
+        n = len(offline)
+        if n == 0:
+            raise ValueError("offline dataset is empty")
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        n = len(offline)
         self.num_offline = n
         self.capacity = capacity
         self.columns = TransitionBatch.zeros(n + capacity)
@@ -434,8 +437,6 @@ def sample_hybrid_batch(
         raise ValueError("lam must lie in [0, 1]")
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    if store.num_offline == 0:
-        raise ValueError("offline dataset is empty; nothing to sample")
     want_online = rng.random(batch_size) < lam
     online = store.online_count
     if online:

@@ -46,7 +46,6 @@ from .learner import (
 )
 from .mdp import SafetySpec, TabularMdp, categorical_draw
 from .metrics import (
-    VisitationStats,
     coverage_count,
     support_kl,
     action_novelty_rate,
@@ -85,7 +84,6 @@ class RunConfig:
     dss: DssConfig
     total_steps: int
     seed: int
-    offline_dataset_path: str | None = None
     ensemble_size: int = 2
     batch_size: int = 64
     updates_per_step: int = 1
@@ -165,7 +163,7 @@ class TrainerState:
     pol: PolicyTable
     ens: QEnsemble
     store: ReplayStore
-    stats: VisitationStats
+    visits: np.ndarray  # executed steps per state
 
 
 def _sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -271,30 +269,25 @@ def _check_finite(record: dict, where: str) -> None:
             raise ValueError(f"{where}: {key} is {value!r}; the run diverged")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_training(
     cfg: RunConfig,
-    offline: OfflineDataset | None = None,
+    offline: OfflineDataset,
     return_state: bool = False,
 ) -> RunLog | tuple[RunLog, TrainerState]:
-    """Execute the full training loop for cfg.total_steps steps.
+    """Execute the full training loop for cfg.total_steps steps on the offline dataset.
 
-    The offline dataset is taken from the argument or loaded from
-    cfg.offline_dataset_path; either way a missing or empty dataset, or
-    one whose state or action ids fall outside the grid's MDP, fails
-    before any step runs. Returns the per-interval log with a final
-    summary (never writes files itself); with return_state the final
-    learner/store internals come back too. A non-finite number in an
-    interval record or the summary raises ValueError naming the step and
-    the key; so does, at each interval, a non-finite entry anywhere in the
-    policy logits or the Q member and target tables.
+    An empty dataset (refused by ReplayStore), or one whose state or
+    action ids fall outside the grid's MDP, fails before any step runs.
+    Returns the per-interval log with a final summary (never writes files
+    itself); with return_state the final learner/store internals come
+    back too. A non-finite number in an interval record or the summary
+    raises ValueError naming the step and the key; so does, at each
+    interval, a non-finite entry anywhere in the policy logits or the Q
+    member and target tables. numpy's overflow and invalid-value warnings
+    are silenced inside the run, so that check is its one report of a
+    divergence.
     """
-    if offline is None:
-        if cfg.offline_dataset_path is None:
-            raise ValueError("need an offline dataset (argument or offline_dataset_path)")
-        offline = OfflineDataset.load_jsonl(cfg.offline_dataset_path)
-    if len(offline) == 0:
-        raise ValueError("offline dataset is empty")
-
     mdp, spec = build_cliff_grid(cfg.grid)
     offline.check_index_ranges(mdp.num_states, mdp.num_actions)
     backup_spec = spec if cfg.variant in _GUARDED_BACKUP_VARIANTS else None
@@ -308,7 +301,7 @@ def run_training(
     ens = QEnsemble.init_random(mdp.num_states, mdp.num_actions, cfg.ensemble_size, rng_init)
     pol = PolicyTable.zeros(mdp.num_states, mdp.num_actions)
     store = ReplayStore(offline, cfg.online_buffer_capacity)
-    stats = VisitationStats(mdp.num_states)
+    visits = np.zeros(mdp.num_states, dtype=np.int64)
     log = RunLog()
 
     executed_violations = 0
@@ -347,7 +340,6 @@ def run_training(
             guard_on=guard_exec, seed=eval_seed + 1, start_state=start,
             hazard_states=hazard_states,
         )
-        entropy = visitation_entropy(stats) if stats.total > 0 else None
         log.append(
             {
                 "step": step,
@@ -362,8 +354,8 @@ def run_training(
                 "eval_return": float(evaluation.mean_return),
                 "eval_violations": evaluation.violations,
                 "ttfv": float(ttfv),
-                "coverage": coverage_count(stats),
-                "visitation_entropy": entropy,
+                "coverage": coverage_count(visits),
+                "visitation_entropy": visitation_entropy(visits),
                 "starvation_events": starvation_events,
             }
         )
@@ -391,7 +383,7 @@ def run_training(
                 executed_violations += 1
             r, s_next, done = env_step(mdp, state, a_exec, rng_env)
             store.append(state, a_exec, r, s_next, done, t_ep, episode)
-            stats.record(state)
+            visits[state] += 1
             t_ep += 1
             if done or t_ep >= cfg.max_episode_len:
                 state, episode, t_ep = start, episode + 1, 0
@@ -419,8 +411,8 @@ def run_training(
         guard_on=guard_exec, seed=cfg.seed * 1_000_003 + cfg.total_steps + 1,
         start_state=start, stochastic=cfg.stochastic_eval,
     )
-    visits = final_eval.state_visits
-    weights = visits if visits.sum() > 0 else np.ones(mdp.num_states)
+    eval_visits = final_eval.state_visits
+    weights = eval_visits if eval_visits.sum() > 0 else np.ones(mdp.num_states)
     last = log.records[-1]
     log.summary = {
         "variant": cfg.variant,
@@ -434,14 +426,12 @@ def run_training(
         "final_td_error": last["td_error"],
         "final_ensemble_variance": last["ensemble_variance"],
         "final_ttfv": last["ttfv"],
-        "coverage": coverage_count(stats),
-        "visitation_entropy": visitation_entropy(stats) if stats.total > 0 else None,
+        "coverage": coverage_count(visits),
+        "visitation_entropy": visitation_entropy(visits),
         "support_kl": float(support_kl(pol.all_probs(), bc, weights)),
-        "action_novelty_rate": float(
-            action_novelty_rate(pol.all_probs(), bc, list(range(mdp.num_states)))
-        ),
+        "action_novelty_rate": float(action_novelty_rate(pol.all_probs(), bc)),
     }
     _check_finite(log.summary, f"summary after step {cfg.total_steps}")
     if return_state:
-        return log, TrainerState(pol=pol, ens=ens, store=store, stats=stats)
+        return log, TrainerState(pol=pol, ens=ens, store=store, visits=visits)
     return log

@@ -5,7 +5,6 @@ import json
 import re
 import statistics
 
-import numpy as np
 import pytest
 
 from guardedrl.cli import main
@@ -230,25 +229,53 @@ class TestTrain:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    # A numpy RuntimeWarning would reach stderr ahead of the diagnostic;
+    # "error" turns any warning into a failure of these tests.
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_run_exits_1_without_logs(self, tmp_path, capsys):
         doc = base_train_config(tmp_path, total_steps=60)
         doc["learner"]["alpha"] = 1e300
-        with np.errstate(all="ignore"):
-            assert main(["train", write_config(tmp_path, doc)]) == 1
+        assert main(["train", write_config(tmp_path, doc)]) == 1
         assert re.fullmatch(r"step \d+: \w+ is nan; the run diverged\n", capsys.readouterr().err)
         assert not (tmp_path / "run" / "log.jsonl").exists()
         assert not (tmp_path / "run" / "summary.json").exists()
 
+    @pytest.mark.filterwarnings("error")
     def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys):
         # The generated dataset is written before training starts; a run
         # that then fails must leave neither its directory nor a staging copy.
         doc = base_train_config(tmp_path, total_steps=60)
         doc["learner"]["alpha"] = 1e300
         cfg = write_config(tmp_path, doc)
-        with np.errstate(all="ignore"):
-            assert main(["train", cfg, "--out", str(tmp_path / "out")]) == 1
-        assert "the run diverged" in capsys.readouterr().err
+        assert main(["train", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert re.fullmatch(r"step \d+: \w+ is nan; the run diverged\n", capsys.readouterr().err)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("dataset", ["out/offline.jsonl", "data/offline.jsonl"],
+                             ids=["in-run-dir", "elsewhere"])
+    def test_failed_run_leaves_no_generated_dataset(self, tmp_path, dataset):
+        # A dataset generated for a configured path reaches it only with a
+        # successful run.
+        doc = base_train_config(tmp_path, total_steps=60)
+        doc["learner"]["alpha"] = 1e300
+        doc["offline_dataset"] = str(tmp_path / dataset)
+        cfg = write_config(tmp_path, doc)
+        assert main(["train", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_generated_dataset_moves_to_configured_path(self, tmp_path):
+        doc = base_train_config(tmp_path, total_steps=60)
+        configured = tmp_path / "data" / "offline.jsonl"
+        doc["offline_dataset"] = str(configured)
+        assert main(["train", write_config(tmp_path, doc)]) == 0
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            "effective_config.json", "log.jsonl", "summary.json"]
+        pinned = json.loads((tmp_path / "run" / "effective_config.json").read_text())
+        assert pinned["offline_dataset"] == str(configured.resolve())
+        # The second run reads the file the first one moved into place.
+        assert main(["train", write_config(tmp_path, doc), "--out", str(tmp_path / "again")]) == 0
+        assert (tmp_path / "again" / "log.jsonl").read_bytes() == (
+            tmp_path / "run" / "log.jsonl").read_bytes()
 
     def test_rerun_into_existing_directory_replaces_run_files(self, tmp_path):
         doc = base_train_config(tmp_path, total_steps=60)

@@ -15,18 +15,15 @@ from guardedrl.envs import (
     collect_offline_dataset,
     uniform_safe_policy,
 )
-from guardedrl.guardian import project_action
 from guardedrl.learner import LearnerConfig, PolicyTable, QEnsemble, softmax
 from guardedrl.metrics import (
-    VisitationStats,
     action_novelty_rate,
     coverage_count,
-    margin_scan,
     support_kl,
     td_error_stats,
     visitation_entropy,
 )
-from guardedrl.mdp import NEAR_MISS_MARGIN, SafetySpec, solve_guarded_value_iteration
+from guardedrl.mdp import NEAR_MISS_MARGIN, SafetySpec
 from guardedrl.sampling import DssConfig, DtsConfig, TransitionRecord
 from guardedrl.trainer import RunConfig, run_training
 
@@ -36,46 +33,41 @@ def tr(s=0, a=0, r=0.0, s_next=0, done=False, t=0, ep=0):
 
 
 class TestVisitationStats:
+    """Coverage and entropy over per-state visit counts (visits[s] += 1 per executed step)."""
+
     def test_coverage_counts_distinct_states(self):
-        stats = VisitationStats(5)
-        assert coverage_count(stats) == 0
+        visits = np.zeros(5, dtype=np.int64)
+        assert coverage_count(visits) == 0
         for s in range(5):
-            stats.record(s)
-        assert coverage_count(stats) == 5
-        stats.record(3)
-        assert coverage_count(stats) == 5
+            visits[s] += 1
+        assert coverage_count(visits) == 5
+        visits[3] += 1
+        assert coverage_count(visits) == 5
 
     def test_coverage_monotone(self):
         rng = np.random.default_rng(0)
-        stats = VisitationStats(10)
+        visits = np.zeros(10, dtype=np.int64)
         last = 0
         for _ in range(100):
-            stats.record(int(rng.integers(10)))
-            cov = coverage_count(stats)
+            visits[int(rng.integers(10))] += 1
+            cov = coverage_count(visits)
             assert cov >= last
             last = cov
 
     def test_entropy_trivial_cases(self):
-        stats = VisitationStats(4)
-        with pytest.raises(ValueError):
-            visitation_entropy(stats)
-        stats.record(2)
-        stats.record(2)
-        assert visitation_entropy(stats) == 0.0
+        visits = np.zeros(4, dtype=np.int64)
+        assert visitation_entropy(visits) is None  # undefined before any visit
+        visits[2] += 2
+        assert visitation_entropy(visits) == 0.0
 
     def test_entropy_uniform(self):
-        stats = VisitationStats(6)
-        for s in range(6):
-            stats.record(s)
-        assert visitation_entropy(stats) == pytest.approx(math.log(6), abs=1e-12)
+        visits = np.ones(6, dtype=np.int64)
+        assert visitation_entropy(visits) == pytest.approx(math.log(6), abs=1e-12)
 
     def test_entropy_three_one_split(self):
-        stats = VisitationStats(2)
-        for _ in range(3):
-            stats.record(0)
-        stats.record(1)
+        visits = np.array([3, 1], dtype=np.int64)
         expected = -(0.75 * math.log(0.75) + 0.25 * math.log(0.25))
-        assert visitation_entropy(stats) == pytest.approx(expected, abs=1e-12)
+        assert visitation_entropy(visits) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.5623, abs=5e-5)
 
 
@@ -184,7 +176,7 @@ class TestSupportKl:
 class TestActionNoveltyRate:
     def test_zero_when_matching_bc(self):
         bc = np.array([[0.7, 0.3], [0.2, 0.8]])
-        assert action_novelty_rate(bc, bc, [0, 1], eps=0.05) == 0.0
+        assert action_novelty_rate(bc, bc, eps=0.05) == 0.0
 
     def test_one_when_argmax_unsupported(self):
         records = [tr(s=0, a=2, s_next=1, t=0, ep=ep) for ep in range(100)]
@@ -194,17 +186,19 @@ class TestActionNoveltyRate:
                               num_actions=4)
         final = np.array([[1.0, 0.0, 0.0, 0.0]])  # argmax on a never-taken action
         assert bc[0, 0] < 0.05
-        assert action_novelty_rate(final, bc, [0]) == 1.0
+        assert action_novelty_rate(final, bc) == 1.0
 
-    def test_empty_states_return_zero_with_warning(self):
-        with pytest.warns(UserWarning):
-            assert action_novelty_rate(np.ones((1, 2)) / 2, np.ones((1, 2)) / 2, []) == 0.0
+    def test_rate_is_the_share_over_all_states(self):
+        bc = np.array([[0.9, 0.1], [0.99, 0.01], [0.02, 0.98], [0.5, 0.5]])
+        final = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+        # Greedy actions 1, 1, 0, 0: BC supports them with 0.1, 0.01, 0.02, 0.5.
+        assert action_novelty_rate(final, bc, eps=0.05) == 0.5
 
     def test_argmax_tie_breaks_low(self):
         final = np.array([[0.5, 0.5]])
         bc = np.array([[0.9, 0.01]])
         # Tie resolves to action 0, whose BC probability is large.
-        assert action_novelty_rate(final, bc, [0]) == 0.0
+        assert action_novelty_rate(final, bc) == 0.0
 
 
 class TestShadowRates:
@@ -284,66 +278,3 @@ class TestShadowRates:
         )
         for rec in run_training(cfg, offline).records:
             assert rec["pre_guard_violation_rate"] is None and rec["near_miss_rate"] is None
-
-
-class TestMarginScan:
-    def cliff(self):
-        spec = GridWorldSpec.from_ascii(
-            ["....", "....", "S..G", "XXXX"], gamma=0.95, step_reward=-0.05,
-            goal_reward=1.0, hazard_reward=-2.0,
-        )
-        return spec, *build_cliff_grid(spec)
-
-    def test_greedy_on_fixed_point_scores_one(self):
-        _, mdp, safety = self.cliff()
-        q_star = solve_guarded_value_iteration(mdp, safety, tol=1e-10).q
-        boundary = np.flatnonzero((~safety.safe).any(axis=1))
-        # Hazard penalties dominate: the raw argmax is already safe here.
-        assert all(safety.safe[s, np.argmax(q_star[s])] for s in boundary)
-        pol = PolicyTable(q_star.copy())
-        assert margin_scan(pol, mdp, safety, guard_on=True, q_star=q_star) == 1.0
-
-    def test_adversarial_policy_guard_off_scores_zero(self):
-        _, mdp, safety = self.cliff()
-        q_star = solve_guarded_value_iteration(mdp, safety, tol=1e-10).q
-        logits = np.zeros((mdp.num_states, 5))
-        logits[~safety.safe] = 50.0  # prefer an unsafe action wherever one exists
-        pol = PolicyTable(logits)
-        assert margin_scan(pol, mdp, safety, guard_on=False, q_star=q_star) == 0.0
-
-    def test_random_policy_accuracy_matches_enumeration(self):
-        _, mdp, safety = self.cliff()
-        q_star = solve_guarded_value_iteration(mdp, safety, tol=1e-10).q
-        boundary = np.flatnonzero((~safety.safe).any(axis=1))
-
-        # Enumerate: a random policy's argmax is uniform over the actions,
-        # so per-state accuracy is the fraction of proposals that land
-        # (after projection) on a near-optimal safe action.
-        tol_q = 1e-6
-        per_state = []
-        for s in boundary:
-            best = np.max(q_star[s][safety.safe[s]])
-            hits = 0
-            for a in range(5):
-                exec_a = project_action(int(s), a, safety).exec_action
-                if safety.safe[s, exec_a] and q_star[s, exec_a] >= best - tol_q:
-                    hits += 1
-            per_state.append(hits / 5)
-        expected = float(np.mean(per_state))
-
-        rng = np.random.default_rng(5)
-        trials = 400
-        scores = []
-        for _ in range(trials):
-            pol = PolicyTable(rng.normal(size=(mdp.num_states, 5)))
-            scores.append(margin_scan(pol, mdp, safety, guard_on=True, q_star=q_star))
-        stderr = np.std(scores, ddof=1) / math.sqrt(trials)
-        assert abs(np.mean(scores) - expected) <= 3 * stderr + 1e-9
-
-    def test_no_boundary_states_rejected(self):
-        grid = GridWorldSpec(width=3, height=1, start=(0, 0), goal=(2, 0))
-        mdp, safety = build_cliff_grid(grid)
-        pol = PolicyTable.zeros(mdp.num_states, 5)
-        with pytest.raises(ValueError, match="boundary"):
-            margin_scan(pol, mdp, safety, guard_on=True)
-

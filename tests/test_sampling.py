@@ -412,9 +412,8 @@ class TestSampleHybridBatch:
         assert batch.fallback_count == 32
 
     def test_empty_offline_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            sample_hybrid_batch(store_of([], chain_episode(5, 12, start=40)), lam=0.5, delta=4,
-                                batch_size=4, rng=np.random.default_rng(6))
+        with pytest.raises(ValueError, match="offline dataset is empty"):
+            ReplayStore(dataset_of([]), capacity=8)
 
     def test_online_fraction_concentrates(self):
         batch = sample_hybrid_batch(self.store, lam=0.5, delta=4, batch_size=4000,

@@ -143,11 +143,6 @@ class TestRunTraining:
         assert first.records == second.records
         assert first.summary == second.summary
 
-    def test_missing_dataset_fails_before_run(self, grid):
-        cfg = make_config(grid, total_steps=10)
-        with pytest.raises(ValueError, match="offline dataset"):
-            run_training(cfg, None)
-
     def test_empty_dataset_rejected(self, grid):
         cfg = make_config(grid, total_steps=10)
         with pytest.raises(ValueError, match="empty"):
