@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
+import math
 import shutil
 import statistics
 import sys
@@ -286,6 +287,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     doc = load_config(args.config)
     top = config_block(doc, TOP_LEVEL)
+    tol, gap_tolerance = top.get("tol", 1e-8), top.get("gap_tolerance", 1e-6)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"top-level key 'tol' must be finite and > 0, got {tol!r}")
+    if not 0.0 <= gap_tolerance < math.inf:
+        raise ValueError(f"top-level key 'gap_tolerance' must be finite and >= 0, got {gap_tolerance!r}")
     if "random_mdp" in doc:
         rm = config_block(doc, "random_mdp")
         for key in ("num_states", "num_actions"):
@@ -296,10 +302,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         mdp, spec = build_cliff_grid(grid_from_doc(doc))
     else:
         raise CliError("solve config needs an env or random_mdp block")
-    tol = top.get("tol", 1e-8)
-    gap_tolerance = top.get("gap_tolerance", 1e-6)
     out_dir = output_dir(args, doc, "runs/solve")
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         result = solve_guarded_value_iteration(mdp, spec, tol=tol)
         oracle = solve_pruned_value_iteration(mdp, spec, tol=tol)
@@ -307,6 +310,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"solver failed to converge: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     gap = max_norm_distance(result.q, oracle)
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_problem(out_dir / "problem.json", mdp, spec)
     (out_dir / "q_guarded.json").write_text(json.dumps({"q": result.q.tolist()}))
     (out_dir / "q_pruned_oracle.json").write_text(json.dumps({"q": oracle.tolist()}))

@@ -9,7 +9,9 @@ code in the rest of the package.
 The per-step primitives of a rollout (envs.env_step, guardian.project_action,
 the trainer's near-miss count) read lookup tables that TabularMdp and
 SafetySpec build lazily, once per instance, from their arrays. The exact
-solvers never touch them.
+solvers never touch them. Their sweep is one BLAS product R + gamma * P v
+on an (S*A, S) view of the transition tensor (no copy), then a safe max
+that each solver takes its own way, so a fault in one cannot hide in the other.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from pathlib import Path
 from typing import Sequence
 
@@ -270,8 +272,23 @@ def max_norm_distance(q1: np.ndarray, q2: np.ndarray) -> float:
 
 
 def safe_state_values(q: np.ndarray, spec: SafetySpec) -> np.ndarray:
-    """Per-state max of Q over the safe action set: V(s) = max_{a in A_safe(s)} Q(s, a)."""
-    return np.max(np.where(spec.safe, q, -np.inf), axis=1)
+    """Per-state max of Q over the safe action set: V(s) = max_{a in A_safe(s)} Q(s, a).
+
+    Taken as A - 1 elementwise maxima of whole columns, which numpy runs
+    several times faster than a max along rows of length A.
+    """
+    return reduce(np.maximum, np.where(spec.safe, q, -np.inf).T)
+
+
+def one_step_lookahead(mdp: TabularMdp, v: np.ndarray) -> np.ndarray:
+    """R(s, a) + gamma * sum_{s'} P(s'|s, a) * v(s') as an (S, A) table."""
+    rows = mdp.transition.reshape(-1, mdp.num_states)
+    return mdp.reward + mdp.gamma * (rows @ v).reshape(mdp.reward.shape)
+
+
+def check_budget(tol: float, max_iters: int) -> None:
+    if not (0.0 < tol < np.inf and max_iters >= 1):
+        raise ValueError(f"solvers need a finite tol > 0 and max_iters >= 1, got {tol} and {max_iters}")
 
 
 def apply_guarded_bellman(q: np.ndarray, mdp: TabularMdp, spec: SafetySpec) -> np.ndarray:
@@ -283,7 +300,7 @@ def apply_guarded_bellman(q: np.ndarray, mdp: TabularMdp, spec: SafetySpec) -> n
     """
     check_compatible(mdp, spec)
     q = check_q_table(q, mdp)
-    return mdp.reward + mdp.gamma * (mdp.transition @ safe_state_values(q, spec))
+    return one_step_lookahead(mdp, safe_state_values(q, spec))
 
 
 def assert_contraction_pair(
@@ -313,8 +330,7 @@ def solve_guarded_value_iteration(
     Deterministic given its inputs.
     """
     check_compatible(mdp, spec)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    check_budget(tol, max_iters)
     q = np.zeros((mdp.num_states, mdp.num_actions))
     residuals: list[float] = []
     for iteration in range(1, max_iters + 1):
@@ -342,16 +358,16 @@ def solve_pruned_value_iteration(
     purpose: the two routes cross-check each other.
     """
     check_compatible(mdp, spec)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    check_budget(tol, max_iters)
+    safe_by_action = spec.safe.T.copy()  # (A, S): numpy maxes over axis 0 row by row
     v = np.zeros(mdp.num_states)
     for _ in range(max_iters):
-        backed_up = mdp.reward + mdp.gamma * (mdp.transition @ v)
-        v_next = np.max(np.where(spec.safe, backed_up, -np.inf), axis=1)
+        backed_up = one_step_lookahead(mdp, v)
+        v_next = np.where(safe_by_action, backed_up.T, -np.inf).max(axis=0)
         residual = float(np.max(np.abs(v_next - v)))
         v = v_next
         if mdp.gamma * residual <= tol:
-            return mdp.reward + mdp.gamma * (mdp.transition @ v)
+            return one_step_lookahead(mdp, v)
     raise ConvergenceError(
         f"pruned value iteration did not reach tol={tol} in {max_iters} sweeps", residual=residual
     )

@@ -8,6 +8,7 @@ import statistics
 import pytest
 
 from guardedrl.cli import main
+from guardedrl.mdp import ConvergenceError, solve_pruned_value_iteration
 from guardedrl.trainer import RunLog
 
 CLIFF_MAP = ["...", "S.G", "XXX"]
@@ -110,6 +111,52 @@ class TestSolve:
         assert problem in err
         assert err.count("\n") == 1
         assert not (tmp_path / "solve").exists()
+
+    @pytest.mark.parametrize("key, value, rule", [
+        ("tol", 0, "finite and > 0, got 0.0"),
+        ("tol", -1, "finite and > 0, got -1.0"),
+        ("tol", float("nan"), "finite and > 0, got nan"),
+        ("tol", float("inf"), "finite and > 0, got inf"),
+        ("gap_tolerance", -1e-6, "finite and >= 0, got -1e-06"),
+        ("gap_tolerance", float("nan"), "finite and >= 0, got nan"),
+        ("gap_tolerance", float("inf"), "finite and >= 0, got inf"),
+    ], ids=["tol-zero", "tol-negative", "tol-nan", "tol-inf", "gap-negative", "gap-nan", "gap-inf"])
+    def test_bad_tolerance_exits_1_before_writing(self, tmp_path, capsys, key, value, rule):
+        # json writes NaN and Infinity, and Python's json reads them back.
+        doc = {"random_mdp": {"num_states": 12, "num_actions": 4}, key: value,
+               "output_dir": str(tmp_path / "solve")}
+        assert main(["solve", write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"top-level key {key!r} must be {rule}\n"
+        assert not (tmp_path / "solve").exists()
+
+    def test_zero_gap_tolerance_is_allowed(self, tmp_path):
+        doc = {"env": {"map": ["S.G"], "gamma": 0.0}, "gap_tolerance": 0,
+               "output_dir": str(tmp_path / "solve")}
+        assert main(["solve", write_config(tmp_path, doc)]) == 0
+        assert json.loads((tmp_path / "solve" / "solution.json").read_text())["gap_tolerance"] == 0.0
+
+    def test_convergence_failure_leaves_no_directory(self, tmp_path, monkeypatch, capsys):
+        def fail(mdp, spec, tol):
+            raise ConvergenceError("no convergence within 3 sweeps", residual=0.5)
+
+        monkeypatch.setattr("guardedrl.cli.solve_pruned_value_iteration", fail)
+        doc = {"random_mdp": {"num_states": 12, "num_actions": 4}, "output_dir": str(tmp_path / "solve")}
+        assert main(["solve", write_config(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err == "solver failed to converge: no convergence within 3 sweeps\n"
+        assert not (tmp_path / "solve").exists()
+
+    def test_gap_above_tolerance_writes_files_and_exits_1(self, tmp_path, monkeypatch):
+        pruned = solve_pruned_value_iteration
+        monkeypatch.setattr("guardedrl.cli.solve_pruned_value_iteration",
+                            lambda mdp, spec, tol: pruned(mdp, spec, tol) + 1e-3)
+        doc = {"random_mdp": {"num_states": 12, "num_actions": 4}, "output_dir": str(tmp_path / "solve")}
+        assert main(["solve", write_config(tmp_path, doc)]) == 1
+        out = tmp_path / "solve"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "problem.json", "q_guarded.json", "q_pruned_oracle.json", "solution.json"]
+        solution = json.loads((out / "solution.json").read_text())
+        assert solution["within_tolerance"] is False and solution["gap"] > solution["gap_tolerance"]
 
     def test_unknown_top_level_key_is_ignored(self, tmp_path):
         doc = {"env": {"map": ["S.G"], "gamma": 0.0}, "notes": {"any": "thing"},

@@ -14,6 +14,7 @@ from guardedrl.mdp import (
     assert_contraction_pair,
     max_norm_distance,
     problem_to_dict,
+    safe_state_values,
     save_problem,
     solve_guarded_value_iteration,
     solve_pruned_value_iteration,
@@ -263,6 +264,148 @@ class TestValueIteration:
         mdp, spec = two_state_problem()
         with pytest.raises(ValueError):
             solve_guarded_value_iteration(mdp, spec, tol=0.0)
+
+
+SOLVERS = [solve_guarded_value_iteration, solve_pruned_value_iteration]
+
+
+class TestSolverArguments:
+    """Both solvers check tol and max_iters on entry, before any sweep."""
+
+    @pytest.mark.parametrize("solver", SOLVERS, ids=["guarded", "pruned"])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_tol_that_is_not_finite_and_positive(self, solver, tol):
+        mdp, spec = two_state_problem()
+        with pytest.raises(ValueError, match="finite tol > 0"):
+            solver(mdp, spec, tol=tol)
+
+    @pytest.mark.parametrize("solver", SOLVERS, ids=["guarded", "pruned"])
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_rejects_empty_sweep_budget(self, solver, max_iters):
+        mdp, spec = two_state_problem()
+        with pytest.raises(ValueError, match="max_iters >= 1"):
+            solver(mdp, spec, max_iters=max_iters)
+
+    @pytest.mark.parametrize("solver", SOLVERS, ids=["guarded", "pruned"])
+    def test_one_sweep_budget_is_enough_at_gamma_zero(self, solver):
+        mdp, spec = two_state_problem(gamma=0.0)
+        result = solver(mdp, spec, max_iters=1)
+        q = result.q if solver is solve_guarded_value_iteration else result
+        np.testing.assert_array_equal(q, mdp.reward)
+
+
+def reference_solves(mdp, spec, tol):
+    """Both solvers as first written: the 3-D product P @ v and a row max over a masked table.
+
+    Returns (guarded q, guarded sweeps, pruned q, pruned sweeps).
+    """
+    safe_max = lambda table: np.where(spec.safe, table, -np.inf).max(axis=1)
+    q = np.zeros((mdp.num_states, mdp.num_actions))
+    guarded_sweeps = 0
+    while True:
+        guarded_sweeps += 1
+        q_next = mdp.reward + mdp.gamma * (mdp.transition @ safe_max(q))
+        residual = float(np.max(np.abs(q_next - q)))
+        q = q_next
+        if mdp.gamma * residual <= tol:
+            break
+    v = np.zeros(mdp.num_states)
+    pruned_sweeps = 0
+    while True:
+        pruned_sweeps += 1
+        v_next = safe_max(mdp.reward + mdp.gamma * (mdp.transition @ v))
+        residual = float(np.max(np.abs(v_next - v)))
+        v = v_next
+        if mdp.gamma * residual <= tol:
+            break
+    return q, guarded_sweeps, mdp.reward + mdp.gamma * (mdp.transition @ v), pruned_sweeps
+
+
+def sweep_instances():
+    """Random instances with A from 1 to 8, a gamma-0 instance and a grid with terminal states."""
+    for num_actions in range(1, 9):
+        yield build_random_safe_mdp(23, num_actions, safe_fraction=0.5, seed=num_actions, gamma=0.95)
+    yield build_random_safe_mdp(17, 3, safe_fraction=0.6, seed=0, gamma=0.0)
+    yield build_cliff_grid(GridWorldSpec.from_ascii(["....", "S..G", "XXXX"], slip_prob=0.2))
+
+
+class TestSweep:
+    """One sweep is a matrix-vector product on a view of P plus a safe max per solver."""
+
+    def test_solver_iterates_the_operator_bit_for_bit(self, monkeypatch):
+        calls = []
+        operator = apply_guarded_bellman
+        monkeypatch.setattr("guardedrl.mdp.apply_guarded_bellman",
+                            lambda *args: calls.append(1) or operator(*args))
+        for mdp, spec in sweep_instances():
+            calls.clear()
+            result = solve_guarded_value_iteration(mdp, spec, tol=1e-10)
+            assert len(calls) == result.iterations
+            q = np.zeros((mdp.num_states, mdp.num_actions))
+            residuals = []
+            for _ in range(result.iterations):
+                q_next = operator(q, mdp, spec)
+                residuals.append(max_norm_distance(q_next, q))
+                q = q_next
+            np.testing.assert_array_equal(result.q, q)
+            assert result.residuals == tuple(residuals)
+
+    def test_both_solvers_match_the_3d_row_max_reference(self):
+        for mdp, spec in sweep_instances():
+            ref_q, ref_sweeps, ref_pruned, pruned_sweeps = reference_solves(mdp, spec, 1e-10)
+            guarded = solve_guarded_value_iteration(mdp, spec, tol=1e-10)
+            assert guarded.iterations == ref_sweeps
+            assert max_norm_distance(guarded.q, ref_q) <= 1e-12
+            pruned = solve_pruned_value_iteration(mdp, spec, tol=1e-10, max_iters=pruned_sweeps)
+            assert max_norm_distance(pruned, ref_pruned) <= 1e-12
+            if pruned_sweeps > 1:
+                with pytest.raises(ConvergenceError):
+                    solve_pruned_value_iteration(mdp, spec, tol=1e-10, max_iters=pruned_sweeps - 1)
+
+    @pytest.mark.parametrize("num_actions", range(1, 9))
+    def test_safe_state_values_equal_a_python_max_bitwise(self, num_actions):
+        rng = np.random.default_rng(num_actions)
+        num_states = 40
+        # Half-integers make ties between safe actions common; signed zeros
+        # are left out, since either zero may win a tie between them.
+        q = rng.integers(-3, 4, size=(num_states, num_actions)) / 2.0
+        q[::3] += rng.normal(size=(len(q[::3]), num_actions))
+        safe = rng.random((num_states, num_actions)) < 0.5
+        safe[::4] = False
+        safe[::4, rng.integers(num_actions)] = True  # rows with one safe action
+        safe[~safe.any(axis=1), 0] = True
+        spec = SafetySpec(safe=safe, action_embedding=np.eye(num_actions))
+        expected = np.array([max(q[s, a] for a in range(num_actions) if safe[s, a])
+                             for s in range(num_states)])
+        got = safe_state_values(q, spec)
+        assert got.shape == (num_states,)
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_product_reads_the_transition_tensor_without_a_copy(self):
+        class MatmulOperands(np.ndarray):
+            """Records the left operand of every matmul it takes part in."""
+
+            seen: list = []
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    MatmulOperands.seen.append(inputs[0])
+                inputs = [x.view(np.ndarray) if isinstance(x, MatmulOperands) else x for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        mdp, spec = build_random_safe_mdp(11, 3, safe_fraction=0.6, seed=5)
+        plain = solve_guarded_value_iteration(mdp, spec, tol=1e-10)
+        plain_pruned = solve_pruned_value_iteration(mdp, spec, tol=1e-10)
+        object.__setattr__(mdp, "transition", mdp.transition.view(MatmulOperands))
+        result = solve_guarded_value_iteration(mdp, spec, tol=1e-10)
+        assert len(MatmulOperands.seen) == result.iterations
+        pruned = solve_pruned_value_iteration(mdp, spec, tol=1e-10)
+        assert len(MatmulOperands.seen) > result.iterations
+        for operand in MatmulOperands.seen:
+            assert operand.shape == (11 * 3, 11)
+            assert np.shares_memory(operand, mdp.transition)
+        np.testing.assert_array_equal(result.q, plain.q)
+        np.testing.assert_array_equal(pruned, plain_pruned)
 
 
 class TestJsonRoundTrip:
