@@ -51,18 +51,14 @@ REPORT_FIELDS = (
 )
 
 
-class CliError(RuntimeError):
-    """Runtime failure carrying a diagnostic for stderr."""
-
-
 def load_config(path: str | Path) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     doc = json.loads(text)
     if not isinstance(doc, dict):
-        raise CliError(f"config {path} must be a JSON object")
+        raise ValueError(f"config {path} must be a JSON object")
     return doc
 
 
@@ -135,8 +131,18 @@ def grid_from_doc(doc: dict) -> GridWorldSpec:
     return GridWorldSpec(**env)
 
 
+def reject_non_finite(value, path: str = "config") -> None:
+    """Raise on the first NaN or +-Infinity in a parsed config value, naming its path."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{path} must be finite, got {value!r}")
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        reject_non_finite(item, f"{path}[{key!r}]")
+
+
 def run_config_from_doc(doc: dict) -> RunConfig:
-    """Parse a train config; every block is checked before anything is built or written."""
+    """Parse a train config; every block and every number is checked before anything is built or written."""
+    reject_non_finite(doc)
     for key in ("env", "total_steps"):
         if key not in doc:
             raise ValueError(f"config is missing required key {key!r}")
@@ -169,9 +175,7 @@ def prepare_offline_dataset(doc: dict, grid: GridWorldSpec, staging: Path) -> Pa
         return Path(configured)
     gen = doc.get("generate_offline")
     if gen is None:
-        raise CliError(
-            "no offline dataset: configured path missing and no generate_offline block"
-        )
+        raise ValueError("no offline dataset: configured path missing and no generate_offline block")
     mdp, spec = build_cliff_grid(grid)
     behavior_name = gen.get("behavior", "uniform_safe")
     if behavior_name == "uniform_safe":
@@ -179,7 +183,7 @@ def prepare_offline_dataset(doc: dict, grid: GridWorldSpec, staging: Path) -> Pa
     elif behavior_name == "uniform":
         behavior = uniform_policy(mdp.num_states, mdp.num_actions)
     else:
-        raise CliError(f"unknown behavior {behavior_name!r} (use uniform_safe or uniform)")
+        raise ValueError(f"unknown behavior {behavior_name!r} (use uniform_safe or uniform)")
     dataset = collect_offline_dataset(
         mdp,
         spec,
@@ -216,7 +220,7 @@ def _train_one(doc: dict, out_dir: Path) -> dict:
         doc["offline_dataset"] = str(final.resolve())
         log = run_training(cfg, offline)
         log.save(staging)
-        (staging / "effective_config.json").write_text(json.dumps(doc, indent=2) + "\n")
+        (staging / "effective_config.json").write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
         if generated:
             final.parent.mkdir(parents=True, exist_ok=True)
             shutil.move(dataset_path, final)
@@ -253,7 +257,7 @@ def sweep_from_doc(doc: dict) -> tuple[list[str], list[int]]:
     sweep = config_block(doc, "sweep")
     variants, seeds = sweep.get("variants"), sweep.get("seeds")
     if not variants or not seeds:
-        raise CliError("config needs a sweep block with non-empty variants and seeds")
+        raise ValueError("config needs a sweep block with non-empty variants and seeds")
     for variant in variants:
         if variant not in VARIANTS:
             raise ValueError(f"sweep variants must be among {', '.join(VARIANTS)}, got {variant!r}")
@@ -274,8 +278,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             run_doc["variant"] = variant
             run_doc["seed"] = seed
             jobs.append((run_doc, str(base_out / f"{variant}_seed{seed}")))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for done in pool.map(_sweep_worker, jobs):
                 print(done)
     else:
@@ -301,7 +306,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     elif "env" in doc:
         mdp, spec = build_cliff_grid(grid_from_doc(doc))
     else:
-        raise CliError("solve config needs an env or random_mdp block")
+        raise ValueError("solve config needs an env or random_mdp block")
     out_dir = output_dir(args, doc, "runs/solve")
     try:
         result = solve_guarded_value_iteration(mdp, spec, tol=tol)
@@ -326,17 +331,31 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK if gap <= gap_tolerance else EXIT_RUNTIME
 
 
+def load_summary(directory: Path) -> dict:
+    """A run's summary: an object with a string variant and each report field a finite number or null."""
+    try:
+        log = RunLog.load(directory)
+        summary = log.summary
+        if not summary or not log.records:
+            raise ValueError("empty log")
+        if not isinstance(summary, dict):
+            raise ValueError(f"summary is a JSON {type(summary).__name__}, not an object")
+        if not isinstance(summary.get("variant", ""), str):
+            raise ValueError(f"summary key 'variant' must be a string, got {summary['variant']!r}")
+        for key in REPORT_FIELDS:
+            value = summary.get(key)
+            if value is not None and (type(value) not in (int, float) or not math.isfinite(value)):
+                raise ValueError(f"summary key {key!r} must be a finite number or null, got {value!r}")
+    except (OSError, ValueError) as exc:  # json's decode error is a ValueError
+        raise ValueError(f"missing or corrupt run log in {directory}: {exc}") from exc
+    return summary
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     by_variant: dict[str, list[dict]] = {}
     for run_dir in args.run_dirs:
-        directory = Path(run_dir)
-        try:
-            log = RunLog.load(directory)
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
-            raise CliError(f"missing or corrupt run log in {directory}: {exc}") from exc
-        if not log.summary or not log.records:
-            raise CliError(f"missing or corrupt run log in {directory}: empty log")
-        by_variant.setdefault(log.summary.get("variant", "unknown"), []).append(log.summary)
+        summary = load_summary(Path(run_dir))
+        by_variant.setdefault(summary.get("variant", "unknown"), []).append(summary)
     lines = ["variant,runs," + ",".join(REPORT_FIELDS)]
     for variant in sorted(by_variant):
         summaries = by_variant[variant]
@@ -352,6 +371,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     return EXIT_OK
+
+
+def worker_count(text: str) -> int:
+    """The --jobs value: an integer >= 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run the config's variant x seed sweep")
     p_sweep.add_argument("config")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel worker slots")
+    p_sweep.add_argument("--jobs", type=worker_count, default=1, help="parallel worker slots, >= 1")
     p_sweep.add_argument("--out", default=None, help="base output directory")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -396,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}", file=sys.stderr)
         return EXIT_USAGE
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -104,6 +104,8 @@ class GridWorldSpec:
         """
         if isinstance(rows, str):
             rows = [line for line in rows.splitlines() if line.strip()]
+        if not all(isinstance(row, str) for row in rows):
+            raise ValueError("ASCII map rows must be strings")
         rows = [row.strip() for row in rows]
         height = len(rows)
         if height == 0 or len({len(r) for r in rows}) != 1:
@@ -261,7 +263,7 @@ def collect_offline_dataset(
         raise ValueError("behavior must be an (S, A) distribution table")
     if not np.allclose(behavior.sum(axis=1), 1.0, atol=1e-9) or np.any(behavior < 0.0):
         raise ValueError("behavior rows must be probability distributions")
-    if mdp.is_terminal(start_state):
+    if mdp.terminal_flags[start_state]:
         raise ValueError("start_state must not be terminal")
     rng = np.random.default_rng(seed)
     cum_behavior = behavior.cumsum(axis=1).tolist()

@@ -86,10 +86,6 @@ class PolicyTable:
     def num_states(self) -> int:
         return self.logits.shape[0]
 
-    @property
-    def num_actions(self) -> int:
-        return self.logits.shape[1]
-
     def probs(self, s: int) -> np.ndarray:
         return softmax(self.logits[s])
 
@@ -127,10 +123,6 @@ class QEnsemble:
         rng = np.random.default_rng() if rng is None else rng
         members = rng.uniform(-init_scale, init_scale, size=(size, num_states, num_actions))
         return cls(members=members, targets=members.copy())
-
-    @property
-    def size(self) -> int:
-        return self.members.shape[0]
 
     @property
     def num_states(self) -> int:

@@ -45,8 +45,7 @@ class TabularMdp:
 
     Invariants enforced at construction: each transition row is a
     probability distribution (sum 1 within 1e-9, entries >= 0), rewards
-    are finite with |R| <= r_max, and gamma < 1. r_max defaults to
-    max|R| and is used only for invariant checks, never for clipping.
+    are finite, and gamma < 1. r_max is max |R|.
 
     The arrays must not be mutated in place after construction: the
     sampling tables (successor_cdfs, reward_rows, terminal_flags) are
@@ -56,8 +55,8 @@ class TabularMdp:
     transition: np.ndarray
     reward: np.ndarray
     gamma: float
-    r_max: float | None = None
     terminal: np.ndarray | None = None
+    r_max: float = field(init=False)
 
     def __post_init__(self):
         transition = np.array(self.transition, dtype=np.float64)
@@ -79,11 +78,6 @@ class TabularMdp:
             raise ValueError(f"transition rows must sum to 1 within {PROB_ATOL}; worst error {worst:.3g}")
         if not np.all(np.isfinite(reward)):
             raise ValueError("rewards must be finite")
-        r_max = self.r_max
-        if r_max is None:
-            r_max = float(np.max(np.abs(reward))) if reward.size else 0.0
-        elif np.max(np.abs(reward)) > r_max:
-            raise ValueError(f"|reward| exceeds stated bound r_max = {r_max}")
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         terminal = self.terminal
@@ -94,7 +88,7 @@ class TabularMdp:
         object.__setattr__(self, "transition", transition)
         object.__setattr__(self, "reward", reward)
         object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "r_max", float(r_max))
+        object.__setattr__(self, "r_max", float(np.max(np.abs(reward))))
         object.__setattr__(self, "terminal", terminal)
 
     @property
@@ -104,9 +98,6 @@ class TabularMdp:
     @property
     def num_actions(self) -> int:
         return self.transition.shape[1]
-
-    def is_terminal(self, s: int) -> bool:
-        return bool(self.terminal[s]) if self.terminal is not None else False
 
     @cached_property
     def successor_cdfs(self) -> list[list[list[float]]]:
@@ -120,7 +111,7 @@ class TabularMdp:
 
     @cached_property
     def terminal_flags(self) -> list[bool]:
-        """[s] -> is_terminal(s)."""
+        """[s] -> whether s is terminal."""
         if self.terminal is None:
             return [False] * self.num_states
         return self.terminal.tolist()
@@ -375,7 +366,7 @@ def solve_pruned_value_iteration(
 
 # --- JSON output -----------------------------------------------------------
 
-def problem_to_dict(mdp: TabularMdp, spec: SafetySpec) -> dict:
+def save_problem(path: str | Path, mdp: TabularMdp, spec: SafetySpec) -> None:
     check_compatible(mdp, spec)
     doc = {
         "num_states": mdp.num_states,
@@ -389,9 +380,5 @@ def problem_to_dict(mdp: TabularMdp, spec: SafetySpec) -> dict:
     }
     if mdp.terminal is not None:
         doc["terminal"] = mdp.terminal.tolist()
-    return doc
-
-
-def save_problem(path: str | Path, mdp: TabularMdp, spec: SafetySpec) -> None:
-    Path(path).write_text(json.dumps(problem_to_dict(mdp, spec)))
+    Path(path).write_text(json.dumps(doc))
 

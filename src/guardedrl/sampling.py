@@ -204,21 +204,6 @@ def _check_episode_continuity(data: TransitionBatch, t: np.ndarray, bounds: np.n
     raise ValueError(f"episode {index}: state chain broken at position {pos + 1}")
 
 
-def _row_problem(row) -> str:
-    """Why one parsed JSONL row does not fit the column buffers."""
-    if not isinstance(row, dict):
-        return f"expected a JSON object, got {type(row).__name__}"
-    for key, code in zip(_JSONL_KEYS, _TYPECODES):
-        if key not in row:
-            return f"missing key {key!r}"
-        value = row[key]
-        try:
-            array(code).append(_FLAGS[value] if key == "done" else value)
-        except (KeyError, TypeError, OverflowError):
-            return f"key {key!r} must be {_EXPECTED[code]}, got {value!r}"
-    return "unreadable row"
-
-
 class OfflineDataset:
     """Static episode-structured transitions: the learner's columns plus t and episode."""
 
@@ -311,7 +296,16 @@ class OfflineDataset:
                     t.append(row["t"])
                     ep.append(row["ep"])
                 except (KeyError, TypeError, OverflowError):
-                    raise ValueError(f"{path}:{lineno}: {_row_problem(row)}") from None
+                    # The columns before the failing one grew by this row.
+                    i = [len(buf) for buf in buffers].index(len(ep))
+                    key = _JSONL_KEYS[i]
+                    if not isinstance(row, dict):
+                        problem = f"expected a JSON object, got {type(row).__name__}"
+                    elif key not in row:
+                        problem = f"missing key {key!r}"
+                    else:
+                        problem = f"key {key!r} must be {_EXPECTED[_TYPECODES[i]]}, got {row[key]!r}"
+                    raise ValueError(f"{path}:{lineno}: {problem}") from None
                 if not math.isfinite(r[-1]):
                     # json reads NaN and Infinity, which are not JSON numbers.
                     raise ValueError(f"{path}:{lineno}: key 'r' must be finite, got {r[-1]!r}")

@@ -411,8 +411,6 @@ def run_training(
         guard_on=guard_exec, seed=cfg.seed * 1_000_003 + cfg.total_steps + 1,
         start_state=start, stochastic=cfg.stochastic_eval,
     )
-    eval_visits = final_eval.state_visits
-    weights = eval_visits if eval_visits.sum() > 0 else np.ones(mdp.num_states)
     last = log.records[-1]
     log.summary = {
         "variant": cfg.variant,
@@ -428,7 +426,7 @@ def run_training(
         "final_ttfv": last["ttfv"],
         "coverage": coverage_count(visits),
         "visitation_entropy": visitation_entropy(visits),
-        "support_kl": float(support_kl(pol.all_probs(), bc, weights)),
+        "support_kl": float(support_kl(pol.all_probs(), bc, final_eval.state_visits)),
         "action_novelty_rate": float(action_novelty_rate(pol.all_probs(), bc)),
     }
     _check_finite(log.summary, f"summary after step {cfg.total_steps}")

@@ -261,11 +261,13 @@ class TestTrain:
         (lambda doc: doc.update(env={"width": 3, "height": 3, "start": [0, 1], "goal": [2, 1],
                                      "hazards": [[1, 0], 4]}),
          "hazard cell must be two integers [x, y], got 4"),
+        (lambda doc: doc["env"].update(map=[1, 2]), "ASCII map rows must be strings"),
     ], ids=["learner-typo", "backup-mode", "dss-typo", "dts-horizon", "no-total-steps", "no-env",
             "env-typo", "generate-offline-typo", "env-incomplete", "learner-wrong-type",
             "dts-float-integer", "dss-boolean-number", "generate-offline-wrong-type",
             "top-level-wrong-type", "float-total-steps", "array-variant", "integer-flag",
-            "number-dataset-path", "env-short-cell", "env-float-cell", "env-scalar-hazard"])
+            "number-dataset-path", "env-short-cell", "env-float-cell", "env-scalar-hazard",
+            "env-number-rows"])
     def test_bad_config_exits_1_before_writing(self, tmp_path, capsys, edit, problem):
         doc = base_train_config(tmp_path)
         edit(doc)
@@ -274,6 +276,27 @@ class TestTrain:
         err = capsys.readouterr().err
         assert problem in err
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda doc: doc["dts"].update(beta=float("inf")), "config['dts']['beta'] must be finite, got inf"),
+        (lambda doc: doc["learner"].update(alpha=float("nan")),
+         "config['learner']['alpha'] must be finite, got nan"),
+        (lambda doc: doc["dss"].update(k=-float("inf")), "config['dss']['k'] must be finite, got -inf"),
+        (lambda doc: doc.update(tol=float("nan")), "config['tol'] must be finite, got nan"),
+        (lambda doc: doc.update(notes={"limits": [0, -float("inf")]}),
+         "config['notes']['limits'][1] must be finite, got -inf"),
+    ], ids=["beta-inf", "alpha-nan", "k-minus-inf", "ignored-top-level-nan", "ignored-nested-inf"])
+    def test_non_finite_config_number_exits_1_before_writing(self, tmp_path, capsys, command, edit,
+                                                             problem):
+        # json writes NaN and Infinity, and Python's json reads them back.
+        doc = base_train_config(tmp_path, total_steps=0)
+        doc["sweep"] = {"variants": ["guardian"], "seeds": [0]}
+        edit(doc)
+        out = tmp_path / "out"
+        assert main([command, write_config(tmp_path, doc), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == problem + "\n"
         assert not out.exists()
 
     # A numpy RuntimeWarning would reach stderr ahead of the diagnostic;
@@ -425,6 +448,62 @@ class TestSweepAndReport:
         bad.mkdir()
         assert main(["report", str(bad)]) == 1
         assert "not_a_run" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("summary, problem", [
+        ([1, 2], "summary is a JSON list, not an object"),
+        ({"variant": ["guardian"]}, "summary key 'variant' must be a string, got ['guardian']"),
+        ({"variant": "guardian", "coverage": "abc"},
+         "summary key 'coverage' must be a finite number or null, got 'abc'"),
+        ({"variant": "guardian", "support_kl": True},
+         "summary key 'support_kl' must be a finite number or null, got True"),
+        ({"variant": "guardian", "final_ttfv": float("nan")},
+         "summary key 'final_ttfv' must be a finite number or null, got nan"),
+    ], ids=["array-summary", "array-variant", "text-field", "boolean-field", "nan-field"])
+    def test_report_malformed_summary_names_directory(self, tmp_path, capsys, summary, problem):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "log.jsonl").write_text('{"step": 0}\n')
+        (run / "summary.json").write_text(json.dumps(summary))
+        assert main(["report", str(run)]) == 1
+        assert capsys.readouterr().err == f"missing or corrupt run log in {run}: {problem}\n"
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        doc = base_train_config(tmp_path, total_steps=0)
+        doc["sweep"] = {"variants": ["guardian"], "seeds": [0]}
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", write_config(tmp_path, doc), "--jobs", jobs])
+        assert excinfo.value.code == 2
+        assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("jobs, started", [("1", []), ("2", [2]), ("64", [2])])
+    def test_sweep_starts_at_most_one_worker_per_run(self, tmp_path, monkeypatch, jobs, started):
+        # The pool is replaced by one that runs jobs in-process: a large
+        # --jobs must not fork that many processes.
+        workers = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr("guardedrl.cli.ProcessPoolExecutor", InProcessPool)
+        doc = base_train_config(tmp_path, total_steps=0)
+        doc["sweep"] = {"variants": ["guardian", "no_guard"], "seeds": [0]}
+        doc["output_dir"] = str(tmp_path / "sweep")
+        assert main(["sweep", write_config(tmp_path, doc), "--jobs", jobs]) == 0
+        assert workers == started
+        assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == [
+            "guardian_seed0", "no_guard_seed0"]
 
     def test_sweep_without_block_fails(self, tmp_path):
         doc = base_train_config(tmp_path)

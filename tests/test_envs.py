@@ -56,6 +56,10 @@ class TestGridWorldSpec:
         with pytest.raises(ValueError, match="unknown map character"):
             GridWorldSpec.from_ascii(["S?G"])
 
+    def test_ascii_rejects_rows_that_are_not_strings(self):
+        with pytest.raises(ValueError, match="^ASCII map rows must be strings$"):
+            GridWorldSpec.from_ascii([1, 2])
+
     def test_state_index_round_trip(self):
         spec = corridor()
         for s in range(spec.num_states):
@@ -86,7 +90,7 @@ class TestBuildCliffGrid:
                              hazards=frozenset({(1, 0)}))
         mdp, safety = build_cliff_grid(spec)
         for s in (spec.goal_state, *spec.hazard_states):
-            assert mdp.is_terminal(s)
+            assert mdp.terminal_flags[s]
             for a in range(5):
                 assert mdp.transition[s, a, s] == 1.0
                 assert mdp.reward[s, a] == 0.0

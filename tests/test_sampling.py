@@ -194,6 +194,33 @@ class TestOfflineDataset:
         message = str(excinfo.value)
         assert f"{path}:3" in message and problem in message
 
+    @pytest.mark.parametrize("row, problem", [
+        ('7', "expected a JSON object, got int"),
+        ('null', "expected a JSON object, got NoneType"),
+        ('{"a": 0, "r": 0.0, "s2": 2, "done": false, "t": 1, "ep": 0}', "missing key 's'"),
+        ('{"s": "1", "a": 0, "r": 0.0, "s2": 2, "done": false, "t": 1, "ep": 0}',
+         "key 's' must be an integer, got '1'"),
+        ('{"s": 1, "a": 0, "r": "high", "s2": 2, "done": false, "t": 1, "ep": 0}',
+         "key 'r' must be a number, got 'high'"),
+        ('{"s": 1, "a": 0, "r": 0.0, "s2": 2, "t": 1, "ep": 0}', "missing key 'done'"),
+        ('{"s": 1, "a": 0, "r": 0.0, "s2": 2, "done": 2, "t": 1, "ep": 0}',
+         "key 'done' must be a boolean, got 2"),
+        ('{"s": 1, "a": 0, "r": 0.0, "s2": 2, "done": false, "t": 1}', "missing key 'ep'"),
+        ('{"s": 1, "a": 0, "r": 0.0, "s2": 2, "done": false, "t": 1, "ep": 1.5}',
+         "key 'ep' must be an integer, got 1.5"),
+        ('{"s": 1, "a": 0, "r": 0.0, "s2": 2, "done": false, "t": 1, "ep": 1180591620717411303424}',
+         "key 'ep' must be an integer, got 1180591620717411303424"),
+        # The first failing column is named, whatever follows it.
+        ('{"s": 1, "a": 0, "r": 0.0, "s2": 2, "done": null}', "key 'done' must be a boolean, got None"),
+    ], ids=["number", "null", "missing-s", "text-s", "text-r", "missing-done", "two-done",
+            "missing-ep", "float-ep", "huge-ep", "first-of-two"])
+    def test_loader_message_of_a_bad_row_is_exact(self, tmp_path, row, problem):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"s": 0, "a": 0, "r": 0.0, "s2": 1, "done": false, "t": 0, "ep": 0}\n' + row + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            OfflineDataset.load_jsonl(path)
+        assert str(excinfo.value) == f"{path}:2: {problem}"
+
     @pytest.mark.parametrize("bad, problem", [
         (tr(s=-3, s_next=1, ep=1), r"s = -3 outside \[0, 5\)"),
         (tr(s=0, s_next=5, ep=1), r"s2 = 5 outside \[0, 5\)"),

@@ -117,7 +117,7 @@ def test_categorical_draw_matches_searchsorted(name):
                 assert categorical_draw(cdf, u) == expected, (s, a, u)
                 reward, s_next, done = env_step(mdp, s, a, FixedUniform(u))
                 assert (reward, s_next, done) == (
-                    float(mdp.reward[s, a]), expected, mdp.is_terminal(expected)
+                    float(mdp.reward[s, a]), expected, mdp.terminal_flags[expected]
                 )
 
 
