@@ -123,6 +123,9 @@ def grid_from_doc(doc: dict) -> GridWorldSpec:
     env = config_block(doc, "env")
     if "map" in env:
         numbers = {key: v for key, v in env.items() if BLOCK_KEYS["env"][key] == "a number"}
+        for key in env:
+            if key not in numbers and key != "map":
+                raise ValueError(f"env key {key!r} cannot be given with 'map', which sets the geometry")
         return GridWorldSpec.from_ascii(env["map"], **numbers)
     for key in ("width", "height", "start", "goal"):
         if key not in env:
@@ -264,6 +267,10 @@ def sweep_from_doc(doc: dict) -> tuple[list[str], list[int]]:
     for seed in seeds:
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ValueError(f"sweep seeds must be integers, got {seed!r}")
+    for name, values in (("variants", variants), ("seeds", seeds)):
+        for i, value in enumerate(values):
+            if value in values[:i]:  # its runs would share one directory
+                raise ValueError(f"sweep {name} must not repeat, got {value!r} more than once")
     return variants, seeds
 
 
@@ -297,6 +304,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise ValueError(f"top-level key 'tol' must be finite and > 0, got {tol!r}")
     if not 0.0 <= gap_tolerance < math.inf:
         raise ValueError(f"top-level key 'gap_tolerance' must be finite and >= 0, got {gap_tolerance!r}")
+    reject_non_finite(doc)
     if "random_mdp" in doc:
         rm = config_block(doc, "random_mdp")
         for key in ("num_states", "num_actions"):

@@ -112,15 +112,16 @@ class QEnsemble:
         num_states: int,
         num_actions: int,
         size: int = 2,
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
         init_scale: float = 0.1,
     ) -> "QEnsemble":
-        """Members drawn with independent uniform noise in [-init_scale, init_scale].
+        """Members drawn from rng with independent uniform noise in [-init_scale, init_scale].
 
-        The noise makes ensemble variance informative from step 0;
+        rng is required: a seeded generator gives the same members on every
+        run. The noise makes ensemble variance informative from step 0;
         targets start as exact copies.
         """
-        rng = np.random.default_rng() if rng is None else rng
         members = rng.uniform(-init_scale, init_scale, size=(size, num_states, num_actions))
         return cls(members=members, targets=members.copy())
 
@@ -166,9 +167,8 @@ def compute_targets(
     if spec is not None:
         probs, starved = renormalize_policy_safe(probs, spec.safe)
         starved_count = int(np.count_nonzero(starved[s_next] & ~done))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(probs > 0.0, probs * np.log(probs), 0.0)
-    entropy = -plogp.sum(axis=1)
+    # 0 * log 0 counts as 0: a zero probability takes the log of 1.
+    entropy = -(probs * np.log(np.where(probs > 0.0, probs, 1.0))).sum(axis=1)
     sign = 1.0 if cfg.entropy_sign == ENTROPY_BONUS else -1.0
     expectation = np.einsum("ij,ij->i", probs, ens.min_targets())
     values = expectation + sign * cfg.alpha * entropy

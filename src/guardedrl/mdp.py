@@ -326,7 +326,7 @@ def solve_guarded_value_iteration(
     residuals: list[float] = []
     for iteration in range(1, max_iters + 1):
         q_next = apply_guarded_bellman(q, mdp, spec)
-        residual = max_norm_distance(q_next, q)
+        residual = float(np.max(np.abs(q_next - q)))
         residuals.append(residual)
         q = q_next
         if mdp.gamma * residual <= tol:

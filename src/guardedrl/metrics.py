@@ -73,10 +73,8 @@ def support_kl(
     if total <= 0.0 or np.any(weights < 0.0):
         raise ValueError("state weights must be non-negative with positive sum")
     w = weights / total
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_terms = np.where(
-            final_probs > 0.0, final_probs * np.log(final_probs / bc_probs), 0.0
-        )
+    # 0 * log 0 counts as 0: a zero probability takes the log of 1.
+    ratio_terms = final_probs * np.log(np.where(final_probs > 0.0, final_probs / bc_probs, 1.0))
     return float(np.sum(w * ratio_terms.sum(axis=1)))
 
 

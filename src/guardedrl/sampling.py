@@ -274,7 +274,8 @@ class OfflineDataset:
 
         A line that is not a JSON object with every key, integer indices,
         a finite numeric "r" and a boolean "done" raises ValueError naming
-        path:line and the key.
+        path:line and the key: first a key whose value cannot be stored,
+        then a boolean in a numeric column, then a non-finite "r".
         """
         buffers = column_buffers()
         s, a, r, s2, done, t, ep = buffers
@@ -306,6 +307,13 @@ class OfflineDataset:
                     else:
                         problem = f"key {key!r} must be {_EXPECTED[_TYPECODES[i]]}, got {row[key]!r}"
                     raise ValueError(f"{path}:{lineno}: {problem}") from None
+                if (type(row["s"]) is bool or type(row["a"]) is bool
+                        or type(row["r"]) is bool or type(row["s2"]) is bool
+                        or type(row["t"]) is bool or type(row["ep"]) is bool):
+                    # The buffers store True and False as 1 and 0, but a boolean is not a number.
+                    key = next(k for k in _JSONL_KEYS if k != "done" and type(row[k]) is bool)
+                    kind = _EXPECTED[_TYPECODES[_JSONL_KEYS.index(key)]]
+                    raise ValueError(f"{path}:{lineno}: key {key!r} must be {kind}, got {row[key]!r}")
                 if not math.isfinite(r[-1]):
                     # json reads NaN and Infinity, which are not JSON numbers.
                     raise ValueError(f"{path}:{lineno}: key 'r' must be finite, got {r[-1]!r}")
@@ -433,20 +441,14 @@ def sample_hybrid_batch(
         raise ValueError("delta must be >= 1")
     want_online = rng.random(batch_size) < lam
     online = store.online_count
-    if online:
-        online_mask, fallback = want_online, 0
-        n_online = int(np.count_nonzero(online_mask))
-    else:
-        online_mask = np.zeros(batch_size, dtype=bool)
-        fallback, n_online = int(np.count_nonzero(want_online)), 0
-    if n_online == 0:
-        rows = store.offline_window(rng.integers(store.num_offline, size=batch_size), delta, rng)
-    else:
-        rows = np.empty(batch_size, dtype=np.int64)
+    online_mask = want_online if online else np.zeros(batch_size, dtype=bool)
+    n_online = int(np.count_nonzero(online_mask))
+    rows = np.empty(batch_size, dtype=np.int64)
+    if n_online:
         rows[online_mask] = store.online_window(rng.integers(online, size=n_online), delta, rng)
-        rows[~online_mask] = store.offline_window(
-            rng.integers(store.num_offline, size=batch_size - n_online), delta, rng
-        )
+    offline_anchors = rng.integers(store.num_offline, size=batch_size - n_online)
+    rows[~online_mask] = store.offline_window(offline_anchors, delta, rng)
+    fallback = 0 if online else int(np.count_nonzero(want_online))
     return HybridBatch(store.columns.take(rows), online_mask, fallback)
 
 

@@ -26,6 +26,7 @@ import json
 import math
 import statistics
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
 from pathlib import Path
 from typing import Iterable
@@ -298,7 +299,7 @@ def run_training(
     rng_init, rng_env, rng_sample, rng_probe = (
         np.random.default_rng(child) for child in seed_seq.spawn(4)
     )
-    ens = QEnsemble.init_random(mdp.num_states, mdp.num_actions, cfg.ensemble_size, rng_init)
+    ens = QEnsemble.init_random(mdp.num_states, mdp.num_actions, cfg.ensemble_size, rng=rng_init)
     pol = PolicyTable.zeros(mdp.num_states, mdp.num_actions)
     store = ReplayStore(offline, cfg.online_buffer_capacity)
     visits = np.zeros(mdp.num_states, dtype=np.int64)
@@ -317,6 +318,9 @@ def run_training(
     state = start
     episode = 0
     t_ep = 0
+    # Interval and final evaluations differ only in their seed.
+    evaluate = partial(evaluate_policy, pol, mdp, spec, cfg.eval_episodes, cfg.eval_max_len,
+                       guard_on=guard_exec, start_state=start, stochastic=cfg.stochastic_eval)
 
     def emit(step: int) -> None:
         nonlocal proposals, pre_guard_violations, near_misses
@@ -330,11 +334,7 @@ def run_training(
         else:
             pre_rate, near_rate = None, None
         eval_seed = cfg.seed * 1_000_003 + step
-        evaluation = evaluate_policy(
-            pol, mdp, spec, cfg.eval_episodes, cfg.eval_max_len,
-            guard_on=guard_exec, seed=eval_seed, start_state=start,
-            stochastic=cfg.stochastic_eval,
-        )
+        evaluation = evaluate(seed=eval_seed)
         ttfv = measure_ttfv(
             pol, mdp, spec, cfg.ttfv_episodes, cfg.ttfv_max_steps,
             guard_on=guard_exec, seed=eval_seed + 1, start_state=start,
@@ -406,11 +406,7 @@ def run_training(
             emit(step)
 
     bc = derive_bc_policy(offline, mdp.num_states, mdp.num_actions)
-    final_eval = evaluate_policy(
-        pol, mdp, spec, cfg.eval_episodes, cfg.eval_max_len,
-        guard_on=guard_exec, seed=cfg.seed * 1_000_003 + cfg.total_steps + 1,
-        start_state=start, stochastic=cfg.stochastic_eval,
-    )
+    final_eval = evaluate(seed=cfg.seed * 1_000_003 + cfg.total_steps + 1)
     last = log.records[-1]
     log.summary = {
         "variant": cfg.variant,

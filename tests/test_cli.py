@@ -130,6 +130,21 @@ class TestSolve:
         assert err == f"top-level key {key!r} must be {rule}\n"
         assert not (tmp_path / "solve").exists()
 
+    @pytest.mark.parametrize("doc, problem", [
+        ({"env": {"map": ["S.G"], "step_reward": float("inf")}},
+         "config['env']['step_reward'] must be finite, got inf"),
+        ({"random_mdp": {"num_states": 12, "num_actions": 4, "gamma": float("nan")}},
+         "config['random_mdp']['gamma'] must be finite, got nan"),
+        ({"random_mdp": {"num_states": 12, "num_actions": 4}, "notes": {"limits": [0, -float("inf")]}},
+         "config['notes']['limits'][1] must be finite, got -inf"),
+    ], ids=["env-reward-inf", "random-mdp-gamma-nan", "ignored-nested-minus-inf"])
+    def test_non_finite_number_exits_1_before_writing(self, tmp_path, capsys, doc, problem):
+        # json writes NaN and Infinity, and Python's json reads them back.
+        doc["output_dir"] = str(tmp_path / "solve")
+        assert main(["solve", write_config(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err == problem + "\n"
+        assert not (tmp_path / "solve").exists()
+
     def test_zero_gap_tolerance_is_allowed(self, tmp_path):
         doc = {"env": {"map": ["S.G"], "gamma": 0.0}, "gap_tolerance": 0,
                "output_dir": str(tmp_path / "solve")}
@@ -262,12 +277,16 @@ class TestTrain:
                                      "hazards": [[1, 0], 4]}),
          "hazard cell must be two integers [x, y], got 4"),
         (lambda doc: doc["env"].update(map=[1, 2]), "ASCII map rows must be strings"),
+        (lambda doc: doc["env"].update(goal=[0, 0]),
+         "env key 'goal' cannot be given with 'map', which sets the geometry"),
+        (lambda doc: doc["env"].update(width=5, hazards=[]),
+         "env key 'width' cannot be given with 'map', which sets the geometry"),
     ], ids=["learner-typo", "backup-mode", "dss-typo", "dts-horizon", "no-total-steps", "no-env",
             "env-typo", "generate-offline-typo", "env-incomplete", "learner-wrong-type",
             "dts-float-integer", "dss-boolean-number", "generate-offline-wrong-type",
             "top-level-wrong-type", "float-total-steps", "array-variant", "integer-flag",
             "number-dataset-path", "env-short-cell", "env-float-cell", "env-scalar-hazard",
-            "env-number-rows"])
+            "env-number-rows", "env-map-and-goal", "env-map-and-width"])
     def test_bad_config_exits_1_before_writing(self, tmp_path, capsys, edit, problem):
         doc = base_train_config(tmp_path)
         edit(doc)
@@ -519,8 +538,12 @@ class TestSweepAndReport:
          "got 'guardain'"),
         ({"variants": [], "seeds": [0]}, "non-empty variants and seeds"),
         ({"variants": ["guardian"], "seed": [0]}, "unknown sweep key 'seed'"),
+        # A repeated pair would train into one directory again and again.
+        ({"variants": ["guardian", "no_guard", "guardian"], "seeds": [0]},
+         "sweep variants must not repeat, got 'guardian' more than once"),
+        ({"variants": ["guardian"], "seeds": [0, 3, 3]}, "sweep seeds must not repeat, got 3 more than once"),
     ], ids=["float-seed", "boolean-seed", "string-variants", "unknown-variant", "no-variants",
-            "sweep-typo"])
+            "sweep-typo", "repeated-variant", "repeated-seed"])
     def test_bad_sweep_block_exits_1_before_writing(self, tmp_path, capsys, sweep, problem):
         doc = base_train_config(tmp_path, total_steps=0)
         doc["sweep"] = sweep

@@ -82,6 +82,15 @@ class TestPessimisticQ:
                 assert ens.min_members()[s, a] == min(members[i, s, a] for i in range(5))
 
 
+class TestInitRandom:
+    def test_generator_is_a_required_keyword(self):
+        # An unseeded default would make reruns differ.
+        with pytest.raises(TypeError):
+            QEnsemble.init_random(2, 2)
+        with pytest.raises(TypeError):
+            QEnsemble.init_random(2, 2, 2, np.random.default_rng(0))
+
+
 class TestComputeGuardedTarget:
     def setup_method(self):
         self.spec = make_spec([[True, True], [True, False]])

@@ -212,8 +212,22 @@ class TestOfflineDataset:
          "key 'ep' must be an integer, got 1180591620717411303424"),
         # The first failing column is named, whatever follows it.
         ('{"s": 1, "a": 0, "r": 0.0, "s2": 2, "done": null}', "key 'done' must be a boolean, got None"),
+        # A boolean is not a number, though the buffers would store it as 1 or 0.
+        ('{"s": true, "a": 0, "r": 0.0, "s2": 2, "done": false, "t": 1, "ep": 0}',
+         "key 's' must be an integer, got True"),
+        ('{"s": 1, "a": false, "r": 0.0, "s2": 2, "done": false, "t": 1, "ep": 0}',
+         "key 'a' must be an integer, got False"),
+        ('{"s": 1, "a": 0, "r": true, "s2": 2, "done": false, "t": 1, "ep": 0}',
+         "key 'r' must be a number, got True"),
+        ('{"s": 1, "a": 0, "r": 0.0, "s2": true, "done": false, "t": 1, "ep": 0}',
+         "key 's2' must be an integer, got True"),
+        ('{"s": 1, "a": 0, "r": 0.0, "s2": 2, "done": false, "t": true, "ep": 0}',
+         "key 't' must be an integer, got True"),
+        ('{"s": 1, "a": 0, "r": 0.0, "s2": 2, "done": true, "t": 1, "ep": false}',
+         "key 'ep' must be an integer, got False"),
     ], ids=["number", "null", "missing-s", "text-s", "text-r", "missing-done", "two-done",
-            "missing-ep", "float-ep", "huge-ep", "first-of-two"])
+            "missing-ep", "float-ep", "huge-ep", "first-of-two", "boolean-s", "boolean-a",
+            "boolean-r", "boolean-s2", "boolean-t", "boolean-ep"])
     def test_loader_message_of_a_bad_row_is_exact(self, tmp_path, row, problem):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"s": 0, "a": 0, "r": 0.0, "s2": 1, "done": false, "t": 0, "ep": 0}\n' + row + "\n")
