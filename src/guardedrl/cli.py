@@ -67,12 +67,14 @@ KINDS = {"a number": (int, float), "an integer": (int,), "a string": (str,),
          "a boolean": (bool,), "an array": (list,), "a string or an array": (str, list)}
 _FIELD_KINDS = {"float": "a number", "int": "an integer", "str": "a string", "bool": "a boolean"}
 # Block name -> key -> kind: the block's dataclass fields (tuples and sets are
-# arrays), except schedule horizons, which always come from total_steps.
+# arrays), except schedule horizons and the learner's discount, which always
+# come from total_steps and env.gamma.
 BLOCK_KEYS = {
     name: {f.name: _FIELD_KINDS.get(f.type, "an array") for f in fields(cls) if f.name != "horizon"}
     for name, cls in (("env", GridWorldSpec), ("learner", LearnerConfig), ("dts", DtsConfig),
                       ("dss", DssConfig))
 }
+del BLOCK_KEYS["learner"]["gamma"]
 BLOCK_KEYS["env"]["map"] = "a string or an array"
 BLOCK_KEYS["generate_offline"] = dict(episodes="an integer", max_ep_len="an integer",
                                       behavior="a string", seed="an integer",
@@ -88,6 +90,11 @@ BLOCK_KEYS[TOP_LEVEL] = {f.name: _FIELD_KINDS[f.type] for f in fields(RunConfig)
 BLOCK_KEYS[TOP_LEVEL].update(offline_dataset="a string", output_dir="a string", tol="a number",
                              gap_tolerance="a number")
 _RUN_FIELDS = {f.name for f in fields(RunConfig)}
+# generate_offline behavior name -> its policy table on a grid's (mdp, spec).
+BEHAVIORS = {
+    "uniform_safe": lambda mdp, spec: uniform_safe_policy(spec),
+    "uniform": lambda mdp, spec: uniform_policy(mdp.num_states, mdp.num_actions),
+}
 
 
 def config_block(doc: dict, name: str) -> dict:
@@ -153,13 +160,19 @@ def run_config_from_doc(doc: dict) -> RunConfig:
     dts_doc = config_block(doc, "dts")
     dss_doc = config_block(doc, "dss")
     learner_doc = config_block(doc, "learner")
-    config_block(doc, "generate_offline")
+    gen = config_block(doc, "generate_offline")
+    if "behavior" in gen and gen["behavior"] not in BEHAVIORS:
+        raise ValueError(f"generate_offline key 'behavior' must be one of {', '.join(BEHAVIORS)}, "
+                         f"got {gen['behavior']!r}")
+    for key, least in (("episodes", 1), ("max_ep_len", 1), ("seed", 0)):
+        if gen.get(key, least) < least:
+            raise ValueError(f"generate_offline key {key!r} must be >= {least}, got {gen[key]!r}")
     grid = grid_from_doc(doc)
     horizon = max(top["total_steps"], 1)
     return RunConfig(
         **{"variant": "guardian", "seed": 0, **{k: v for k, v in top.items() if k in _RUN_FIELDS}},
         grid=grid,
-        learner=LearnerConfig(**{"gamma": grid.gamma, **learner_doc}),
+        learner=LearnerConfig(**learner_doc, gamma=grid.gamma),
         dts=DtsConfig(**{"delta_min": 1, "delta_max": 16, "beta": 2.0, **dts_doc}, horizon=horizon),
         dss=DssConfig(**{"lambda_min": 0.1, "lambda_max": 0.5, "k": 10.0 / horizon, **dss_doc},
                       horizon=horizon),
@@ -180,17 +193,10 @@ def prepare_offline_dataset(doc: dict, grid: GridWorldSpec, staging: Path) -> Pa
     if gen is None:
         raise ValueError("no offline dataset: configured path missing and no generate_offline block")
     mdp, spec = build_cliff_grid(grid)
-    behavior_name = gen.get("behavior", "uniform_safe")
-    if behavior_name == "uniform_safe":
-        behavior = uniform_safe_policy(spec)
-    elif behavior_name == "uniform":
-        behavior = uniform_policy(mdp.num_states, mdp.num_actions)
-    else:
-        raise ValueError(f"unknown behavior {behavior_name!r} (use uniform_safe or uniform)")
     dataset = collect_offline_dataset(
         mdp,
         spec,
-        behavior,
+        BEHAVIORS[gen.get("behavior", "uniform_safe")](mdp, spec),
         n_episodes=gen.get("episodes", 100),
         max_ep_len=gen.get("max_ep_len", 100),
         seed=gen.get("seed", 0),
@@ -256,7 +262,7 @@ def _sweep_worker(payload: tuple[dict, str]) -> str:
 
 
 def sweep_from_doc(doc: dict) -> tuple[list[str], list[int]]:
-    """The sweep block's variants (known names) and seeds (JSON integers), both non-empty."""
+    """The sweep block's variants (known names) and seeds (JSON integers >= 0), both non-empty."""
     sweep = config_block(doc, "sweep")
     variants, seeds = sweep.get("variants"), sweep.get("seeds")
     if not variants or not seeds:
@@ -267,6 +273,8 @@ def sweep_from_doc(doc: dict) -> tuple[list[str], list[int]]:
     for seed in seeds:
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ValueError(f"sweep seeds must be integers, got {seed!r}")
+        if seed < 0:
+            raise ValueError(f"sweep seeds must be >= 0, got {seed!r}")
     for name, values in (("variants", variants), ("seeds", seeds)):
         for i, value in enumerate(values):
             if value in values[:i]:  # its runs would share one directory

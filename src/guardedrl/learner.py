@@ -28,9 +28,6 @@ from .guardian import renormalize_policy_safe
 from .mdp import SafetySpec
 from .sampling import TransitionBatch
 
-ENTROPY_BONUS = "bonus"  # backup adds +alpha * H (soft-value convention)
-ENTROPY_PENALTY = "penalty"  # backup subtracts alpha * H
-
 
 @dataclass
 class LearnerConfig:
@@ -39,7 +36,6 @@ class LearnerConfig:
     gamma: float = 0.95
     critic_lr: float = 0.1
     actor_lr: float = 0.1
-    entropy_sign: str = ENTROPY_BONUS
 
     def __post_init__(self):
         if self.alpha < 0.0:
@@ -52,8 +48,6 @@ class LearnerConfig:
         # and target only for lr in (0, 1]; the actor rate has the same range.
         if not (0.0 < self.critic_lr <= 1.0 and 0.0 < self.actor_lr <= 1.0):
             raise ValueError("learning rates must lie in (0, 1]")
-        if self.entropy_sign not in (ENTROPY_BONUS, ENTROPY_PENALTY):
-            raise ValueError(f"entropy_sign must be '{ENTROPY_BONUS}' or '{ENTROPY_PENALTY}'")
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -150,14 +144,14 @@ def compute_targets(
     """Backup targets for a whole batch, plus the starvation-fallback count.
 
     y = r + gamma * V(s'), with the next-state value
-    V(s) = E_{a ~ pi'(.|s)}[Qmin_target(s, a)] + sign * alpha * H(pi'(.|s))
+    V(s) = E_{a ~ pi'(.|s)}[Qmin_target(s, a)] + alpha * H(pi'(.|s))
     where pi' is the policy renormalized onto spec's safe set, or the raw
     softmax policy when spec is None (unguarded backup). V and the
     starved mask are built once per state, as (S,) tables, and indexed by
     s'; each state's row is computed exactly as a row of s' would be, so
     the targets do not depend on the batch size. Terminal transitions get
-    y = r and never count as starved. sign is +1 under entropy_sign
-    "bonus", -1 under "penalty".
+    y = r and never count as starved. The entropy bonus is the soft-value
+    backup of the actor's objective E[Qmin] + alpha * H.
     """
     if not len(batch):
         raise ValueError("batch must be non-empty")
@@ -169,9 +163,8 @@ def compute_targets(
         starved_count = int(np.count_nonzero(starved[s_next] & ~done))
     # 0 * log 0 counts as 0: a zero probability takes the log of 1.
     entropy = -(probs * np.log(np.where(probs > 0.0, probs, 1.0))).sum(axis=1)
-    sign = 1.0 if cfg.entropy_sign == ENTROPY_BONUS else -1.0
     expectation = np.einsum("ij,ij->i", probs, ens.min_targets())
-    values = expectation + sign * cfg.alpha * entropy
+    values = expectation + cfg.alpha * entropy
     y = r + cfg.gamma * values[s_next]
     y[done] = r[done]
     return y, starved_count

@@ -75,6 +75,9 @@ _JSONL_ROW = "{" + ", ".join(f'"{key}": %s' for key in _JSONL_KEYS) + "}\n"
 _EXPECTED = {"q": "an integer", "d": "a number", "B": "a boolean"}
 # A done flag must be a JSON boolean (or 0/1); other values are rejected.
 _FLAGS = {False: 0, True: 1}
+# The type that a row key's buffer would store but the format refuses: a
+# boolean in a numeric column, a float (0.0 hashes like False) as done.
+_REFUSED = {key: float if key == "done" else bool for key in _JSONL_KEYS}
 
 
 def column_buffers() -> tuple[array, ...]:
@@ -273,9 +276,10 @@ class OfflineDataset:
         """Read one transition per line; a change of "ep" starts a new episode.
 
         A line that is not a JSON object with every key, integer indices,
-        a finite numeric "r" and a boolean "done" raises ValueError naming
-        path:line and the key: first a key whose value cannot be stored,
-        then a boolean in a numeric column, then a non-finite "r".
+        a finite numeric "r" and a boolean (or 0/1) "done" raises ValueError
+        naming path:line and the key: first a key whose value cannot be
+        stored, then a boolean in a numeric column or a float "done", then
+        a non-finite "r".
         """
         buffers = column_buffers()
         s, a, r, s2, done, t, ep = buffers
@@ -309,9 +313,9 @@ class OfflineDataset:
                     raise ValueError(f"{path}:{lineno}: {problem}") from None
                 if (type(row["s"]) is bool or type(row["a"]) is bool
                         or type(row["r"]) is bool or type(row["s2"]) is bool
+                        or type(row["done"]) is float
                         or type(row["t"]) is bool or type(row["ep"]) is bool):
-                    # The buffers store True and False as 1 and 0, but a boolean is not a number.
-                    key = next(k for k in _JSONL_KEYS if k != "done" and type(row[k]) is bool)
+                    key = next(k for k in _JSONL_KEYS if type(row[k]) is _REFUSED[k])
                     kind = _EXPECTED[_TYPECODES[_JSONL_KEYS.index(key)]]
                     raise ValueError(f"{path}:{lineno}: key {key!r} must be {kind}, got {row[key]!r}")
                 if not math.isfinite(r[-1]):

@@ -106,6 +106,10 @@ class RunConfig:
             self.dts.horizon == self.dss.horizon == self.total_steps
         ):
             raise ValueError("schedule horizons must equal total_steps")
+        if self.learner.gamma != self.grid.gamma:  # the learner discounts as the solvers do
+            raise ValueError("learner gamma must equal grid gamma")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for name in ("ensemble_size", "batch_size", "updates_per_step", "eval_every",
                      "eval_episodes", "eval_max_len", "ttfv_episodes", "ttfv_max_steps",
                      "max_episode_len", "online_buffer_capacity"):
@@ -325,7 +329,7 @@ def run_training(
     def emit(step: int) -> None:
         nonlocal proposals, pre_guard_violations, near_misses
         lam = dss_mixing(step, cfg.dss) if cfg.total_steps > 0 else cfg.dss.lambda_min
-        delta = dts_interval(step, cfg.dts) if cfg.total_steps > 0 else cfg.dts.delta_min
+        delta = dts_interval(step, cfg.dts)
         probe = sample_hybrid_batch(store, lam, delta, cfg.batch_size, rng_probe)
         td = td_error_stats(probe.transitions, ens, pol, backup_spec, cfg.learner)
         variance = ensemble_variance(ens, probe.transitions)
@@ -407,7 +411,8 @@ def run_training(
 
     bc = derive_bc_policy(offline, mdp.num_states, mdp.num_actions)
     final_eval = evaluate(seed=cfg.seed * 1_000_003 + cfg.total_steps + 1)
-    last = log.records[-1]
+    last = log.records[-1]  # at total_steps, after the last visit
+    probs = pol.all_probs()
     log.summary = {
         "variant": cfg.variant,
         "seed": cfg.seed,
@@ -420,10 +425,10 @@ def run_training(
         "final_td_error": last["td_error"],
         "final_ensemble_variance": last["ensemble_variance"],
         "final_ttfv": last["ttfv"],
-        "coverage": coverage_count(visits),
-        "visitation_entropy": visitation_entropy(visits),
-        "support_kl": float(support_kl(pol.all_probs(), bc, final_eval.state_visits)),
-        "action_novelty_rate": float(action_novelty_rate(pol.all_probs(), bc)),
+        "coverage": last["coverage"],
+        "visitation_entropy": last["visitation_entropy"],
+        "support_kl": float(support_kl(probs, bc, final_eval.state_visits)),
+        "action_novelty_rate": float(action_novelty_rate(probs, bc)),
     }
     _check_finite(log.summary, f"summary after step {cfg.total_steps}")
     if return_state:

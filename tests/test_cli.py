@@ -4,14 +4,16 @@ import hashlib
 import json
 import re
 import statistics
+from pathlib import Path
 
 import pytest
 
-from guardedrl.cli import main
+from guardedrl.cli import main, run_config_from_doc, sweep_from_doc
 from guardedrl.mdp import ConvergenceError, solve_pruned_value_iteration
 from guardedrl.trainer import RunLog
 
 CLIFF_MAP = ["...", "S.G", "XXX"]
+REPO = Path(__file__).resolve().parent.parent
 
 
 def base_train_config(tmp_path, total_steps=150, seed=0):
@@ -281,21 +283,42 @@ class TestTrain:
          "env key 'goal' cannot be given with 'map', which sets the geometry"),
         (lambda doc: doc["env"].update(width=5, hazards=[]),
          "env key 'width' cannot be given with 'map', which sets the geometry"),
+        # The backup has one entropy sign and the learner discounts by env.gamma.
+        (lambda doc: doc["learner"].update(entropy_sign="penalty"), "unknown learner key 'entropy_sign'"),
+        (lambda doc: doc["learner"].update(gamma=0.9), "unknown learner key 'gamma'"),
+        (lambda doc: doc["generate_offline"].update(behavior="bogus"),
+         "generate_offline key 'behavior' must be one of uniform_safe, uniform, got 'bogus'"),
+        (lambda doc: doc["generate_offline"].update(episodes=0),
+         "generate_offline key 'episodes' must be >= 1, got 0"),
+        (lambda doc: doc["generate_offline"].update(max_ep_len=-2),
+         "generate_offline key 'max_ep_len' must be >= 1, got -2"),
+        (lambda doc: doc["generate_offline"].update(seed=-1),
+         "generate_offline key 'seed' must be >= 0, got -1"),
+        (lambda doc: doc.update(seed=-3), "seed must be >= 0"),
     ], ids=["learner-typo", "backup-mode", "dss-typo", "dts-horizon", "no-total-steps", "no-env",
             "env-typo", "generate-offline-typo", "env-incomplete", "learner-wrong-type",
             "dts-float-integer", "dss-boolean-number", "generate-offline-wrong-type",
             "top-level-wrong-type", "float-total-steps", "array-variant", "integer-flag",
             "number-dataset-path", "env-short-cell", "env-float-cell", "env-scalar-hazard",
-            "env-number-rows", "env-map-and-goal", "env-map-and-width"])
+            "env-number-rows", "env-map-and-goal", "env-map-and-width", "entropy-sign",
+            "learner-gamma", "unknown-behavior", "no-episodes", "negative-episode-length",
+            "negative-generator-seed", "negative-seed"])
     def test_bad_config_exits_1_before_writing(self, tmp_path, capsys, edit, problem):
         doc = base_train_config(tmp_path)
         edit(doc)
-        out = tmp_path / "out"
+        out = tmp_path / "deep" / "nested" / "run"
         assert main(["train", write_config(tmp_path, doc), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert problem in err
         assert err.count("\n") == 1
-        assert not out.exists()
+        assert not (tmp_path / "deep").exists()
+
+    def test_negative_seed_flag_exits_1_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "deep" / "nested" / "run"
+        assert main(["train", write_config(tmp_path, base_train_config(tmp_path)), "--seed", "-4",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "seed must be >= 0\n"
+        assert not (tmp_path / "deep").exists()
 
     @pytest.mark.parametrize("command", ["train", "sweep"])
     @pytest.mark.parametrize("edit, problem", [
@@ -392,11 +415,9 @@ class TestGoldenRuns:
         "offline_only": "e269e7f3feb3e7c672222565d64b2bed8463e687cdf8f4ba72e0b43632ebab3d",
         # The guardian variant with one option changed (see OPTIONS).
         "guardian+stochastic_eval": "21426edab35fa401e2e8907aa1e366aac29ab617905ca4d874db3c3c5a742896",
-        "guardian+penalty": "e99c2b9ad965e0176697b86831cc829ce3a3c9e21978a317bb261e00d1b684b4",
     }
     OPTIONS = {
         "stochastic_eval": lambda doc: doc.update(stochastic_eval=True),
-        "penalty": lambda doc: doc["learner"].update(entropy_sign="penalty"),
     }
 
     @pytest.mark.parametrize("case", list(DIGESTS))
@@ -542,8 +563,9 @@ class TestSweepAndReport:
         ({"variants": ["guardian", "no_guard", "guardian"], "seeds": [0]},
          "sweep variants must not repeat, got 'guardian' more than once"),
         ({"variants": ["guardian"], "seeds": [0, 3, 3]}, "sweep seeds must not repeat, got 3 more than once"),
+        ({"variants": ["guardian"], "seeds": [0, -1]}, "sweep seeds must be >= 0, got -1"),
     ], ids=["float-seed", "boolean-seed", "string-variants", "unknown-variant", "no-variants",
-            "sweep-typo", "repeated-variant", "repeated-seed"])
+            "sweep-typo", "repeated-variant", "repeated-seed", "negative-seed"])
     def test_bad_sweep_block_exits_1_before_writing(self, tmp_path, capsys, sweep, problem):
         doc = base_train_config(tmp_path, total_steps=0)
         doc["sweep"] = sweep
@@ -565,3 +587,24 @@ class TestSweepAndReport:
             a = (tmp_path / "serial" / f"guardian_seed{seed}" / "log.jsonl").read_bytes()
             b = (tmp_path / "parallel" / f"guardian_seed{seed}" / "log.jsonl").read_bytes()
             assert a == b
+
+
+def json_block_after(path, marker):
+    """The first ```json block after the line holding marker in a Markdown file of the repo."""
+    text = (REPO / path).read_text()
+    start = text.index("```json\n", text.index(marker)) + len("```json\n")
+    return json.loads(text[start:text.index("```", start)])
+
+
+class TestDocumentedConfigs:
+    """The configs shown in README and docs/formats.md parse as written."""
+
+    def test_readme_training_config(self):
+        cfg = run_config_from_doc(json_block_after("README.md", "A minimal training config:"))
+        assert (cfg.variant, cfg.total_steps, cfg.learner.gamma) == ("guardian", 8000, 0.95)
+
+    def test_formats_experiment_config(self):
+        doc = json_block_after("docs/formats.md", "## Experiment config (JSON)")
+        cfg = run_config_from_doc(doc)
+        assert (cfg.variant, cfg.total_steps, cfg.learner.gamma) == ("guardian", 8000, 0.95)
+        assert sweep_from_doc(doc) == (["guardian", "exec_mask_only"], [0, 1, 2])

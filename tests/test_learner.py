@@ -9,8 +9,6 @@ from columns import columns_of
 
 from guardedrl.guardian import renormalize_policy_safe
 from guardedrl.learner import (
-    ENTROPY_BONUS,
-    ENTROPY_PENALTY,
     LearnerConfig,
     PolicyTable,
     QEnsemble,
@@ -116,23 +114,13 @@ class TestComputeGuardedTarget:
         assert y == pytest.approx(expected, abs=1e-12)
 
     def test_matches_manual_evaluation(self):
-        cfg = LearnerConfig(gamma=0.8, alpha=0.2, entropy_sign=ENTROPY_BONUS)
+        cfg = LearnerConfig(gamma=0.8, alpha=0.2)
         record = tr(r=1.0, s_next=0)
         y = target(record, self.pol, self.ens, self.spec, cfg)
         probs = safe_probs(self.pol, 0, self.spec)
         qmin = self.ens.targets.min(axis=0)[0]
         expected = 1.0 + 0.8 * (probs @ qmin + 0.2 * entropy(probs))
         assert y == pytest.approx(expected, abs=1e-12)
-
-    def test_entropy_sign_switch(self):
-        bonus = LearnerConfig(gamma=0.9, alpha=0.5, entropy_sign=ENTROPY_BONUS)
-        penalty = LearnerConfig(gamma=0.9, alpha=0.5, entropy_sign=ENTROPY_PENALTY)
-        record = tr(r=0.0, s_next=0)
-        y_bonus = target(record, self.pol, self.ens, self.spec, bonus)
-        y_penalty = target(record, self.pol, self.ens, self.spec, penalty)
-        probs = safe_probs(self.pol, 0, self.spec)
-        gap = 2 * 0.9 * 0.5 * entropy(probs)
-        assert y_bonus - y_penalty == pytest.approx(gap, abs=1e-12)
 
     def test_unguarded_uses_raw_policy(self):
         cfg = LearnerConfig(gamma=0.9, alpha=0.0)
@@ -167,13 +155,12 @@ class TestComputeGuardedTarget:
         ens = QEnsemble.init_random(1, 3, rng=np.random.default_rng(0))
         batch = columns_of([tr(r=0.3, s_next=0), tr(r=-0.7, s_next=0, done=True)])
         q_safe_mean = ens.min_targets()[0, 1:].mean()
-        for entropy_sign, sign in ((ENTROPY_BONUS, 1.0), (ENTROPY_PENALTY, -1.0)):
-            cfg = LearnerConfig(gamma=0.9, alpha=0.4, entropy_sign=entropy_sign)
-            y, starved = compute_targets(batch, pol, ens, spec, cfg)
-            assert starved == 1
-            expected = 0.3 + 0.9 * (q_safe_mean + sign * 0.4 * math.log(2))
-            assert y[0] == pytest.approx(expected, abs=1e-12)
-            assert y[1] == -0.7
+        cfg = LearnerConfig(gamma=0.9, alpha=0.4)
+        y, starved = compute_targets(batch, pol, ens, spec, cfg)
+        assert starved == 1
+        expected = 0.3 + 0.9 * (q_safe_mean + 0.4 * math.log(2))
+        assert y[0] == pytest.approx(expected, abs=1e-12)
+        assert y[1] == -0.7
 
 
 def per_row_targets(batch, pol, ens, spec, cfg):
@@ -187,9 +174,8 @@ def per_row_targets(batch, pol, ens, spec, cfg):
         starved_count = int(np.count_nonzero(starved & ~done))
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(probs > 0.0, probs * np.log(probs), 0.0)
-    sign = 1.0 if cfg.entropy_sign == ENTROPY_BONUS else -1.0
     expectation = np.einsum("ij,ij->i", probs, ens.min_targets()[s_next])
-    y = r + cfg.gamma * (expectation + sign * cfg.alpha * -plogp.sum(axis=1))
+    y = r + cfg.gamma * (expectation + cfg.alpha * -plogp.sum(axis=1))
     y[done] = r[done]
     return y, starved_count
 
@@ -197,10 +183,9 @@ def per_row_targets(batch, pol, ens, spec, cfg):
 class TestPerStateTargetsMatchPerRow:
     """compute_targets builds V once per state; it must equal the per-row backup bit for bit."""
 
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("entropy_sign", [ENTROPY_BONUS, ENTROPY_PENALTY])
+    @pytest.mark.parametrize("seed", range(6), ids=[f"bonus-{seed}" for seed in range(6)])
     @pytest.mark.parametrize("guarded", [True, False], ids=["guarded", "unguarded"])
-    def test_bit_identical(self, seed, entropy_sign, guarded):
+    def test_bit_identical(self, seed, guarded):
         rng = np.random.default_rng(seed)
         num_states, num_actions, size = int(rng.integers(3, 40)), int(rng.integers(2, 7)), 64
         safe = rng.random((num_states, num_actions)) < 0.6
@@ -221,7 +206,7 @@ class TestPerStateTargetsMatchPerRow:
             done=rng.random(size) < 0.25,
         )
         spec = make_spec(safe) if guarded else None
-        cfg = LearnerConfig(gamma=0.9, alpha=float(rng.uniform(0.0, 1.0)), entropy_sign=entropy_sign)
+        cfg = LearnerConfig(gamma=0.9, alpha=float(rng.uniform(0.0, 1.0)))
         pol = PolicyTable(logits)
         y, starved = compute_targets(batch, pol, ens, spec, cfg)
         y_ref, starved_ref = per_row_targets(batch, pol, ens, spec, cfg)
@@ -472,7 +457,6 @@ class TestLearnerConfigValidation:
             {"critic_lr": 3.0},
             {"actor_lr": 1.5},
             {"actor_lr": float("nan")},
-            {"entropy_sign": "literal"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -173,6 +173,14 @@ class TestOfflineDataset:
         with pytest.raises(ValueError, match="state chain"):
             OfflineDataset.load_jsonl(path)
 
+    def test_loader_reads_integer_flags(self, tmp_path):
+        path = tmp_path / "flags.jsonl"
+        path.write_text(
+            '{"s": 0, "a": 0, "r": 0.0, "s2": 1, "done": 0, "t": 0, "ep": 0}\n'
+            '{"s": 1, "a": 0, "r": 1.0, "s2": 2, "done": 1, "t": 1, "ep": 0}\n'
+        )
+        assert OfflineDataset.load_jsonl(path).transitions.done.tolist() == [False, True]
+
     @pytest.mark.parametrize("row, problem", [
         ('{"s": 1, "a": 0, "s2": 2, "done": false, "t": 1, "ep": 0}', "missing key 'r'"),
         ('{"s": 1, "a": 0, "r": "high", "s2": 2, "done": false, "t": 1, "ep": 0}', "key 'r'"),
@@ -225,9 +233,14 @@ class TestOfflineDataset:
          "key 't' must be an integer, got True"),
         ('{"s": 1, "a": 0, "r": 0.0, "s2": 2, "done": true, "t": 1, "ep": false}',
          "key 'ep' must be an integer, got False"),
+        # A float is not a flag, though 0.0 and 1.0 hash like False and True.
+        ('{"s": 1, "a": 0, "r": 0.0, "s2": 2, "done": 0.0, "t": 1, "ep": 0}',
+         "key 'done' must be a boolean, got 0.0"),
+        ('{"s": 1, "a": 0, "r": 0.0, "s2": 2, "done": 1.0, "t": 1, "ep": 0}',
+         "key 'done' must be a boolean, got 1.0"),
     ], ids=["number", "null", "missing-s", "text-s", "text-r", "missing-done", "two-done",
             "missing-ep", "float-ep", "huge-ep", "first-of-two", "boolean-s", "boolean-a",
-            "boolean-r", "boolean-s2", "boolean-t", "boolean-ep"])
+            "boolean-r", "boolean-s2", "boolean-t", "boolean-ep", "float-done-0", "float-done-1"])
     def test_loader_message_of_a_bad_row_is_exact(self, tmp_path, row, problem):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"s": 0, "a": 0, "r": 0.0, "s2": 1, "done": false, "t": 0, "ep": 0}\n' + row + "\n")

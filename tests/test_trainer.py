@@ -104,6 +104,18 @@ class TestRunConfig:
                 total_steps=300, seed=0,
             )
 
+    def test_rejects_a_learner_discount_other_than_the_grids(self, grid):
+        cfg = make_config(grid)
+        with pytest.raises(ValueError, match="learner gamma must equal grid gamma"):
+            RunConfig(
+                variant="guardian", grid=grid, learner=LearnerConfig(gamma=0.9),
+                dts=cfg.dts, dss=cfg.dss, total_steps=cfg.total_steps, seed=0,
+            )
+
+    def test_rejects_negative_seed(self, grid):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            make_config(grid, seed=-1)
+
 
 class TestRunTraining:
     def test_guardian_zero_slip_never_violates(self, grid, dataset):
@@ -229,7 +241,7 @@ class TestRunLog:
 
     def test_diverging_run_names_step_and_key(self, grid, dataset):
         cfg = make_config(grid, total_steps=60)
-        cfg.learner = LearnerConfig(alpha=1e300, tau=0.05, gamma=0.9)
+        cfg.learner = LearnerConfig(alpha=1e300, tau=0.05, gamma=grid.gamma)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^step \d+: \w+ is nan"):
             run_training(cfg, dataset)
 
