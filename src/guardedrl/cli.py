@@ -150,6 +150,13 @@ def reject_non_finite(value, path: str = "config") -> None:
         reject_non_finite(item, f"{path}[{key!r}]")
 
 
+def check_least(block: dict, name: str, **least: int) -> None:
+    """Raise on the first of the given keys whose value in the `name` block is below its least value."""
+    for key, low in least.items():
+        if block.get(key, low) < low:
+            raise ValueError(f"{name} key {key!r} must be >= {low}, got {block[key]!r}")
+
+
 def run_config_from_doc(doc: dict) -> RunConfig:
     """Parse a train config; every block and every number is checked before anything is built or written."""
     reject_non_finite(doc)
@@ -164,9 +171,7 @@ def run_config_from_doc(doc: dict) -> RunConfig:
     if "behavior" in gen and gen["behavior"] not in BEHAVIORS:
         raise ValueError(f"generate_offline key 'behavior' must be one of {', '.join(BEHAVIORS)}, "
                          f"got {gen['behavior']!r}")
-    for key, least in (("episodes", 1), ("max_ep_len", 1), ("seed", 0)):
-        if gen.get(key, least) < least:
-            raise ValueError(f"generate_offline key {key!r} must be >= {least}, got {gen[key]!r}")
+    check_least(gen, "generate_offline", episodes=1, max_ep_len=1, seed=0)
     grid = grid_from_doc(doc)
     horizon = max(top["total_steps"], 1)
     return RunConfig(
@@ -318,6 +323,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         for key in ("num_states", "num_actions"):
             if key not in rm:
                 raise ValueError(f"random_mdp block is missing key {key!r}")
+        check_least(rm, "random_mdp", num_states=1, num_actions=1, seed=0)
         mdp, spec = build_random_safe_mdp(**{"safe_fraction": 0.7, "seed": 0, **rm})
     elif "env" in doc:
         mdp, spec = build_cliff_grid(grid_from_doc(doc))

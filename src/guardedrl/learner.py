@@ -19,6 +19,7 @@ state: one updater at a time, read-only queries freely between updates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,8 +39,8 @@ class LearnerConfig:
     actor_lr: float = 0.1
 
     def __post_init__(self):
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be >= 0")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and >= 0")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must lie in (0, 1]")
         if not 0.0 <= self.gamma < 1.0:

@@ -125,8 +125,8 @@ class DtsConfig:
     def __post_init__(self):
         if not 1 <= self.delta_min <= self.delta_max:
             raise ValueError("need 1 <= delta_min <= delta_max")
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("beta must be finite and positive")
         if self.horizon < 1:
             raise ValueError("horizon must be a positive integer")
 
@@ -143,8 +143,8 @@ class DssConfig:
     def __post_init__(self):
         if not 0.0 <= self.lambda_min <= self.lambda_max <= 1.0:
             raise ValueError("need 0 <= lambda_min <= lambda_max <= 1")
-        if self.k <= 0.0:
-            raise ValueError("k must be positive")
+        if not 0.0 < self.k < math.inf:
+            raise ValueError("k must be finite and positive")
         if self.horizon < 1:
             raise ValueError("horizon must be a positive integer")
 
@@ -336,11 +336,11 @@ class ReplayStore:
     online record with arrival number n (0 = first ever appended) sits
     in row num_offline + n % capacity; eviction is strictly FIFO, and
     online positions 0..online_count-1 count from the oldest retained
-    record. A run is a maximal stretch of arrivals with the same episode
-    and consecutive t; a run's retained records are contiguous in
-    arrival order. The window-end array holds, per offline row, the row
-    one past its episode, and per ring slot, the arrival number one past
-    its run (_OPEN_RUN while the run still grows).
+    record. A run is the arrivals up to and including one appended with
+    last; a run's retained records are contiguous in arrival order. The
+    window-end array holds, per offline row, the row one past its
+    episode, and per ring slot, the arrival number one past its run
+    (_OPEN_RUN while the run still grows).
     """
 
     def __init__(self, offline: OfflineDataset, capacity: int):
@@ -359,21 +359,15 @@ class ReplayStore:
         self._run_end = self._end[n:]  # the ring's part, by slot
         self._appended = 0
         self._run_start = 0
-        self._episode = self._next_t = 0  # what continues the newest record's run
 
     @property
     def online_count(self) -> int:
         """Online records retained in the ring."""
         return min(self._appended, self.capacity)
 
-    def append(self, s: int, a: int, r: float, s_next: int, done: bool, t: int,
-               episode: int) -> None:
-        """Write one executed transition into the ring, evicting the oldest when full."""
+    def append(self, s: int, a: int, r: float, s_next: int, done: bool, last: bool) -> None:
+        """Write one executed transition into the ring, evicting the oldest when full; last closes its run."""
         n = self._appended
-        if n and (episode != self._episode or t != self._next_t):
-            retained = np.arange(max(self._run_start, n - self.online_count), n)
-            self._run_end[retained % self.capacity] = n
-            self._run_start = n
         row = self.num_offline + n % self.capacity
         columns = self.columns
         columns.s[row] = s
@@ -382,8 +376,11 @@ class ReplayStore:
         columns.s_next[row] = s_next
         columns.done[row] = done
         self._end[row] = _OPEN_RUN
-        self._episode, self._next_t = episode, t + 1
         self._appended = n + 1
+        if last:
+            retained = np.arange(max(self._run_start, n + 1 - self.online_count), n + 1)
+            self._run_end[retained % self.capacity] = n + 1
+            self._run_start = n + 1
 
     def online_rows(self) -> np.ndarray:
         """Rows of the retained online records, oldest first."""
@@ -402,8 +399,8 @@ class ReplayStore:
     ) -> np.ndarray:
         """Row drawn uniformly per online anchor position from its forward run of length <= delta.
 
-        The window ends at the episode boundary (or a break in t) or at
-        the newest record.
+        The window ends at the end of the anchor's run or at the newest
+        record.
         """
         n = self._appended
         arrivals = anchors + (n - self.online_count)

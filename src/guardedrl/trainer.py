@@ -175,6 +175,13 @@ def _sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
     return categorical_draw(list(accumulate(probs.tolist())), rng.random())
 
 
+def _check_budget(**budget: int) -> None:
+    """Raise on the first rollout budget below 1, naming it."""
+    for name, value in budget.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
+
+
 def evaluate_policy(
     pol: PolicyTable,
     mdp: TabularMdp,
@@ -193,8 +200,7 @@ def evaluate_policy(
     table is computed once per call; a step reads its state's row (the
     row's argmax, or a draw from the row). Deterministic per seed.
     """
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
+    _check_budget(episodes=episodes, max_len=max_len)
     probs = pol.all_probs()
     greedy = probs.argmax(axis=1).tolist()
     rng = np.random.default_rng(seed)
@@ -243,6 +249,7 @@ def measure_ttfv(
     count as max_steps. Actions are greedy, read from the policy's
     probability table, which is computed once per call.
     """
+    _check_budget(episodes=episodes, max_steps=max_steps)
     greedy = pol.all_probs().argmax(axis=1).tolist()
     hazard_states = frozenset(hazard_states)
     rng = np.random.default_rng(seed)
@@ -320,7 +327,6 @@ def run_training(
     start = cfg.grid.start_state
     hazard_states = cfg.grid.hazard_states
     state = start
-    episode = 0
     t_ep = 0
     # Interval and final evaluations differ only in their seed.
     evaluate = partial(evaluate_policy, pol, mdp, spec, cfg.eval_episodes, cfg.eval_max_len,
@@ -386,11 +392,12 @@ def run_training(
             if not spec.safe[state, a_exec]:
                 executed_violations += 1
             r, s_next, done = env_step(mdp, state, a_exec, rng_env)
-            store.append(state, a_exec, r, s_next, done, t_ep, episode)
             visits[state] += 1
             t_ep += 1
-            if done or t_ep >= cfg.max_episode_len:
-                state, episode, t_ep = start, episode + 1, 0
+            last = done or t_ep >= cfg.max_episode_len
+            store.append(state, a_exec, r, s_next, done, last)
+            if last:
+                state, t_ep = start, 0
             else:
                 state = s_next
 
@@ -411,7 +418,7 @@ def run_training(
 
     bc = derive_bc_policy(offline, mdp.num_states, mdp.num_actions)
     final_eval = evaluate(seed=cfg.seed * 1_000_003 + cfg.total_steps + 1)
-    last = log.records[-1]  # at total_steps, after the last visit
+    last_record = log.records[-1]  # at total_steps, after the last visit
     probs = pol.all_probs()
     log.summary = {
         "variant": cfg.variant,
@@ -422,11 +429,11 @@ def run_training(
         "offline_fallbacks": offline_fallbacks,
         "final_eval_return": float(final_eval.mean_return),
         "final_eval_violations": final_eval.violations,
-        "final_td_error": last["td_error"],
-        "final_ensemble_variance": last["ensemble_variance"],
-        "final_ttfv": last["ttfv"],
-        "coverage": last["coverage"],
-        "visitation_entropy": last["visitation_entropy"],
+        "final_td_error": last_record["td_error"],
+        "final_ensemble_variance": last_record["ensemble_variance"],
+        "final_ttfv": last_record["ttfv"],
+        "coverage": last_record["coverage"],
+        "visitation_entropy": last_record["visitation_entropy"],
         "support_kl": float(support_kl(probs, bc, final_eval.state_visits)),
         "action_novelty_rate": float(action_novelty_rate(probs, bc)),
     }

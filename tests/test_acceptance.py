@@ -278,7 +278,7 @@ def test_criterion_8_sampling_statistics():
                           np.repeat(np.arange(5), 20)))
     store = ReplayStore(off, capacity=256)
     for k in range(100):
-        store.append(s=k, a=1, r=0.0, s_next=k + 1, done=False, t=k, episode=77)
+        store.append(s=k, a=1, r=0.0, s_next=k + 1, done=False, last=False)
     rng = np.random.default_rng(808)
     batch = sample_hybrid_batch(store, lam=0.5, delta=4, batch_size=10_000, rng=rng)
     fraction = float(batch.online_mask.mean())

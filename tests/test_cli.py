@@ -103,8 +103,16 @@ class TestSolve:
         (lambda doc: doc.update(random_mdp=[12, 4]), "config block 'random_mdp' must be a JSON object"),
         (lambda doc: doc.update(tol="small"), "top-level key 'tol' must be a number, got 'small'"),
         (lambda doc: doc.update(output_dir=5), "top-level key 'output_dir' must be a string, got 5"),
+        (lambda doc: doc["random_mdp"].update(seed=-1), "random_mdp key 'seed' must be >= 0, got -1"),
+        (lambda doc: doc["random_mdp"].update(num_states=0),
+         "random_mdp key 'num_states' must be >= 1, got 0"),
+        (lambda doc: doc["random_mdp"].update(num_actions=0),
+         "random_mdp key 'num_actions' must be >= 1, got 0"),
+        (lambda doc: doc["random_mdp"].update(num_states=-2),
+         "random_mdp key 'num_states' must be >= 1, got -2"),
     ], ids=["no-num-states", "text-num-actions", "random-mdp-typo", "random-mdp-array",
-            "text-tol", "number-output-dir"])
+            "text-tol", "number-output-dir", "negative-seed", "no-states", "no-actions",
+            "negative-states"])
     def test_bad_random_mdp_config_exits_1_before_writing(self, tmp_path, capsys, edit, problem):
         doc = {"random_mdp": {"num_states": 12, "num_actions": 4}, "output_dir": str(tmp_path / "solve")}
         edit(doc)

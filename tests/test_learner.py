@@ -457,6 +457,8 @@ class TestLearnerConfigValidation:
             {"critic_lr": 3.0},
             {"actor_lr": 1.5},
             {"actor_lr": float("nan")},
+            {"alpha": float("nan")},
+            {"alpha": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

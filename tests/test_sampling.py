@@ -31,11 +31,20 @@ def chain_episode(ep, length, start=0, done_at_end=True):
     ]
 
 
+def last_flags(records):
+    """Per record, whether it ends its run: the next record has a new episode id or a break in t.
+
+    The final record's run stays open.
+    """
+    return [nxt is not None and (nxt.episode != rec.episode or nxt.t != rec.t + 1)
+            for rec, nxt in zip(records, [*records[1:], None])]
+
+
 def store_of(offline_records, online_records=(), capacity=64):
     """ReplayStore over a dataset of offline_records with online_records appended in order."""
     store = ReplayStore(dataset_of(offline_records), capacity)
-    for rec in online_records:
-        store.append(rec.s, rec.a_exec, rec.r, rec.s_next, rec.done, rec.t, rec.episode)
+    for rec, last in zip(online_records, last_flags(online_records)):
+        store.append(rec.s, rec.a_exec, rec.r, rec.s_next, rec.done, last)
     return store
 
 
@@ -69,6 +78,9 @@ class TestDtsInterval:
             DtsConfig(delta_min=5, delta_max=4, beta=1.0, horizon=10)
         with pytest.raises(ValueError):
             DtsConfig(delta_min=1, delta_max=4, beta=0.0, horizon=10)
+        for beta in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="beta must be finite and positive"):
+                DtsConfig(delta_min=1, delta_max=4, beta=beta, horizon=10)
 
 
 class TestDssMixing:
@@ -94,6 +106,9 @@ class TestDssMixing:
             DssConfig(lambda_min=0.6, lambda_max=0.5, k=1.0, horizon=10)
         with pytest.raises(ValueError):
             DssConfig(lambda_min=0.1, lambda_max=0.5, k=0.0, horizon=10)
+        for k in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="k must be finite and positive"):
+                DssConfig(lambda_min=0.1, lambda_max=0.5, k=k, horizon=10)
 
 
 class TestOnlineBuffer:
@@ -324,11 +339,11 @@ class TestWindowSupport:
     def test_ring_windows_at_every_fill_level(self, delta):
         store = store_of(chain_episode(0, 2), capacity=7)
         arrivals = [record for ep in self.episodes() for record in ep]
-        # Same episode id but a gap in t: the window must stop at the gap too.
+        # Same episode id but a gap in t, flagged by the caller: the window stops there too.
         arrivals += [tr(s=90, s_next=91, t=0, ep=50), tr(s=91, s_next=92, t=1, ep=50),
                      tr(s=95, s_next=96, t=5, ep=50)]
-        for n, rec in enumerate(arrivals, start=1):
-            store.append(rec.s, rec.a_exec, rec.r, rec.s_next, rec.done, rec.t, rec.episode)
+        for n, (rec, last) in enumerate(zip(arrivals, last_flags(arrivals)), start=1):
+            store.append(rec.s, rec.a_exec, rec.r, rec.s_next, rec.done, last)
             retained = arrivals[max(0, n - store.capacity):n]
             assert_same_columns(online_batch(store), columns_of(retained))
             rows = store.online_rows().tolist()
@@ -491,8 +506,9 @@ class TestSampleHybridBatch:
             store = store_of(offline, capacity=16)
             rng = np.random.default_rng(9)
             seen = []
-            for rec in chain_episode(0, 20, start=40):
-                store.append(rec.s, rec.a_exec, rec.r, rec.s_next, rec.done, rec.t, rec.episode)
+            arrivals = chain_episode(0, 20, start=40)
+            for rec, last in zip(arrivals, last_flags(arrivals)):
+                store.append(rec.s, rec.a_exec, rec.r, rec.s_next, rec.done, last)
                 batch = sample_hybrid_batch(store, lam=0.7, delta=3, batch_size=4, rng=rng)
                 seen.extend(zip(batch.transitions.s.tolist(), batch.online_mask.tolist()))
             return seen

@@ -173,6 +173,34 @@ class TestRunTraining:
         with pytest.raises(ValueError, match=r"offline row 1 \(episode 1, t 0\): s = -3"):
             run_training(cfg, OfflineDataset.load_jsonl(path))
 
+    def test_time_cap_ends_a_ring_run(self, grid, dataset):
+        # Episodes are cut after 3 records, below the widest window (delta_max 8).
+        cfg = make_config(grid, variant="no_guard", total_steps=150, seed=3, max_episode_len=3)
+        assert cfg.dts.delta_max > cfg.max_episode_len
+        _, state = run_training(cfg, dataset, return_state=True)
+        store = state.store
+        rows = store.online_rows()
+        np.testing.assert_array_equal(rows, store.num_offline + np.arange(cfg.total_steps))
+        # The trainer's rule: a new episode starts after done or after 3 records.
+        labels, episode, t_ep, capped = [], 0, 0, 0
+        for done in store.columns.done[rows].tolist():
+            labels.append(episode)
+            t_ep += 1
+            if done or t_ep == cfg.max_episode_len:
+                capped += not done
+                episode, t_ep = episode + 1, 0
+        assert 0 < capped < episode  # both rules ended episodes
+        labels = np.array(labels)
+        anchors = np.arange(len(rows))
+        seen = [set() for _ in anchors]
+        for seed in range(200):
+            drawn = store.online_window(anchors, cfg.dts.delta_max, np.random.default_rng(seed))
+            for anchor, pos in zip(anchors, (drawn - store.num_offline).tolist()):
+                seen[anchor].add(pos)
+        for anchor in anchors:
+            rest = np.flatnonzero(labels == labels[anchor])
+            assert seen[anchor] == set(rest[rest >= anchor].tolist()), anchor
+
     def test_updates_per_step_changes_training(self, grid, dataset):
         single = run_training(make_config(grid, total_steps=150), dataset)
         double = run_training(
@@ -388,6 +416,14 @@ class TestEvaluatePolicy:
                             seed=42, start_state=5, stochastic=True)
         assert a.returns == b.returns
 
+    @pytest.mark.parametrize("budget", ["episodes", "max_len"])
+    def test_rejects_an_empty_budget(self, grid, budget):
+        mdp, spec = build_cliff_grid(grid)
+        kwargs = {"episodes": 2, "max_len": 10, budget: 0}
+        with pytest.raises(ValueError, match=f"^{budget} must be >= 1$"):
+            evaluate_policy(PolicyTable.zeros(mdp.num_states, 5), mdp, spec, guard_on=True,
+                            seed=0, start_state=grid.start_state, **kwargs)
+
     def test_guard_off_counts_violations(self, grid):
         mdp, spec = build_cliff_grid(grid)
         logits = np.zeros((mdp.num_states, 5))
@@ -405,6 +441,15 @@ class TestMeasureTtfv:
                             seed=0, start_state=grid.start_state,
                             hazard_states=grid.hazard_states)
         assert ttfv == 50.0
+
+    @pytest.mark.parametrize("budget", ["episodes", "max_steps"])
+    def test_rejects_an_empty_budget(self, grid, budget):
+        # episodes=0 has no median; max_steps=0 would read as a violation at step 0.
+        mdp, spec = build_cliff_grid(grid)
+        kwargs = {"episodes": 2, "max_steps": 10, budget: 0}
+        with pytest.raises(ValueError, match=f"^{budget} must be >= 1$"):
+            measure_ttfv(PolicyTable.zeros(mdp.num_states, 5), mdp, spec, guard_on=True,
+                         seed=0, start_state=grid.start_state, **kwargs)
 
     def test_hazard_walker_violates_immediately(self, grid):
         mdp, spec = build_cliff_grid(grid)
