@@ -32,7 +32,7 @@ from .envs import (
     uniform_safe_policy,
 )
 from .learner import LearnerConfig
-from .mdp import ConvergenceError, max_norm_distance, save_problem, solve_guarded_value_iteration, solve_pruned_value_iteration
+from .mdp import ConvergenceError, check_count, max_norm_distance, save_problem, solve_guarded_value_iteration, solve_pruned_value_iteration
 from .sampling import DssConfig, DtsConfig, OfflineDataset
 from .trainer import VARIANTS, RunConfig, RunLog, run_training
 
@@ -151,10 +151,9 @@ def reject_non_finite(value, path: str = "config") -> None:
 
 
 def check_least(block: dict, name: str, **least: int) -> None:
-    """Raise on the first of the given keys whose value in the `name` block is below its least value."""
+    """Raise on the first of the given keys whose value in the `name` block is not an integer >= its least value."""
     for key, low in least.items():
-        if block.get(key, low) < low:
-            raise ValueError(f"{name} key {key!r} must be >= {low}, got {block[key]!r}")
+        check_count(f"{name} key {key!r}", block.get(key, low), low)
 
 
 def run_config_from_doc(doc: dict) -> RunConfig:
@@ -276,10 +275,7 @@ def sweep_from_doc(doc: dict) -> tuple[list[str], list[int]]:
         if variant not in VARIANTS:
             raise ValueError(f"sweep variants must be among {', '.join(VARIANTS)}, got {variant!r}")
     for seed in seeds:
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValueError(f"sweep seeds must be integers, got {seed!r}")
-        if seed < 0:
-            raise ValueError(f"sweep seeds must be >= 0, got {seed!r}")
+        check_count("sweep seeds", seed, 0)
     for name, values in (("variants", variants), ("seeds", seeds)):
         for i, value in enumerate(values):
             if value in values[:i]:  # its runs would share one directory

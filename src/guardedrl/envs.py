@@ -16,7 +16,7 @@ from numbers import Integral
 import numpy as np
 
 from .guardian import project_action
-from .mdp import SafetySpec, TabularMdp, categorical_draw
+from .mdp import SafetySpec, TabularMdp, categorical_draw, check_count, check_start_state
 from .sampling import OfflineDataset, column_buffers
 
 UP, DOWN, LEFT, RIGHT, NOOP = range(5)
@@ -41,7 +41,10 @@ def _cell(name: str, value) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class GridWorldSpec:
-    """Rectangular hazard grid; cells are (x, y) with y increasing upward."""
+    """Rectangular hazard grid; cells are (x, y) with y increasing upward.
+
+    width and height are integers >= 1 that give at least two cells.
+    """
 
     width: int
     height: int
@@ -55,7 +58,9 @@ class GridWorldSpec:
     gamma: float = 0.95
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1 or self.width * self.height < 2:
+        check_count("width", self.width, 1)
+        check_count("height", self.height, 1)
+        if self.width * self.height < 2:
             raise ValueError("grid must contain at least two cells")
         object.__setattr__(self, "hazards", frozenset(_cell("hazard", c) for c in self.hazards))
         object.__setattr__(self, "start", _cell("start", self.start))
@@ -257,12 +262,14 @@ def collect_offline_dataset(
     before execution, so the dataset is rule-consistent. Each step draws
     the proposal, then the successor, from one generator. Deterministic
     given the seed. Transitions are written straight into column buffers.
+    start_state must be a non-terminal state of mdp.
     """
     behavior = np.asarray(behavior, dtype=np.float64)
     if behavior.shape != (mdp.num_states, mdp.num_actions):
         raise ValueError("behavior must be an (S, A) distribution table")
     if not np.allclose(behavior.sum(axis=1), 1.0, atol=1e-9) or np.any(behavior < 0.0):
         raise ValueError("behavior rows must be probability distributions")
+    check_start_state(mdp, start_state)
     if mdp.terminal_flags[start_state]:
         raise ValueError("start_state must not be terminal")
     rng = np.random.default_rng(seed)

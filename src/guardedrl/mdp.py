@@ -277,9 +277,25 @@ def one_step_lookahead(mdp: TabularMdp, v: np.ndarray) -> np.ndarray:
     return mdp.reward + mdp.gamma * (rows @ v).reshape(mdp.reward.shape)
 
 
+def check_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless value is an integer (not a bool) >= least, naming it."""
+    if type(value) is not int and not isinstance(value, np.integer):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
+def check_start_state(mdp: TabularMdp, start_state) -> None:
+    """Raise ValueError unless start_state is a state of mdp: an integer in [0, S)."""
+    check_count("start_state", start_state, 0)
+    if start_state >= mdp.num_states:
+        raise ValueError(f"start_state must be < {mdp.num_states}, got {start_state!r}")
+
+
 def check_budget(tol: float, max_iters: int) -> None:
-    if not (0.0 < tol < np.inf and max_iters >= 1):
-        raise ValueError(f"solvers need a finite tol > 0 and max_iters >= 1, got {tol} and {max_iters}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"solvers need a finite tol > 0, got {tol}")
+    check_count("max_iters", max_iters, 1)
 
 
 def apply_guarded_bellman(q: np.ndarray, mdp: TabularMdp, spec: SafetySpec) -> np.ndarray:

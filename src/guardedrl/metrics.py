@@ -46,9 +46,8 @@ def td_error_stats(
     y is compute_targets' backup target: guarded onto spec's safe set,
     or unguarded (raw softmax policy) when spec is None. The number
     tracks how far the pessimistic estimate sits from its own bootstrap.
+    An empty batch is refused by compute_targets.
     """
-    if not len(batch):
-        raise ValueError("batch must be non-empty")
     y, _ = compute_targets(batch, pol, ens, spec, cfg)
     return float(np.abs(ens.min_members()[batch.s, batch.a] - y).mean())
 

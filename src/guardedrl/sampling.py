@@ -37,6 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .mdp import check_count
+
 
 @dataclass
 class TransitionRecord:
@@ -115,7 +117,10 @@ class TransitionBatch:
 
 @dataclass(frozen=True)
 class DtsConfig:
-    """Temporal curriculum: window length grows from delta_min to delta_max."""
+    """Temporal curriculum: window length grows from delta_min to delta_max.
+
+    Integers delta_max >= delta_min >= 1 and horizon >= 1; finite beta > 0.
+    """
 
     delta_min: int
     delta_max: int
@@ -123,17 +128,19 @@ class DtsConfig:
     horizon: int
 
     def __post_init__(self):
-        if not 1 <= self.delta_min <= self.delta_max:
-            raise ValueError("need 1 <= delta_min <= delta_max")
+        check_count("delta_min", self.delta_min, 1)
+        check_count("delta_max", self.delta_max, self.delta_min)
         if not 0.0 < self.beta < math.inf:
             raise ValueError("beta must be finite and positive")
-        if self.horizon < 1:
-            raise ValueError("horizon must be a positive integer")
+        check_count("horizon", self.horizon, 1)
 
 
 @dataclass(frozen=True)
 class DssConfig:
-    """Mixing-weight annealing: sigmoid ramp from lambda_min toward lambda_max."""
+    """Mixing-weight annealing: sigmoid ramp from lambda_min toward lambda_max.
+
+    0 <= lambda_min <= lambda_max <= 1; finite k > 0; integer horizon >= 1.
+    """
 
     lambda_min: float
     lambda_max: float
@@ -145,18 +152,16 @@ class DssConfig:
             raise ValueError("need 0 <= lambda_min <= lambda_max <= 1")
         if not 0.0 < self.k < math.inf:
             raise ValueError("k must be finite and positive")
-        if self.horizon < 1:
-            raise ValueError("horizon must be a positive integer")
+        check_count("horizon", self.horizon, 1)
 
 
 def dts_interval(t: int, cfg: DtsConfig) -> int:
     """Window length at step t: round(delta_min + (delta_max - delta_min) * (t/T)^beta).
 
     Clamped to [delta_min, delta_max]; t past the horizon clamps to
-    delta_max. Non-decreasing in t.
+    delta_max. Non-decreasing in t. t is an integer >= 0.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    check_count("t", t, 0)
     frac = min(t / cfg.horizon, 1.0)
     value = cfg.delta_min + (cfg.delta_max - cfg.delta_min) * frac**cfg.beta
     return int(min(max(round(value), cfg.delta_min), cfg.delta_max))
@@ -173,10 +178,9 @@ def dss_mixing(t: int, cfg: DssConfig) -> float:
     """Online mixing weight at step t: lambda_min + span * sigmoid(k * (t - T/2)).
 
     Strictly increasing in t for k > 0 and confined to
-    (lambda_min, lambda_max) for finite t.
+    (lambda_min, lambda_max). t is an integer >= 0.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    check_count("t", t, 0)
     return cfg.lambda_min + (cfg.lambda_max - cfg.lambda_min) * _logistic(cfg.k * (t - cfg.horizon / 2.0))
 
 
@@ -332,10 +336,11 @@ class ReplayStore:
     """A run's replay: the offline rows, then an online FIFO ring, in one set of columns.
 
     Rows [0, num_offline) hold the offline dataset in its order; an
-    empty dataset is refused here, and these rows never change. The
-    online record with arrival number n (0 = first ever appended) sits
-    in row num_offline + n % capacity; eviction is strictly FIFO, and
-    online positions 0..online_count-1 count from the oldest retained
+    empty dataset, or a capacity that is not an integer >= 1, is refused
+    here, and these rows never change. The online record with arrival
+    number n (0 = first ever appended) sits in row
+    num_offline + n % capacity; eviction is strictly FIFO, and online
+    positions 0..online_count-1 count from the oldest retained
     record. A run is the arrivals up to and including one appended with
     last; a run's retained records are contiguous in arrival order. The
     window-end array holds, per offline row, the row one past its
@@ -347,8 +352,7 @@ class ReplayStore:
         n = len(offline)
         if n == 0:
             raise ValueError("offline dataset is empty")
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        check_count("capacity", capacity, 1)
         self.num_offline = n
         self.capacity = capacity
         self.columns = TransitionBatch.zeros(n + capacity)
@@ -430,16 +434,15 @@ def sample_hybrid_batch(
     probability lam, else offline; an empty ring falls back to offline
     and the fallback is counted. Within the chosen source an anchor is
     drawn uniformly and the returned transition uniformly from the
-    anchor's in-episode window of length min(delta, available span).
-    Identical seed and store history reproduce identical batches; the
-    generator order is given in the module docstring.
+    anchor's in-episode window of length min(delta, available span);
+    batch_size and delta are integers >= 1. Identical seed and store
+    history reproduce identical batches; the generator order is given
+    in the module docstring.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    check_count("batch_size", batch_size, 1)
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
+    check_count("delta", delta, 1)
     want_online = rng.random(batch_size) < lam
     online = store.online_count
     online_mask = want_online if online else np.zeros(batch_size, dtype=bool)

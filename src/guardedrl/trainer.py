@@ -45,7 +45,7 @@ from .learner import (
     update_actor,
     update_critics,
 )
-from .mdp import SafetySpec, TabularMdp, categorical_draw
+from .mdp import SafetySpec, TabularMdp, categorical_draw, check_count, check_start_state
 from .metrics import (
     coverage_count,
     support_kl,
@@ -78,6 +78,8 @@ _GUARDED_BACKUP_VARIANTS = (VARIANT_GUARDIAN, VARIANT_OFFLINE_ONLY)
 
 @dataclass
 class RunConfig:
+    """One training run. total_steps and seed are integers >= 0, the other counts integers >= 1."""
+
     variant: str
     grid: GridWorldSpec
     learner: LearnerConfig
@@ -100,21 +102,18 @@ class RunConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.total_steps < 0:
-            raise ValueError("total_steps must be >= 0")
+        check_count("total_steps", self.total_steps, 0)
+        check_count("seed", self.seed, 0)
+        for name in ("ensemble_size", "batch_size", "updates_per_step", "eval_every",
+                     "eval_episodes", "eval_max_len", "ttfv_episodes", "ttfv_max_steps",
+                     "max_episode_len", "online_buffer_capacity"):
+            check_count(name, getattr(self, name), 1)
         if self.total_steps > 0 and not (
             self.dts.horizon == self.dss.horizon == self.total_steps
         ):
             raise ValueError("schedule horizons must equal total_steps")
         if self.learner.gamma != self.grid.gamma:  # the learner discounts as the solvers do
             raise ValueError("learner gamma must equal grid gamma")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        for name in ("ensemble_size", "batch_size", "updates_per_step", "eval_every",
-                     "eval_episodes", "eval_max_len", "ttfv_episodes", "ttfv_max_steps",
-                     "max_episode_len", "online_buffer_capacity"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -175,13 +174,6 @@ def _sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
     return categorical_draw(list(accumulate(probs.tolist())), rng.random())
 
 
-def _check_budget(**budget: int) -> None:
-    """Raise on the first rollout budget below 1, naming it."""
-    for name, value in budget.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1")
-
-
 def evaluate_policy(
     pol: PolicyTable,
     mdp: TabularMdp,
@@ -199,8 +191,11 @@ def evaluate_policy(
     flag) with projection applied iff guard_on. The policy's probability
     table is computed once per call; a step reads its state's row (the
     row's argmax, or a draw from the row). Deterministic per seed.
+    episodes and max_len are integers >= 1; start_state is a state of mdp.
     """
-    _check_budget(episodes=episodes, max_len=max_len)
+    check_count("episodes", episodes, 1)
+    check_count("max_len", max_len, 1)
+    check_start_state(mdp, start_state)
     probs = pol.all_probs()
     greedy = probs.argmax(axis=1).tolist()
     rng = np.random.default_rng(seed)
@@ -247,9 +242,12 @@ def measure_ttfv(
     A violation is an executed transition with g(s, a) false or entry
     into a hazard state. Episodes that end (or time out) without one
     count as max_steps. Actions are greedy, read from the policy's
-    probability table, which is computed once per call.
+    probability table, which is computed once per call. episodes and
+    max_steps are integers >= 1; start_state is a state of mdp.
     """
-    _check_budget(episodes=episodes, max_steps=max_steps)
+    check_count("episodes", episodes, 1)
+    check_count("max_steps", max_steps, 1)
+    check_start_state(mdp, start_state)
     greedy = pol.all_probs().argmax(axis=1).tolist()
     hazard_states = frozenset(hazard_states)
     rng = np.random.default_rng(seed)
@@ -422,8 +420,8 @@ def run_training(
     probs = pol.all_probs()
     log.summary = {
         "variant": cfg.variant,
-        "seed": cfg.seed,
-        "total_steps": cfg.total_steps,
+        "seed": int(cfg.seed),
+        "total_steps": int(cfg.total_steps),
         "executed_violations": executed_violations,
         "starvation_events": starvation_events,
         "offline_fallbacks": offline_fallbacks,

@@ -302,7 +302,7 @@ class TestTrain:
          "generate_offline key 'max_ep_len' must be >= 1, got -2"),
         (lambda doc: doc["generate_offline"].update(seed=-1),
          "generate_offline key 'seed' must be >= 0, got -1"),
-        (lambda doc: doc.update(seed=-3), "seed must be >= 0"),
+        (lambda doc: doc.update(seed=-3), "seed must be >= 0, got -3"),
     ], ids=["learner-typo", "backup-mode", "dss-typo", "dts-horizon", "no-total-steps", "no-env",
             "env-typo", "generate-offline-typo", "env-incomplete", "learner-wrong-type",
             "dts-float-integer", "dss-boolean-number", "generate-offline-wrong-type",
@@ -325,7 +325,7 @@ class TestTrain:
         out = tmp_path / "deep" / "nested" / "run"
         assert main(["train", write_config(tmp_path, base_train_config(tmp_path)), "--seed", "-4",
                      "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "seed must be >= 0\n"
+        assert capsys.readouterr().err == "seed must be >= 0, got -4\n"
         assert not (tmp_path / "deep").exists()
 
     @pytest.mark.parametrize("command", ["train", "sweep"])
@@ -558,8 +558,8 @@ class TestSweepAndReport:
         assert main(["sweep", write_config(tmp_path, doc)]) == 1
 
     @pytest.mark.parametrize("sweep, problem", [
-        ({"variants": ["guardian"], "seeds": [1.7]}, "sweep seeds must be integers, got 1.7"),
-        ({"variants": ["guardian"], "seeds": [True]}, "sweep seeds must be integers, got True"),
+        ({"variants": ["guardian"], "seeds": [1.7]}, "sweep seeds must be an integer, got 1.7"),
+        ({"variants": ["guardian"], "seeds": [True]}, "sweep seeds must be an integer, got True"),
         ({"variants": "guardian", "seeds": [0]},
          "sweep key 'variants' must be an array, got 'guardian'"),
         ({"variants": ["guardian", "guardain"], "seeds": [0]},

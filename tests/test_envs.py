@@ -1,6 +1,7 @@
 """Gridworld construction, random-MDP generation, and rollout collection."""
 
 import hashlib
+import re
 from itertools import groupby
 
 import numpy as np
@@ -264,6 +265,17 @@ class TestCollectOfflineDataset:
         path = tmp_path / "offline.jsonl"
         ds.save_jsonl(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("start_state, problem", [
+        (-1, "start_state must be >= 0, got -1"), (3, "start_state must be < 3, got 3"),
+        (99, "start_state must be < 3, got 99"), (1.0, "start_state must be an integer, got 1.0"),
+    ])
+    def test_rejects_a_start_state_off_the_grid(self, start_state, problem):
+        spec = corridor()
+        mdp, safety = build_cliff_grid(spec)
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            collect_offline_dataset(mdp, safety, uniform_policy(mdp.num_states, 5), n_episodes=1,
+                                    max_ep_len=5, seed=0, guardian_filter=False, start_state=start_state)
 
     def test_rejects_invalid_behavior(self):
         spec = corridor()

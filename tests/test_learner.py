@@ -445,6 +445,30 @@ class TestEnsembleVariance:
         assert ensemble_variance(ens, columns_of(batch)) == pytest.approx(np.mean(per_pair), abs=1e-12)
 
 
+class TestEmptyBatches:
+    """Every batch update and query refuses an empty batch before touching a table."""
+
+    def setup_method(self):
+        self.ens = QEnsemble(members=np.zeros((2, 2, 2)), targets=np.zeros((2, 2, 2)))
+        self.pol = PolicyTable.zeros(2, 2)
+
+    def test_compute_targets(self):
+        with pytest.raises(ValueError, match="^batch must be non-empty$"):
+            compute_targets(TransitionBatch.zeros(0), self.pol, self.ens, None, LearnerConfig())
+
+    def test_update_critics(self):
+        with pytest.raises(ValueError, match="^batch must be non-empty$"):
+            update_critics(self.ens, TransitionBatch.zeros(0), np.zeros(0), LearnerConfig())
+
+    def test_update_actor(self):
+        with pytest.raises(ValueError, match="^states must be non-empty$"):
+            update_actor(self.pol, [], self.ens, LearnerConfig())
+
+    def test_ensemble_variance(self):
+        with pytest.raises(ValueError, match="^batch must be non-empty$"):
+            ensemble_variance(self.ens, TransitionBatch.zeros(0))
+
+
 class TestLearnerConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",

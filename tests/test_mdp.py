@@ -277,7 +277,7 @@ class TestSolverArguments:
     @pytest.mark.parametrize("max_iters", [0, -3])
     def test_rejects_empty_sweep_budget(self, solver, max_iters):
         mdp, spec = two_state_problem()
-        with pytest.raises(ValueError, match="max_iters >= 1"):
+        with pytest.raises(ValueError, match=f"^max_iters must be >= 1, got {max_iters}$"):
             solver(mdp, spec, max_iters=max_iters)
 
     @pytest.mark.parametrize("solver", SOLVERS, ids=["guarded", "pruned"])

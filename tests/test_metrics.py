@@ -24,7 +24,7 @@ from guardedrl.metrics import (
     visitation_entropy,
 )
 from guardedrl.mdp import NEAR_MISS_MARGIN, SafetySpec
-from guardedrl.sampling import DssConfig, DtsConfig, TransitionRecord
+from guardedrl.sampling import DssConfig, DtsConfig, TransitionBatch, TransitionRecord
 from guardedrl.trainer import RunConfig, run_training
 
 
@@ -79,6 +79,14 @@ class TestTdErrorStats:
         cfg = LearnerConfig(gamma=0.0)
         batch = columns_of([tr(r=1.0), tr(r=-2.0), tr(r=0.5)])
         assert td_error_stats(batch, ens, pol, spec, cfg) == pytest.approx(3.5 / 3)
+
+    @pytest.mark.parametrize("guarded", [True, False])
+    def test_rejects_an_empty_batch(self, guarded):
+        spec = SafetySpec(safe=np.ones((3, 2), dtype=bool), action_embedding=np.eye(2))
+        ens = QEnsemble(members=np.zeros((2, 3, 2)), targets=np.zeros((2, 3, 2)))
+        with pytest.raises(ValueError, match="^batch must be non-empty$"):
+            td_error_stats(TransitionBatch.zeros(0), ens, PolicyTable.zeros(3, 2),
+                           spec if guarded else None, LearnerConfig())
 
     def test_converged_q_on_deterministic_mdp(self):
         grid = GridWorldSpec(width=4, height=1, start=(0, 0), goal=(3, 0),
@@ -158,6 +166,21 @@ class TestSupportKl:
         with pytest.raises(ValueError, match="strictly positive"):
             support_kl(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]), np.ones(1))
 
+    @pytest.mark.parametrize("final, weights", [
+        (np.full((2, 3), 1 / 3), np.ones(2)),  # three actions against two
+        (np.full((2, 2), 0.5), np.ones(3)),  # three weights for two states
+        (np.full((2, 2), 0.5), np.ones((2, 1))),
+    ], ids=["policy-shapes", "weight-count", "weight-shape"])
+    def test_rejects_mismatched_shapes(self, final, weights):
+        with pytest.raises(ValueError, match="^shape mismatch between policies and state weights$"):
+            support_kl(final, np.full((2, 2), 0.5), weights)
+
+    @pytest.mark.parametrize("weights", [[0.0, 0.0], [1.0, -0.5], [-1.0, -1.0]],
+                             ids=["zero-sum", "negative", "negative-sum"])
+    def test_rejects_bad_weights(self, weights):
+        with pytest.raises(ValueError, match="^state weights must be non-negative with positive sum$"):
+            support_kl(np.full((2, 2), 0.5), np.full((2, 2), 0.5), np.array(weights))
+
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(6)
         final = rng.dirichlet(np.ones(5), size=7)
@@ -193,6 +216,12 @@ class TestActionNoveltyRate:
         final = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
         # Greedy actions 1, 1, 0, 0: BC supports them with 0.1, 0.01, 0.02, 0.5.
         assert action_novelty_rate(final, bc, eps=0.05) == 0.5
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1, 1.5, math.nan])
+    def test_rejects_eps_outside_the_open_unit_interval(self, eps):
+        bc = np.array([[0.7, 0.3]])
+        with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\)$"):
+            action_novelty_rate(bc, bc, eps=eps)
 
     def test_argmax_tie_breaks_low(self):
         final = np.array([[0.5, 0.5]])

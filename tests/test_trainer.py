@@ -80,6 +80,13 @@ def make_config(grid, variant="guardian", total_steps=300, seed=0, **kw):
     )
 
 
+# Start states that are not states of make_grid()'s 20-state MDP, and the refusal of each.
+OFF_GRID_STARTS = [
+    (-1, "start_state must be >= 0, got -1"), (20, "start_state must be < 20, got 20"),
+    (99, "start_state must be < 20, got 99"), (2.0, "start_state must be an integer, got 2.0"),
+]
+
+
 @pytest.fixture(scope="module")
 def grid():
     return make_grid()
@@ -256,8 +263,10 @@ class TestRunLog:
     def test_append_requires_increasing_steps(self):
         log = RunLog()
         log.append({"step": 5})
-        with pytest.raises(ValueError):
-            log.append({"step": 5})
+        for step in (5, 4):
+            with pytest.raises(ValueError, match="^record steps must be strictly increasing$"):
+                log.append({"step": step})
+        assert log.records == [{"step": 5}]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_save_refuses_non_finite_numbers(self, tmp_path, bad):
@@ -420,9 +429,16 @@ class TestEvaluatePolicy:
     def test_rejects_an_empty_budget(self, grid, budget):
         mdp, spec = build_cliff_grid(grid)
         kwargs = {"episodes": 2, "max_len": 10, budget: 0}
-        with pytest.raises(ValueError, match=f"^{budget} must be >= 1$"):
+        with pytest.raises(ValueError, match=f"^{budget} must be >= 1, got 0$"):
             evaluate_policy(PolicyTable.zeros(mdp.num_states, 5), mdp, spec, guard_on=True,
                             seed=0, start_state=grid.start_state, **kwargs)
+
+    @pytest.mark.parametrize("start_state, problem", OFF_GRID_STARTS)
+    def test_rejects_a_start_state_off_the_grid(self, grid, start_state, problem):
+        mdp, spec = build_cliff_grid(grid)
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            evaluate_policy(PolicyTable.zeros(mdp.num_states, 5), mdp, spec, episodes=2, max_len=10,
+                            guard_on=False, seed=0, start_state=start_state)
 
     def test_guard_off_counts_violations(self, grid):
         mdp, spec = build_cliff_grid(grid)
@@ -447,9 +463,16 @@ class TestMeasureTtfv:
         # episodes=0 has no median; max_steps=0 would read as a violation at step 0.
         mdp, spec = build_cliff_grid(grid)
         kwargs = {"episodes": 2, "max_steps": 10, budget: 0}
-        with pytest.raises(ValueError, match=f"^{budget} must be >= 1$"):
+        with pytest.raises(ValueError, match=f"^{budget} must be >= 1, got 0$"):
             measure_ttfv(PolicyTable.zeros(mdp.num_states, 5), mdp, spec, guard_on=True,
                          seed=0, start_state=grid.start_state, **kwargs)
+
+    @pytest.mark.parametrize("start_state, problem", OFF_GRID_STARTS)
+    def test_rejects_a_start_state_off_the_grid(self, grid, start_state, problem):
+        mdp, spec = build_cliff_grid(grid)
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            measure_ttfv(PolicyTable.zeros(mdp.num_states, 5), mdp, spec, episodes=2, max_steps=10,
+                         guard_on=True, seed=0, start_state=start_state)
 
     def test_hazard_walker_violates_immediately(self, grid):
         mdp, spec = build_cliff_grid(grid)
