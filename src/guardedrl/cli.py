@@ -32,7 +32,7 @@ from .envs import (
     uniform_safe_policy,
 )
 from .learner import LearnerConfig
-from .mdp import ConvergenceError, check_count, max_norm_distance, save_problem, solve_guarded_value_iteration, solve_pruned_value_iteration
+from .mdp import ConvergenceError, check_count, check_range, max_norm_distance, save_problem, solve_guarded_value_iteration, solve_pruned_value_iteration
 from .sampling import DssConfig, DtsConfig, OfflineDataset
 from .trainer import VARIANTS, RunConfig, RunLog, run_training
 
@@ -309,10 +309,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     doc = load_config(args.config)
     top = config_block(doc, TOP_LEVEL)
     tol, gap_tolerance = top.get("tol", 1e-8), top.get("gap_tolerance", 1e-6)
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"top-level key 'tol' must be finite and > 0, got {tol!r}")
-    if not 0.0 <= gap_tolerance < math.inf:
-        raise ValueError(f"top-level key 'gap_tolerance' must be finite and >= 0, got {gap_tolerance!r}")
+    check_range("top-level key 'tol'", tol, 0, math.inf, low_open=True, high_open=True)
+    check_range("top-level key 'gap_tolerance'", gap_tolerance, 0, math.inf, high_open=True)
     reject_non_finite(doc)
     if "random_mdp" in doc:
         rm = config_block(doc, "random_mdp")

@@ -16,7 +16,7 @@ from numbers import Integral
 import numpy as np
 
 from .guardian import project_action
-from .mdp import SafetySpec, TabularMdp, categorical_draw, check_count, check_start_state
+from .mdp import SafetySpec, TabularMdp, categorical_draw, check_count, check_range, check_start_state
 from .sampling import OfflineDataset, column_buffers
 
 UP, DOWN, LEFT, RIGHT, NOOP = range(5)
@@ -72,10 +72,8 @@ class GridWorldSpec:
             raise ValueError("start and goal must differ")
         if self.start in self.hazards or self.goal in self.hazards:
             raise ValueError("start and goal must not be hazard cells")
-        if not 0.0 <= self.slip_prob < 1.0:
-            raise ValueError("slip_prob must lie in [0, 1)")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
+        check_range("slip_prob", self.slip_prob, 0, 1, high_open=True)
+        check_range("gamma", self.gamma, 0, 1, high_open=True)
 
     @property
     def num_states(self) -> int:
@@ -116,7 +114,8 @@ class GridWorldSpec:
         if height == 0 or len({len(r) for r in rows}) != 1:
             raise ValueError("ASCII map must be a non-empty rectangle")
         width = len(rows[0])
-        start = goal = None
+        if sum(row.count("S") for row in rows) != 1 or sum(row.count("G") for row in rows) != 1:
+            raise ValueError("map needs exactly one S and one G")
         hazards = set()
         for ri, row in enumerate(rows):
             y = height - 1 - ri
@@ -129,8 +128,6 @@ class GridWorldSpec:
                     hazards.add((x, y))
                 elif ch != ".":
                     raise ValueError(f"unknown map character {ch!r}")
-        if start is None or goal is None:
-            raise ValueError("map needs exactly one S and one G")
         return cls(width=width, height=height, start=start, goal=goal, hazards=frozenset(hazards), **numeric)
 
 
@@ -209,8 +206,10 @@ def build_random_safe_mdp(
     (s, a) safe independently with the given probability and empty rows
     patched with one action; embeddings are one-hot per action.
     """
-    if not 0.0 < safe_fraction <= 1.0:
-        raise ValueError("safe_fraction must lie in (0, 1]")
+    check_count("num_states", num_states, 1)
+    check_count("num_actions", num_actions, 1)
+    check_range("safe_fraction", safe_fraction, 0, 1, low_open=True)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     raw = rng.exponential(1.0, size=(num_states, num_actions, num_states))
     transition = raw / raw.sum(axis=2, keepdims=True)
@@ -269,6 +268,9 @@ def collect_offline_dataset(
         raise ValueError("behavior must be an (S, A) distribution table")
     if not np.allclose(behavior.sum(axis=1), 1.0, atol=1e-9) or np.any(behavior < 0.0):
         raise ValueError("behavior rows must be probability distributions")
+    check_count("n_episodes", n_episodes, 1)
+    check_count("max_ep_len", max_ep_len, 1)
+    check_count("seed", seed, 0)
     check_start_state(mdp, start_state)
     if mdp.terminal_flags[start_state]:
         raise ValueError("start_state must not be terminal")

@@ -19,14 +19,13 @@ state: one updater at a time, read-only queries freely between updates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .guardian import renormalize_policy_safe
-from .mdp import SafetySpec
+from .mdp import SafetySpec, check_range
 from .sampling import TransitionBatch
 
 
@@ -39,16 +38,13 @@ class LearnerConfig:
     actor_lr: float = 0.1
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha < math.inf:
-            raise ValueError("alpha must be finite and >= 0")
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError("tau must lie in (0, 1]")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
+        check_range("alpha", self.alpha, 0, np.inf, high_open=True)
+        check_range("tau", self.tau, 0, 1, low_open=True)
+        check_range("gamma", self.gamma, 0, 1, high_open=True)
         # The critic step Q + lr * (y - Q) is a convex combination of value
         # and target only for lr in (0, 1]; the actor rate has the same range.
-        if not (0.0 < self.critic_lr <= 1.0 and 0.0 < self.actor_lr <= 1.0):
-            raise ValueError("learning rates must lie in (0, 1]")
+        check_range("critic_lr", self.critic_lr, 0, 1, low_open=True)
+        check_range("actor_lr", self.actor_lr, 0, 1, low_open=True)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -283,8 +279,7 @@ def soft_update_targets(ens: QEnsemble, tau: float) -> None:
     already equal to the members stay bitwise unchanged (exact fixed
     point); tau = 1 copies exactly.
     """
-    if not 0.0 < tau <= 1.0:
-        raise ValueError("tau must lie in (0, 1]")
+    check_range("tau", tau, 0, 1, low_open=True)
     if tau == 1.0:
         ens.targets[:] = ens.members
     else:

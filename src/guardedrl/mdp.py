@@ -78,8 +78,7 @@ class TabularMdp:
             raise ValueError(f"transition rows must sum to 1 within {PROB_ATOL}; worst error {worst:.3g}")
         if not np.all(np.isfinite(reward)):
             raise ValueError("rewards must be finite")
-        if not (0.0 <= self.gamma < 1.0):
-            raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
+        check_range("gamma", self.gamma, 0, 1, high_open=True)
         terminal = self.terminal
         if terminal is not None:
             terminal = np.array(terminal, dtype=bool)
@@ -285,17 +284,18 @@ def check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
+def check_range(name: str, value, low, high, *, low_open: bool = False, high_open: bool = False) -> None:
+    """Raise ValueError unless low <= value <= high (strict at an open end), naming it; NaN fails."""
+    if not ((low < value if low_open else low <= value) and (value < high if high_open else value <= high)):
+        interval = f"{'(' if low_open else '['}{low}, {high}{')' if high_open else ']'}"
+        raise ValueError(f"{name} must lie in {interval}, got {value!r}")
+
+
 def check_start_state(mdp: TabularMdp, start_state) -> None:
     """Raise ValueError unless start_state is a state of mdp: an integer in [0, S)."""
     check_count("start_state", start_state, 0)
     if start_state >= mdp.num_states:
         raise ValueError(f"start_state must be < {mdp.num_states}, got {start_state!r}")
-
-
-def check_budget(tol: float, max_iters: int) -> None:
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"solvers need a finite tol > 0, got {tol}")
-    check_count("max_iters", max_iters, 1)
 
 
 def apply_guarded_bellman(q: np.ndarray, mdp: TabularMdp, spec: SafetySpec) -> np.ndarray:
@@ -337,7 +337,8 @@ def solve_guarded_value_iteration(
     Deterministic given its inputs.
     """
     check_compatible(mdp, spec)
-    check_budget(tol, max_iters)
+    check_range("tol", tol, 0, np.inf, low_open=True, high_open=True)
+    check_count("max_iters", max_iters, 1)
     q = np.zeros((mdp.num_states, mdp.num_actions))
     residuals: list[float] = []
     for iteration in range(1, max_iters + 1):
@@ -365,7 +366,8 @@ def solve_pruned_value_iteration(
     purpose: the two routes cross-check each other.
     """
     check_compatible(mdp, spec)
-    check_budget(tol, max_iters)
+    check_range("tol", tol, 0, np.inf, low_open=True, high_open=True)
+    check_count("max_iters", max_iters, 1)
     safe_by_action = spec.safe.T.copy()  # (A, S): numpy maxes over axis 0 row by row
     v = np.zeros(mdp.num_states)
     for _ in range(max_iters):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .learner import LearnerConfig, PolicyTable, QEnsemble, compute_targets
-from .mdp import SafetySpec
+from .mdp import SafetySpec, check_range
 from .sampling import TransitionBatch
 
 
@@ -83,8 +83,7 @@ def action_novelty_rate(final_probs: np.ndarray, bc_probs: np.ndarray, eps: floa
     A state counts as novel when pi_bc(argmax pi_final | s) < eps;
     argmax ties break toward the lowest action id.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    check_range("eps", eps, 0, 1, low_open=True, high_open=True)
     final_probs = np.asarray(final_probs, dtype=np.float64)
     bc_probs = np.asarray(bc_probs, dtype=np.float64)
     greedy = np.argmax(final_probs, axis=1)

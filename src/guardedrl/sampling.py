@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mdp import check_count
+from .mdp import check_count, check_range
 
 
 @dataclass
@@ -130,8 +130,7 @@ class DtsConfig:
     def __post_init__(self):
         check_count("delta_min", self.delta_min, 1)
         check_count("delta_max", self.delta_max, self.delta_min)
-        if not 0.0 < self.beta < math.inf:
-            raise ValueError("beta must be finite and positive")
+        check_range("beta", self.beta, 0, math.inf, low_open=True, high_open=True)
         check_count("horizon", self.horizon, 1)
 
 
@@ -148,10 +147,9 @@ class DssConfig:
     horizon: int
 
     def __post_init__(self):
-        if not 0.0 <= self.lambda_min <= self.lambda_max <= 1.0:
-            raise ValueError("need 0 <= lambda_min <= lambda_max <= 1")
-        if not 0.0 < self.k < math.inf:
-            raise ValueError("k must be finite and positive")
+        check_range("lambda_min", self.lambda_min, 0, 1)
+        check_range("lambda_max", self.lambda_max, self.lambda_min, 1)
+        check_range("k", self.k, 0, math.inf, low_open=True, high_open=True)
         check_count("horizon", self.horizon, 1)
 
 
@@ -440,8 +438,7 @@ def sample_hybrid_batch(
     in the module docstring.
     """
     check_count("batch_size", batch_size, 1)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
+    check_range("lam", lam, 0, 1)
     check_count("delta", delta, 1)
     want_online = rng.random(batch_size) < lam
     online = store.online_count

@@ -123,13 +123,13 @@ class TestSolve:
         assert not (tmp_path / "solve").exists()
 
     @pytest.mark.parametrize("key, value, rule", [
-        ("tol", 0, "finite and > 0, got 0.0"),
-        ("tol", -1, "finite and > 0, got -1.0"),
-        ("tol", float("nan"), "finite and > 0, got nan"),
-        ("tol", float("inf"), "finite and > 0, got inf"),
-        ("gap_tolerance", -1e-6, "finite and >= 0, got -1e-06"),
-        ("gap_tolerance", float("nan"), "finite and >= 0, got nan"),
-        ("gap_tolerance", float("inf"), "finite and >= 0, got inf"),
+        ("tol", 0, "(0, inf), got 0.0"),
+        ("tol", -1, "(0, inf), got -1.0"),
+        ("tol", float("nan"), "(0, inf), got nan"),
+        ("tol", float("inf"), "(0, inf), got inf"),
+        ("gap_tolerance", -1e-6, "[0, inf), got -1e-06"),
+        ("gap_tolerance", float("nan"), "[0, inf), got nan"),
+        ("gap_tolerance", float("inf"), "[0, inf), got inf"),
     ], ids=["tol-zero", "tol-negative", "tol-nan", "tol-inf", "gap-negative", "gap-nan", "gap-inf"])
     def test_bad_tolerance_exits_1_before_writing(self, tmp_path, capsys, key, value, rule):
         # json writes NaN and Infinity, and Python's json reads them back.
@@ -137,7 +137,7 @@ class TestSolve:
                "output_dir": str(tmp_path / "solve")}
         assert main(["solve", write_config(tmp_path, doc)]) == 1
         err = capsys.readouterr().err
-        assert err == f"top-level key {key!r} must be {rule}\n"
+        assert err == f"top-level key {key!r} must lie in {rule}\n"
         assert not (tmp_path / "solve").exists()
 
     @pytest.mark.parametrize("doc, problem", [
@@ -303,6 +303,7 @@ class TestTrain:
         (lambda doc: doc["generate_offline"].update(seed=-1),
          "generate_offline key 'seed' must be >= 0, got -1"),
         (lambda doc: doc.update(seed=-3), "seed must be >= 0, got -3"),
+        (lambda doc: doc["env"].update(map=["S.S", "..G"]), "map needs exactly one S and one G"),
     ], ids=["learner-typo", "backup-mode", "dss-typo", "dts-horizon", "no-total-steps", "no-env",
             "env-typo", "generate-offline-typo", "env-incomplete", "learner-wrong-type",
             "dts-float-integer", "dss-boolean-number", "generate-offline-wrong-type",
@@ -310,7 +311,7 @@ class TestTrain:
             "number-dataset-path", "env-short-cell", "env-float-cell", "env-scalar-hazard",
             "env-number-rows", "env-map-and-goal", "env-map-and-width", "entropy-sign",
             "learner-gamma", "unknown-behavior", "no-episodes", "negative-episode-length",
-            "negative-generator-seed", "negative-seed"])
+            "negative-generator-seed", "negative-seed", "env-map-two-starts"])
     def test_bad_config_exits_1_before_writing(self, tmp_path, capsys, edit, problem):
         doc = base_train_config(tmp_path)
         edit(doc)
@@ -320,6 +321,14 @@ class TestTrain:
         assert problem in err
         assert err.count("\n") == 1
         assert not (tmp_path / "deep").exists()
+
+    def test_unreadable_config_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["train", str(missing), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read config {missing}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
 
     def test_negative_seed_flag_exits_1_before_writing(self, tmp_path, capsys):
         out = tmp_path / "deep" / "nested" / "run"
@@ -486,6 +495,17 @@ class TestSweepAndReport:
         assert len(out) == 2
         assert out[1].split(",")[1] == "1"
 
+    def test_report_out_writes_the_printed_csv(self, tmp_path, capsys):
+        doc = base_train_config(tmp_path, total_steps=0)
+        assert main(["train", write_config(tmp_path, doc)]) == 0
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "run")]) == 0
+        printed = capsys.readouterr().out
+        csv = tmp_path / "deep" / "report.csv"
+        assert main(["report", str(tmp_path / "run"), "--out", str(csv)]) == 0
+        assert capsys.readouterr().out == ""
+        assert csv.read_text() == printed
+
     def test_report_no_args_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["report"])
@@ -496,6 +516,14 @@ class TestSweepAndReport:
         bad.mkdir()
         assert main(["report", str(bad)]) == 1
         assert "not_a_run" in capsys.readouterr().err
+
+    def test_report_empty_log_exits_1(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "log.jsonl").write_text("")
+        (run / "summary.json").write_text(json.dumps({"variant": "guardian"}))
+        assert main(["report", str(run)]) == 1
+        assert capsys.readouterr().err == f"missing or corrupt run log in {run}: empty log\n"
 
     @pytest.mark.parametrize("summary, problem", [
         ([1, 2], "summary is a JSON list, not an object"),

@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from guardedrl.cli import check_least, sweep_from_doc
-from guardedrl.envs import GridWorldSpec, build_cliff_grid, collect_offline_dataset, uniform_safe_policy
+from guardedrl.envs import (
+    GridWorldSpec,
+    build_cliff_grid,
+    build_random_safe_mdp,
+    collect_offline_dataset,
+    uniform_safe_policy,
+)
 from guardedrl.learner import LearnerConfig, PolicyTable
 from guardedrl.mdp import check_count, solve_guarded_value_iteration, solve_pruned_value_iteration
 from guardedrl.sampling import (
@@ -35,9 +41,13 @@ DTS_FIELDS = dict(delta_min=2, delta_max=4, beta=2.0, horizon=10)
 DSS_FIELDS = dict(lambda_min=0.1, lambda_max=0.5, k=1.0, horizon=10)
 
 
-def dataset():
-    return collect_offline_dataset(MDP, SPEC, uniform_safe_policy(SPEC), n_episodes=3, max_ep_len=10,
-                                   seed=0, start_state=GRID.start_state)
+def dataset(n_episodes=3, max_ep_len=10, seed=0):
+    return collect_offline_dataset(MDP, SPEC, uniform_safe_policy(SPEC), n_episodes=n_episodes,
+                                   max_ep_len=max_ep_len, seed=seed, start_state=GRID.start_state)
+
+
+def random_mdp(num_states=3, num_actions=2, seed=0):
+    return build_random_safe_mdp(num_states, num_actions, 0.5, seed)
 
 
 def run_config(**change):
@@ -85,6 +95,12 @@ SITES = [
     ("sample_hybrid_batch.delta", field_site("delta", 1, 2, batch)),
     ("dts_interval.t", ("t", 0, 3, lambda value: dts_interval(value, DtsConfig(**DTS_FIELDS)))),
     ("dss_mixing.t", ("t", 0, 3, lambda value: dss_mixing(value, DssConfig(**DSS_FIELDS)))),
+    ("collect_offline_dataset.n_episodes", field_site("n_episodes", 1, 3, dataset)),
+    ("collect_offline_dataset.max_ep_len", field_site("max_ep_len", 1, 10, dataset)),
+    ("collect_offline_dataset.seed", field_site("seed", 0, 5, dataset)),
+    ("build_random_safe_mdp.num_states", field_site("num_states", 1, 3, random_mdp)),
+    ("build_random_safe_mdp.num_actions", field_site("num_actions", 1, 2, random_mdp)),
+    ("build_random_safe_mdp.seed", field_site("seed", 0, 5, random_mdp)),
     ("evaluate_policy.episodes", field_site("episodes", 1, 2, evaluate)),
     ("evaluate_policy.max_len", field_site("max_len", 1, 5, evaluate)),
     ("measure_ttfv.episodes", field_site("episodes", 1, 2, ttfv)),

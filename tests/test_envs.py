@@ -57,6 +57,12 @@ class TestGridWorldSpec:
         with pytest.raises(ValueError, match="unknown map character"):
             GridWorldSpec.from_ascii(["S?G"])
 
+    @pytest.mark.parametrize("rows", [["S.S.G", "XXXXX"], ["S.G.G", "XXXXX"], ["..G", "XXX"]],
+                             ids=["two-starts", "two-goals", "no-start"])
+    def test_ascii_needs_exactly_one_start_and_one_goal(self, rows):
+        with pytest.raises(ValueError, match="^map needs exactly one S and one G$"):
+            GridWorldSpec.from_ascii(rows)
+
     def test_ascii_rejects_rows_that_are_not_strings(self):
         with pytest.raises(ValueError, match="^ASCII map rows must be strings$"):
             GridWorldSpec.from_ascii([1, 2])

@@ -1,6 +1,7 @@
 """Core table, operator, and solver tests with brute-force oracles."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -270,7 +271,7 @@ class TestSolverArguments:
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
     def test_rejects_tol_that_is_not_finite_and_positive(self, solver, tol):
         mdp, spec = two_state_problem()
-        with pytest.raises(ValueError, match="finite tol > 0"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'tol must lie in (0, inf), got {tol!r}')}$"):
             solver(mdp, spec, tol=tol)
 
     @pytest.mark.parametrize("solver", SOLVERS, ids=["guarded", "pruned"])

@@ -1,6 +1,7 @@
 """Metric definitions against independent recomputation oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,7 +221,7 @@ class TestActionNoveltyRate:
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1, 1.5, math.nan])
     def test_rejects_eps_outside_the_open_unit_interval(self, eps):
         bc = np.array([[0.7, 0.3]])
-        with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\)$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'eps must lie in (0, 1), got {eps!r}')}$"):
             action_novelty_rate(bc, bc, eps=eps)
 
     def test_argmax_tie_breaks_low(self):

@@ -79,7 +79,7 @@ class TestDtsInterval:
         with pytest.raises(ValueError):
             DtsConfig(delta_min=1, delta_max=4, beta=0.0, horizon=10)
         for beta in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="beta must be finite and positive"):
+            with pytest.raises(ValueError, match=rf"^beta must lie in \(0, inf\), got {beta}$"):
                 DtsConfig(delta_min=1, delta_max=4, beta=beta, horizon=10)
 
 
@@ -107,7 +107,7 @@ class TestDssMixing:
         with pytest.raises(ValueError):
             DssConfig(lambda_min=0.1, lambda_max=0.5, k=0.0, horizon=10)
         for k in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="k must be finite and positive"):
+            with pytest.raises(ValueError, match=rf"^k must lie in \(0, inf\), got {k}$"):
                 DssConfig(lambda_min=0.1, lambda_max=0.5, k=k, horizon=10)
 
 

@@ -458,6 +458,18 @@ class TestMeasureTtfv:
                             hazard_states=grid.hazard_states)
         assert ttfv == 50.0
 
+    def test_guarded_slip_into_a_hazard_is_a_violation(self):
+        # The guard keeps every executed action safe, so only slip into the
+        # cliff row ends an episode early; without hazard states it never does.
+        grid = GridWorldSpec.from_ascii(["S...G", "XXXXX"], slip_prob=0.3)
+        mdp, spec = build_cliff_grid(grid)
+        logits = np.zeros((mdp.num_states, 5))
+        logits[:, RIGHT] = 5.0
+        pol = PolicyTable(logits)
+        kwargs = dict(episodes=5, max_steps=50, guard_on=True, seed=0, start_state=grid.start_state)
+        assert measure_ttfv(pol, mdp, spec, hazard_states=grid.hazard_states, **kwargs) == 3.0
+        assert measure_ttfv(pol, mdp, spec, **kwargs) == 50.0
+
     @pytest.mark.parametrize("budget", ["episodes", "max_steps"])
     def test_rejects_an_empty_budget(self, grid, budget):
         # episodes=0 has no median; max_steps=0 would read as a violation at step 0.
