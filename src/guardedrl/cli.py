@@ -15,6 +15,7 @@ import argparse
 import difflib
 import json
 import math
+import os
 import shutil
 import statistics
 import sys
@@ -259,12 +260,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_worker(payload: tuple[dict, str]) -> str:
-    doc, out_dir = payload
-    _train_one(doc, Path(out_dir))
-    return out_dir
-
-
 def sweep_from_doc(doc: dict) -> tuple[list[str], list[int]]:
     """The sweep block's variants (known names) and seeds (JSON integers >= 0), both non-empty."""
     sweep = config_block(doc, "sweep")
@@ -287,21 +282,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     doc = load_config(args.config)
     variants, seeds = sweep_from_doc(doc)
     base_out = output_dir(args, doc, "runs/sweep")
-    jobs = []
-    for variant in variants:
-        for seed in seeds:
-            run_doc = dict(doc)
-            run_doc["variant"] = variant
-            run_doc["seed"] = seed
-            jobs.append((run_doc, str(base_out / f"{variant}_seed{seed}")))
-    workers = min(args.jobs, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for done in pool.map(_sweep_worker, jobs):
-                print(done)
-    else:
-        for payload in jobs:
-            print(_sweep_worker(payload))
+    runs = [(variant, seed) for variant in variants for seed in seeds]
+    docs = [{**doc, "variant": variant, "seed": seed} for variant, seed in runs]
+    out_dirs = [base_out / f"{variant}_seed{seed}" for variant, seed in runs]
+    # One worker per core, never more than there are runs. A failed run
+    # cancels the runs not yet started and is raised here.
+    with ProcessPoolExecutor(min(os.cpu_count() or 1, len(runs))) as pool:
+        for out_dir, _ in zip(out_dirs, pool.map(_train_one, docs, out_dirs)):
+            print(out_dir)
     return EXIT_OK
 
 
@@ -389,13 +377,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def worker_count(text: str) -> int:
-    """The --jobs value: an integer >= 1."""
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return int(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="guardedrl",
@@ -418,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run the config's variant x seed sweep")
     p_sweep.add_argument("config")
-    p_sweep.add_argument("--jobs", type=worker_count, default=1, help="parallel worker slots, >= 1")
     p_sweep.add_argument("--out", default=None, help="base output directory")
     p_sweep.set_defaults(func=cmd_sweep)
 

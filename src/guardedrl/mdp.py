@@ -17,6 +17,7 @@ that each solver takes its own way, so a fault in one cannot hide in the other.
 from __future__ import annotations
 
 import json
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -285,7 +286,9 @@ def check_count(name: str, value, least: int) -> None:
 
 
 def check_range(name: str, value, low, high, *, low_open: bool = False, high_open: bool = False) -> None:
-    """Raise ValueError unless low <= value <= high (strict at an open end), naming it; NaN fails."""
+    """Raise ValueError, naming it, unless value is a real non-bool in [low, high] (strict at an open end); NaN fails."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     if not ((low < value if low_open else low <= value) and (value < high if high_open else value <= high)):
         interval = f"{'(' if low_open else '['}{low}, {high}{')' if high_open else ']'}"
         raise ValueError(f"{name} must lie in {interval}, got {value!r}")

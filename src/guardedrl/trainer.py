@@ -101,7 +101,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+            raise ValueError(f"variant must be one of {', '.join(VARIANTS)}, got {self.variant!r}")
         check_count("total_steps", self.total_steps, 0)
         check_count("seed", self.seed, 0)
         for name in ("ensemble_size", "batch_size", "updates_per_step", "eval_every",

@@ -337,6 +337,14 @@ class TestTrain:
         assert capsys.readouterr().err == "seed must be >= 0, got -4\n"
         assert not (tmp_path / "deep").exists()
 
+    def test_unknown_variant_flag_exits_1_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "deep" / "nested" / "run"
+        assert main(["train", write_config(tmp_path, base_train_config(tmp_path)), "--variant", "bogus",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "variant must be one of guardian, exec_mask_only, no_guard, offline_only, got 'bogus'\n")
+        assert not (tmp_path / "deep").exists()
+
     @pytest.mark.parametrize("command", ["train", "sweep"])
     @pytest.mark.parametrize("edit, problem", [
         (lambda doc: doc["dts"].update(beta=float("inf")), "config['dts']['beta'] must be finite, got inf"),
@@ -543,20 +551,22 @@ class TestSweepAndReport:
         assert main(["report", str(run)]) == 1
         assert capsys.readouterr().err == f"missing or corrupt run log in {run}: {problem}\n"
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    # sweep sizes its own worker pool: --jobs, whatever its value, is an
+    # unrecognized argument.
+    @pytest.mark.parametrize("jobs", ["0", "-3", "2"])
     def test_sweep_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
         doc = base_train_config(tmp_path, total_steps=0)
         doc["sweep"] = {"variants": ["guardian"], "seeds": [0]}
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", write_config(tmp_path, doc), "--jobs", jobs])
         assert excinfo.value.code == 2
-        assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: --jobs {jobs}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
-    @pytest.mark.parametrize("jobs, started", [("1", []), ("2", [2]), ("64", [2])])
-    def test_sweep_starts_at_most_one_worker_per_run(self, tmp_path, monkeypatch, jobs, started):
-        # The pool is replaced by one that runs jobs in-process: a large
-        # --jobs must not fork that many processes.
+    @pytest.mark.parametrize("cpus, started", [(1, [1]), (2, [2]), (64, [2]), (None, [1])])
+    def test_sweep_starts_at_most_one_worker_per_run(self, tmp_path, monkeypatch, cpus, started):
+        # The pool is replaced by one that runs jobs in-process: many cores
+        # must not fork more processes than the sweep has runs.
         workers = []
 
         class InProcessPool:
@@ -569,14 +579,15 @@ class TestSweepAndReport:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, payloads):
-                return map(fn, payloads)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr("guardedrl.cli.ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("guardedrl.cli.os.cpu_count", lambda: cpus)
         doc = base_train_config(tmp_path, total_steps=0)
         doc["sweep"] = {"variants": ["guardian", "no_guard"], "seeds": [0]}
         doc["output_dir"] = str(tmp_path / "sweep")
-        assert main(["sweep", write_config(tmp_path, doc), "--jobs", jobs]) == 0
+        assert main(["sweep", write_config(tmp_path, doc)]) == 0
         assert workers == started
         assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == [
             "guardian_seed0", "no_guard_seed0"]
@@ -612,17 +623,22 @@ class TestSweepAndReport:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    def test_parallel_sweep_matches_serial(self, tmp_path):
+    def test_parallel_sweep_matches_serial(self, tmp_path, capsys):
+        # Each run of the sweep's worker pool writes the files that an
+        # in-process `train` of the same variant and seed writes.
         doc = base_train_config(tmp_path, total_steps=60)
-        doc["sweep"] = {"variants": ["guardian"], "seeds": [0, 1]}
-        doc["output_dir"] = str(tmp_path / "serial")
-        assert main(["sweep", write_config(tmp_path, doc, "serial.json")]) == 0
-        doc["output_dir"] = str(tmp_path / "parallel")
-        assert main(["sweep", write_config(tmp_path, doc, "parallel.json"), "--jobs", "2"]) == 0
-        for seed in (0, 1):
-            a = (tmp_path / "serial" / f"guardian_seed{seed}" / "log.jsonl").read_bytes()
-            b = (tmp_path / "parallel" / f"guardian_seed{seed}" / "log.jsonl").read_bytes()
-            assert a == b
+        doc["sweep"] = {"variants": ["guardian", "no_guard"], "seeds": [0, 1]}
+        doc["output_dir"] = str(tmp_path / "sweep")
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep", cfg]) == 0
+        runs = [(variant, seed) for variant in ("guardian", "no_guard") for seed in (0, 1)]
+        assert capsys.readouterr().out == "".join(f"{tmp_path / 'sweep'}/{v}_seed{s}\n" for v, s in runs)
+        for variant, seed in runs:
+            serial = tmp_path / f"train_{variant}_{seed}"
+            assert main(["train", cfg, "--variant", variant, "--seed", str(seed), "--out", str(serial)]) == 0
+            for name in ("log.jsonl", "summary.json"):
+                swept = tmp_path / "sweep" / f"{variant}_seed{seed}" / name
+                assert swept.read_bytes() == (serial / name).read_bytes()
 
 
 def json_block_after(path, marker):

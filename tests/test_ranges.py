@@ -2,7 +2,9 @@
 
 A value outside its interval, NaN included, raises one ValueError that
 names the parameter, the interval and the value:
-"<name> must lie in <interval>, got <value!r>".
+"<name> must lie in <interval>, got <value!r>". A bool or a value that is
+not a real number raises "<name> must be a real number, got <value!r>"
+before any comparison.
 """
 
 import argparse
@@ -36,9 +38,12 @@ DSS_FIELDS = dict(lambda_min=0.1, lambda_max=0.5, k=1.0, horizon=10)
 BC = np.array([[0.7, 0.3]])
 
 
-def site(name, low, high, call, *, low_open=False, high_open=False):
-    """(name in the message, low, high, low_open, high_open, call(value))."""
-    return name, low, high, low_open, high_open, call
+def site(name, low, high, call, *, low_open=False, high_open=False, kind="a real number"):
+    """(name in the message, low, high, low_open, high_open, call(value), kind).
+
+    kind is what the refusal of a non-real value says the value must be.
+    """
+    return name, low, high, low_open, high_open, call, kind
 
 
 def field(name, low, high, make, **open_ends):
@@ -108,10 +113,13 @@ SITES = [
     ("sample_hybrid_batch.lam", site("lam", 0, 1, batch)),
     ("action_novelty_rate.eps",
      field("eps", 0, 1, lambda eps: action_novelty_rate(BC, BC, eps=eps), low_open=True, high_open=True)),
+    # The config parse refuses a non-number before check_range sees it.
     ("solve top-level tol",
-     site("top-level key 'tol'", 0, math.inf, lambda tol: solve(tol=tol), low_open=True, high_open=True)),
+     site("top-level key 'tol'", 0, math.inf, lambda tol: solve(tol=tol), low_open=True, high_open=True,
+          kind="a number")),
     ("solve top-level gap_tolerance",
-     site("top-level key 'gap_tolerance'", 0, math.inf, lambda gap: solve(gap_tolerance=gap), high_open=True)),
+     site("top-level key 'gap_tolerance'", 0, math.inf, lambda gap: solve(gap_tolerance=gap), high_open=True,
+          kind="a number")),
 ]
 SITE_IDS = [site_id for site_id, _ in SITES]
 SITE_ARGS = [row for _, row in SITES]
@@ -122,7 +130,7 @@ def interval(low, high, low_open, high_open):
 
 
 def refuses(row, value):
-    name, low, high, low_open, high_open, call = row
+    name, low, high, low_open, high_open, call, _ = row
     text = f"{name} must lie in {interval(low, high, low_open, high_open)}, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
         call(value)
@@ -130,7 +138,7 @@ def refuses(row, value):
 
 def outside(row):
     """The values nearest each bound on its outer side: the bound itself when open."""
-    _, low, high, low_open, high_open, _ = row
+    _, low, high, low_open, high_open, _, _ = row
     values = [float(low) if low_open else math.nextafter(low, -math.inf)]
     if high < math.inf:
         values.append(float(high) if high_open else math.nextafter(high, math.inf))
@@ -145,7 +153,7 @@ def test_site_refuses_nan(row):
 @pytest.mark.parametrize("row", SITE_ARGS, ids=SITE_IDS)
 @pytest.mark.parametrize("value", [math.inf, -math.inf], ids=repr)
 def test_site_refuses_an_infinity_outside_its_interval(row, value):
-    _, low, high, _, high_open, _ = row
+    _, low, high, _, high_open, _, _ = row
     assert value < low or value > high or (value == high and high_open)
     refuses(row, value)
 
@@ -158,10 +166,18 @@ def test_site_refuses_a_value_just_past_each_bound(row):
 
 @pytest.mark.parametrize("row", SITE_ARGS, ids=SITE_IDS)
 def test_site_accepts_each_closed_bound(row):
-    _, low, high, low_open, high_open, call = row
+    _, low, high, low_open, high_open, call, _ = row
     for bound, is_open in ((low, low_open), (high, high_open)):
         if not is_open:
             call(float(bound))
+
+
+@pytest.mark.parametrize("row", SITE_ARGS, ids=SITE_IDS)
+@pytest.mark.parametrize("value", [True, "0.5", None], ids=repr)
+def test_site_refuses_a_non_real(row, value):
+    name, _, _, _, _, call, kind = row
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {kind}, got {value!r}')}$"):
+        call(value)
 
 
 class TestCheckRange:
@@ -172,9 +188,15 @@ class TestCheckRange:
         with pytest.raises(ValueError, match=f"^{re.escape(f'x must lie in {text}, got 1.5')}$"):
             check_range("x", 1.5, 0, 1, low_open=low_open, high_open=high_open)
 
-    @pytest.mark.parametrize("value", [0, 0.5, 1, np.float64(0.25), np.int64(1)], ids=repr)
+    @pytest.mark.parametrize("value", [0, 0.5, 1, np.float64(0.25), np.float32(0.5), np.int64(1)], ids=repr)
     def test_accepts_values_inside_a_closed_interval(self, value):
         check_range("x", value, 0, 1)
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", None, np.array([0.5]), np.array(0.5)],
+                             ids=repr)
+    def test_refuses_a_bool_or_a_non_real_before_comparing(self, value):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'x must be a real number, got {value!r}')}$"):
+            check_range("x", value, 0, 1)
 
     @pytest.mark.parametrize("value", [0, 1, math.nan], ids=repr)
     def test_open_ends_refuse_their_bounds_and_nan(self, value):
