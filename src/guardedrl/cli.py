@@ -55,7 +55,7 @@ REPORT_FIELDS = (
 def load_config(path: str | Path) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -184,21 +184,13 @@ def run_config_from_doc(doc: dict) -> RunConfig:
     )
 
 
-def prepare_offline_dataset(doc: dict, grid: GridWorldSpec, staging: Path) -> Path:
-    """Locate or generate the offline dataset of a parsed config; returns its path.
-
-    An existing file named by "offline_dataset" wins; otherwise a
-    "generate_offline" block rolls one out (deterministic per its seed)
-    into <staging>/offline.jsonl.
-    """
-    configured = doc.get("offline_dataset")
-    if configured and Path(configured).exists():
-        return Path(configured)
+def prepare_offline_dataset(doc: dict, grid: GridWorldSpec) -> OfflineDataset:
+    """Roll out the "generate_offline" block of a parsed config in memory (deterministic per its seed)."""
     gen = doc.get("generate_offline")
     if gen is None:
         raise ValueError("no offline dataset: configured path missing and no generate_offline block")
     mdp, spec = build_cliff_grid(grid)
-    dataset = collect_offline_dataset(
+    return collect_offline_dataset(
         mdp,
         spec,
         BEHAVIORS[gen.get("behavior", "uniform_safe")](mdp, spec),
@@ -208,36 +200,36 @@ def prepare_offline_dataset(doc: dict, grid: GridWorldSpec, staging: Path) -> Pa
         guardian_filter=gen.get("guardian_filter", True),
         start_state=grid.start_state,
     )
-    path = staging / "offline.jsonl"
-    dataset.save_jsonl(path)
-    return path
 
 
 def _train_one(doc: dict, out_dir: Path) -> dict:
-    """Train one config; its files reach out_dir only once the run succeeded.
+    """Train one config; nothing reaches the disk until the run succeeded.
 
-    The generated dataset and the run files are written to a temporary
-    sibling of out_dir and moved into place after training: the dataset
-    to its configured path (default: <out_dir>/offline.jsonl), then the
-    run files into out_dir, summary.json last. A failed run removes the
-    sibling and leaves out_dir and the configured path untouched.
+    An existing file named by "offline_dataset" is loaded; otherwise the
+    dataset is generated in memory. After training, the run files and a
+    generated dataset are written to a temporary sibling of out_dir and
+    moved into place: the dataset to its configured path (default:
+    <out_dir>/offline.jsonl), then the run files into out_dir,
+    summary.json last. A failed run creates nothing, not even a missing
+    parent of out_dir; an output location that cannot be created is
+    reported after training.
     """
-    cfg = run_config_from_doc(doc)  # before anything is written
+    cfg = run_config_from_doc(doc)
+    configured = doc.get("offline_dataset")
+    generated = not (configured and Path(configured).exists())
+    offline = prepare_offline_dataset(doc, cfg.grid) if generated else OfflineDataset.load_jsonl(configured)
+    dataset_path = Path(configured or out_dir / "offline.jsonl")
+    doc = {**doc, "offline_dataset": str(dataset_path.resolve())}
+    log = run_training(cfg, offline)
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
     try:
-        dataset_path = prepare_offline_dataset(doc, cfg.grid, staging)
-        offline = OfflineDataset.load_jsonl(dataset_path)
-        generated = dataset_path.parent == staging
-        final = Path(doc.get("offline_dataset") or out_dir / dataset_path.name) if generated else dataset_path
-        doc = dict(doc)
-        doc["offline_dataset"] = str(final.resolve())
-        log = run_training(cfg, offline)
         log.save(staging)
         (staging / "effective_config.json").write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
         if generated:
-            final.parent.mkdir(parents=True, exist_ok=True)
-            shutil.move(dataset_path, final)
+            offline.save_jsonl(staging / "offline.jsonl")
+            dataset_path.parent.mkdir(parents=True, exist_ok=True)
+            shutil.move(staging / "offline.jsonl", dataset_path)
         out_dir.mkdir(exist_ok=True)
         for path in sorted(staging.iterdir(), key=lambda p: p.name == "summary.json"):
             path.replace(out_dir / path.name)

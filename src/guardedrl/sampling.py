@@ -281,48 +281,52 @@ class OfflineDataset:
         a finite numeric "r" and a boolean (or 0/1) "done" raises ValueError
         naming path:line and the key: first a key whose value cannot be
         stored, then a boolean in a numeric column or a float "done", then
-        a non-finite "r".
+        a non-finite "r". A file that is not UTF-8 raises ValueError
+        naming the path.
         """
         buffers = column_buffers()
         s, a, r, s2, done, t, ep = buffers
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}:{lineno}: not valid JSON: {exc.msg}") from None
-                try:
-                    s.append(row["s"])
-                    a.append(row["a"])
-                    r.append(row["r"])
-                    s2.append(row["s2"])
-                    done.append(_FLAGS[row["done"]])
-                    t.append(row["t"])
-                    ep.append(row["ep"])
-                except (KeyError, TypeError, OverflowError):
-                    # The columns before the failing one grew by this row.
-                    i = [len(buf) for buf in buffers].index(len(ep))
-                    key = _JSONL_KEYS[i]
-                    if not isinstance(row, dict):
-                        problem = f"expected a JSON object, got {type(row).__name__}"
-                    elif key not in row:
-                        problem = f"missing key {key!r}"
-                    else:
-                        problem = f"key {key!r} must be {_EXPECTED[_TYPECODES[i]]}, got {row[key]!r}"
-                    raise ValueError(f"{path}:{lineno}: {problem}") from None
-                if (type(row["s"]) is bool or type(row["a"]) is bool
-                        or type(row["r"]) is bool or type(row["s2"]) is bool
-                        or type(row["done"]) is float
-                        or type(row["t"]) is bool or type(row["ep"]) is bool):
-                    key = next(k for k in _JSONL_KEYS if type(row[k]) is _REFUSED[k])
-                    kind = _EXPECTED[_TYPECODES[_JSONL_KEYS.index(key)]]
-                    raise ValueError(f"{path}:{lineno}: key {key!r} must be {kind}, got {row[key]!r}")
-                if not math.isfinite(r[-1]):
-                    # json reads NaN and Infinity, which are not JSON numbers.
-                    raise ValueError(f"{path}:{lineno}: key 'r' must be finite, got {r[-1]!r}")
+        try:
+            with open(path) as fh:
+                for lineno, line in enumerate(fh, 1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        row = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise ValueError(f"{path}:{lineno}: not valid JSON: {exc.msg}") from None
+                    try:
+                        s.append(row["s"])
+                        a.append(row["a"])
+                        r.append(row["r"])
+                        s2.append(row["s2"])
+                        done.append(_FLAGS[row["done"]])
+                        t.append(row["t"])
+                        ep.append(row["ep"])
+                    except (KeyError, TypeError, OverflowError):
+                        # The columns before the failing one grew by this row.
+                        i = [len(buf) for buf in buffers].index(len(ep))
+                        key = _JSONL_KEYS[i]
+                        if not isinstance(row, dict):
+                            problem = f"expected a JSON object, got {type(row).__name__}"
+                        elif key not in row:
+                            problem = f"missing key {key!r}"
+                        else:
+                            problem = f"key {key!r} must be {_EXPECTED[_TYPECODES[i]]}, got {row[key]!r}"
+                        raise ValueError(f"{path}:{lineno}: {problem}") from None
+                    if (type(row["s"]) is bool or type(row["a"]) is bool
+                            or type(row["r"]) is bool or type(row["s2"]) is bool
+                            or type(row["done"]) is float
+                            or type(row["t"]) is bool or type(row["ep"]) is bool):
+                        key = next(k for k in _JSONL_KEYS if type(row[k]) is _REFUSED[k])
+                        kind = _EXPECTED[_TYPECODES[_JSONL_KEYS.index(key)]]
+                        raise ValueError(f"{path}:{lineno}: key {key!r} must be {kind}, got {row[key]!r}")
+                    if not math.isfinite(r[-1]):
+                        # json reads NaN and Infinity, which are not JSON numbers.
+                        raise ValueError(f"{path}:{lineno}: key 'r' must be finite, got {r[-1]!r}")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         return cls(buffers)
 
 

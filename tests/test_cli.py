@@ -10,6 +10,7 @@ import pytest
 
 from guardedrl.cli import main, run_config_from_doc, sweep_from_doc
 from guardedrl.mdp import ConvergenceError, solve_pruned_value_iteration
+from guardedrl.sampling import OfflineDataset
 from guardedrl.trainer import RunLog
 
 CLIFF_MAP = ["...", "S.G", "XXX"]
@@ -379,8 +380,8 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("error")
     def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys):
-        # The generated dataset is written before training starts; a run
-        # that then fails must leave neither its directory nor a staging copy.
+        # The generated dataset stays in memory until training succeeds; a
+        # run that fails must leave neither its directory nor a staging copy.
         doc = base_train_config(tmp_path, total_steps=60)
         doc["learner"]["alpha"] = 1e300
         cfg = write_config(tmp_path, doc)
@@ -399,6 +400,57 @@ class TestTrain:
         cfg = write_config(tmp_path, doc)
         assert main(["train", cfg, "--out", str(tmp_path / "out")]) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_failed_run_leaves_no_parent_directories(self, tmp_path, capsys):
+        doc = base_train_config(tmp_path, total_steps=60)
+        doc["learner"]["alpha"] = 1e300
+        out = tmp_path / "deep" / "nested" / "run"
+        assert main(["train", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        assert re.fullmatch(r"step \d+: \w+ is nan; the run diverged\n", capsys.readouterr().err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_bad_configured_dataset_leaves_no_parent_directories(self, tmp_path, capsys):
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text('{"s": 3, "a": 1, "s2": 4, "done": false, "t": 0, "ep": 0}\n')
+        doc = base_train_config(tmp_path, total_steps=60)
+        del doc["generate_offline"]
+        doc["offline_dataset"] = str(dataset)
+        out = tmp_path / "deep" / "nested" / "run"
+        assert main(["train", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"{dataset}:1: missing key 'r'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.jsonl"]
+
+    def test_generated_dataset_is_never_reloaded(self, tmp_path, monkeypatch):
+        # A generated dataset is trained on in memory and written once.
+        def refuse(path):
+            raise AssertionError(f"load_jsonl({path}) called for a generated dataset")
+
+        monkeypatch.setattr(OfflineDataset, "load_jsonl", refuse)
+        doc = base_train_config(tmp_path, total_steps=60)
+        assert main(["train", write_config(tmp_path, doc)]) == 0
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            "effective_config.json", "log.jsonl", "offline.jsonl", "summary.json"]
+
+    @pytest.mark.parametrize("which", ["config", "dataset"])
+    def test_non_utf8_input_names_its_file(self, tmp_path, capsys, which):
+        doc = base_train_config(tmp_path, total_steps=60)
+        bad = tmp_path / "bad.bin"
+        if which == "config":
+            bad.write_bytes(b"\xff\xfe" + json.dumps(doc).encode())
+            cfg = str(bad)
+        else:
+            row = '{"s": 3, "a": 1, "r": 0.0, "s2": 4, "done": false, "t": 0, "ep": 0}\n'
+            bad.write_bytes(row.encode() + b"\xff\n")
+            del doc["generate_offline"]
+            doc["offline_dataset"] = str(bad)
+            cfg = write_config(tmp_path, doc)
+        assert main(["train", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(bad) in err
+        assert "can't decode byte 0xff" in err
+        assert not (tmp_path / "out").exists()
 
     def test_generated_dataset_moves_to_configured_path(self, tmp_path):
         doc = base_train_config(tmp_path, total_steps=60)
@@ -622,6 +674,15 @@ class TestSweepAndReport:
         assert problem in err
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_failed_sweep_leaves_no_base_directory(self, tmp_path, capsys):
+        doc = base_train_config(tmp_path, total_steps=60)
+        doc["learner"]["alpha"] = 1e300
+        doc["sweep"] = {"variants": ["guardian", "no_guard"], "seeds": [0]}
+        assert main(["sweep", write_config(tmp_path, doc), "--out", str(tmp_path / "sw" / "base")]) == 1
+        assert re.fullmatch(r"step \d+: \w+ is nan; the run diverged\n", capsys.readouterr().err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_parallel_sweep_matches_serial(self, tmp_path, capsys):
         # Each run of the sweep's worker pool writes the files that an
