@@ -12,6 +12,7 @@ docs/formats.md.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import difflib
 import json
 import math
@@ -21,7 +22,7 @@ import statistics
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 from .envs import (
@@ -63,6 +64,58 @@ def load_config(path: str | Path) -> dict:
     return doc
 
 
+# generate_offline behavior name -> its policy table on a grid's (mdp, spec).
+BEHAVIORS = {
+    "uniform_safe": lambda mdp, spec: uniform_safe_policy(spec),
+    "uniform": lambda mdp, spec: uniform_policy(mdp.num_states, mdp.num_actions),
+}
+
+
+@dataclass(frozen=True)
+class GenerateOfflineConfig:
+    """The generate_offline block: behavior-policy rollouts on the env grid."""
+
+    episodes: int = 100
+    max_ep_len: int = 100
+    behavior: str = "uniform_safe"
+    seed: int = 0
+    guardian_filter: bool = True
+
+    def __post_init__(self):
+        if self.behavior not in BEHAVIORS:
+            raise ValueError(f"generate_offline key 'behavior' must be one of {', '.join(BEHAVIORS)}, "
+                             f"got {self.behavior!r}")
+        for key, least in (("episodes", 1), ("max_ep_len", 1), ("seed", 0)):
+            check_count(f"generate_offline key {key!r}", getattr(self, key), least)
+
+
+@dataclass(frozen=True)
+class RandomMdpConfig:
+    """solve's random_mdp block: the arguments of build_random_safe_mdp."""
+
+    num_states: int
+    num_actions: int
+    safe_fraction: float = 0.7
+    seed: int = 0
+    gamma: float = 0.9
+
+    def __post_init__(self):
+        for key, least in (("num_states", 1), ("num_actions", 1), ("seed", 0)):
+            check_count(f"random_mdp key {key!r}", getattr(self, key), least)
+
+
+@dataclass(frozen=True)
+class SolveTolerances:
+    """solve's top-level keys: the solvers' stopping tolerance and the largest accepted gap between them."""
+
+    tol: float = 1e-8
+    gap_tolerance: float = 1e-6
+
+    def __post_init__(self):
+        check_range("top-level key 'tol'", self.tol, 0, math.inf, low_open=True, high_open=True)
+        check_range("top-level key 'gap_tolerance'", self.gap_tolerance, 0, math.inf, high_open=True)
+
+
 # The JSON value kinds a config key accepts; a boolean is never a number.
 KINDS = {"a number": (int, float), "an integer": (int,), "a string": (str,),
          "a boolean": (bool,), "an array": (list,), "a string or an array": (str, list)}
@@ -73,29 +126,20 @@ _FIELD_KINDS = {"float": "a number", "int": "an integer", "str": "a string", "bo
 BLOCK_KEYS = {
     name: {f.name: _FIELD_KINDS.get(f.type, "an array") for f in fields(cls) if f.name != "horizon"}
     for name, cls in (("env", GridWorldSpec), ("learner", LearnerConfig), ("dts", DtsConfig),
-                      ("dss", DssConfig))
+                      ("dss", DssConfig), ("generate_offline", GenerateOfflineConfig),
+                      ("random_mdp", RandomMdpConfig))
 }
 del BLOCK_KEYS["learner"]["gamma"]
 BLOCK_KEYS["env"]["map"] = "a string or an array"
-BLOCK_KEYS["generate_offline"] = dict(episodes="an integer", max_ep_len="an integer",
-                                      behavior="a string", seed="an integer",
-                                      guardian_filter="a boolean")
-BLOCK_KEYS["random_mdp"] = dict(num_states="an integer", num_actions="an integer",
-                                safe_fraction="a number", seed="an integer", gamma="a number")
 BLOCK_KEYS["sweep"] = dict(variants="an array", seeds="an array")
 # The top level itself: RunConfig's scalar fields, the dataset path, the
 # output directory and solve's tolerances. Other top-level keys are
 # ignored, so one file can serve every subcommand.
 TOP_LEVEL = "top-level"
-BLOCK_KEYS[TOP_LEVEL] = {f.name: _FIELD_KINDS[f.type] for f in fields(RunConfig) if f.type in _FIELD_KINDS}
-BLOCK_KEYS[TOP_LEVEL].update(offline_dataset="a string", output_dir="a string", tol="a number",
-                             gap_tolerance="a number")
+BLOCK_KEYS[TOP_LEVEL] = {f.name: _FIELD_KINDS[f.type] for cls in (RunConfig, SolveTolerances)
+                         for f in fields(cls) if f.type in _FIELD_KINDS}
+BLOCK_KEYS[TOP_LEVEL].update(offline_dataset="a string", output_dir="a string")
 _RUN_FIELDS = {f.name for f in fields(RunConfig)}
-# generate_offline behavior name -> its policy table on a grid's (mdp, spec).
-BEHAVIORS = {
-    "uniform_safe": lambda mdp, spec: uniform_safe_policy(spec),
-    "uniform": lambda mdp, spec: uniform_policy(mdp.num_states, mdp.num_actions),
-}
 
 
 def config_block(doc: dict, name: str) -> dict:
@@ -126,6 +170,15 @@ def output_dir(args: argparse.Namespace, doc: dict, default: str) -> Path:
     return Path(config_block(doc, TOP_LEVEL).get("output_dir", default))
 
 
+def parse_block(doc: dict, name: str, cls, hint: str = ""):
+    """The doc's `name` block (see config_block) as a cls; a missing field without a default is refused, then hint."""
+    block = config_block(doc, name)
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in block:
+            raise ValueError(f"{name} block is missing key {f.name!r}{hint}")
+    return cls(**{f.name: block[f.name] for f in fields(cls) if f.name in block})
+
+
 def grid_from_doc(doc: dict) -> GridWorldSpec:
     """The grid of the doc's env block: a map plus the numbers, or every field."""
     env = config_block(doc, "env")
@@ -135,11 +188,7 @@ def grid_from_doc(doc: dict) -> GridWorldSpec:
             if key not in numbers and key != "map":
                 raise ValueError(f"env key {key!r} cannot be given with 'map', which sets the geometry")
         return GridWorldSpec.from_ascii(env["map"], **numbers)
-    for key in ("width", "height", "start", "goal"):
-        if key not in env:
-            raise ValueError(f"env block is missing key {key!r} "
-                             "(give 'map', or 'width', 'height', 'start' and 'goal')")
-    return GridWorldSpec(**env)
+    return parse_block(doc, "env", GridWorldSpec, " (give 'map', or 'width', 'height', 'start' and 'goal')")
 
 
 def reject_non_finite(value, path: str = "config") -> None:
@@ -149,12 +198,6 @@ def reject_non_finite(value, path: str = "config") -> None:
     items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
     for key, item in items:
         reject_non_finite(item, f"{path}[{key!r}]")
-
-
-def check_least(block: dict, name: str, **least: int) -> None:
-    """Raise on the first of the given keys whose value in the `name` block is not an integer >= its least value."""
-    for key, low in least.items():
-        check_count(f"{name} key {key!r}", block.get(key, low), low)
 
 
 def run_config_from_doc(doc: dict) -> RunConfig:
@@ -167,11 +210,7 @@ def run_config_from_doc(doc: dict) -> RunConfig:
     dts_doc = config_block(doc, "dts")
     dss_doc = config_block(doc, "dss")
     learner_doc = config_block(doc, "learner")
-    gen = config_block(doc, "generate_offline")
-    if "behavior" in gen and gen["behavior"] not in BEHAVIORS:
-        raise ValueError(f"generate_offline key 'behavior' must be one of {', '.join(BEHAVIORS)}, "
-                         f"got {gen['behavior']!r}")
-    check_least(gen, "generate_offline", episodes=1, max_ep_len=1, seed=0)
+    parse_block(doc, "generate_offline", GenerateOfflineConfig)
     grid = grid_from_doc(doc)
     horizon = max(top["total_steps"], 1)
     return RunConfig(
@@ -186,20 +225,13 @@ def run_config_from_doc(doc: dict) -> RunConfig:
 
 def prepare_offline_dataset(doc: dict, grid: GridWorldSpec) -> OfflineDataset:
     """Roll out the "generate_offline" block of a parsed config in memory (deterministic per its seed)."""
-    gen = doc.get("generate_offline")
-    if gen is None:
+    if "generate_offline" not in doc:
         raise ValueError("no offline dataset: configured path missing and no generate_offline block")
+    gen = parse_block(doc, "generate_offline", GenerateOfflineConfig)
     mdp, spec = build_cliff_grid(grid)
-    return collect_offline_dataset(
-        mdp,
-        spec,
-        BEHAVIORS[gen.get("behavior", "uniform_safe")](mdp, spec),
-        n_episodes=gen.get("episodes", 100),
-        max_ep_len=gen.get("max_ep_len", 100),
-        seed=gen.get("seed", 0),
-        guardian_filter=gen.get("guardian_filter", True),
-        start_state=grid.start_state,
-    )
+    return collect_offline_dataset(mdp, spec, BEHAVIORS[gen.behavior](mdp, spec), n_episodes=gen.episodes,
+                                   max_ep_len=gen.max_ep_len, seed=gen.seed,
+                                   guardian_filter=gen.guardian_filter, start_state=grid.start_state)
 
 
 def _train_one(doc: dict, out_dir: Path) -> dict:
@@ -211,8 +243,8 @@ def _train_one(doc: dict, out_dir: Path) -> dict:
     moved into place: the dataset to its configured path (default:
     <out_dir>/offline.jsonl), then the run files into out_dir,
     summary.json last. A failed run creates nothing, not even a missing
-    parent of out_dir; an output location that cannot be created is
-    reported after training.
+    parent of out_dir: a write that fails after training removes the
+    directories it created and is reported with the path it was writing.
     """
     cfg = run_config_from_doc(doc)
     configured = doc.get("offline_dataset")
@@ -221,20 +253,32 @@ def _train_one(doc: dict, out_dir: Path) -> dict:
     dataset_path = Path(configured or out_dir / "offline.jsonl")
     doc = {**doc, "offline_dataset": str(dataset_path.resolve())}
     log = run_training(cfg, offline)
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
+    # The missing directories the write may create, deepest first: a failed write removes those it left empty.
+    missing = sorted({p.absolute() for d in (out_dir, dataset_path.parent) for p in (d, *d.parents) if not p.exists()},
+                     key=lambda p: -len(p.parts))
+    staging, target = None, out_dir
     try:
+        out_dir.parent.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
         log.save(staging)
         (staging / "effective_config.json").write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
         if generated:
             offline.save_jsonl(staging / "offline.jsonl")
+            target = dataset_path
             dataset_path.parent.mkdir(parents=True, exist_ok=True)
             shutil.move(staging / "offline.jsonl", dataset_path)
+            target = out_dir
         out_dir.mkdir(exist_ok=True)
         for path in sorted(staging.iterdir(), key=lambda p: p.name == "summary.json"):
             path.replace(out_dir / path.name)
+    except OSError as exc:
+        raise OSError(f"cannot write {target}: {exc}") from exc
     finally:
-        shutil.rmtree(staging, ignore_errors=True)
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
+        for directory in missing:  # a successful write leaves none of them empty
+            with contextlib.suppress(OSError):
+                directory.rmdir()
     return log.summary
 
 
@@ -287,26 +331,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     doc = load_config(args.config)
-    top = config_block(doc, TOP_LEVEL)
-    tol, gap_tolerance = top.get("tol", 1e-8), top.get("gap_tolerance", 1e-6)
-    check_range("top-level key 'tol'", tol, 0, math.inf, low_open=True, high_open=True)
-    check_range("top-level key 'gap_tolerance'", gap_tolerance, 0, math.inf, high_open=True)
+    tols = parse_block(doc, TOP_LEVEL, SolveTolerances)
     reject_non_finite(doc)
     if "random_mdp" in doc:
-        rm = config_block(doc, "random_mdp")
-        for key in ("num_states", "num_actions"):
-            if key not in rm:
-                raise ValueError(f"random_mdp block is missing key {key!r}")
-        check_least(rm, "random_mdp", num_states=1, num_actions=1, seed=0)
-        mdp, spec = build_random_safe_mdp(**{"safe_fraction": 0.7, "seed": 0, **rm})
+        mdp, spec = build_random_safe_mdp(**asdict(parse_block(doc, "random_mdp", RandomMdpConfig)))
     elif "env" in doc:
         mdp, spec = build_cliff_grid(grid_from_doc(doc))
     else:
         raise ValueError("solve config needs an env or random_mdp block")
     out_dir = output_dir(args, doc, "runs/solve")
     try:
-        result = solve_guarded_value_iteration(mdp, spec, tol=tol)
-        oracle = solve_pruned_value_iteration(mdp, spec, tol=tol)
+        result = solve_guarded_value_iteration(mdp, spec, tol=tols.tol)
+        oracle = solve_pruned_value_iteration(mdp, spec, tol=tols.tol)
     except ConvergenceError as exc:
         print(f"solver failed to converge: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -315,16 +351,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     save_problem(out_dir / "problem.json", mdp, spec)
     (out_dir / "q_guarded.json").write_text(json.dumps({"q": result.q.tolist()}))
     (out_dir / "q_pruned_oracle.json").write_text(json.dumps({"q": oracle.tolist()}))
-    solution = {
-        "gap": gap,
-        "gap_tolerance": gap_tolerance,
-        "iterations": result.iterations,
-        "tol": tol,
-        "within_tolerance": gap <= gap_tolerance,
-    }
+    solution = {"gap": gap, "gap_tolerance": tols.gap_tolerance, "iterations": result.iterations,
+                "tol": tols.tol, "within_tolerance": gap <= tols.gap_tolerance}
     (out_dir / "solution.json").write_text(json.dumps(solution, indent=2) + "\n")
     print(json.dumps(solution, indent=2))
-    return EXIT_OK if gap <= gap_tolerance else EXIT_RUNTIME
+    return EXIT_OK if gap <= tols.gap_tolerance else EXIT_RUNTIME
 
 
 def load_summary(directory: Path) -> dict:

@@ -156,6 +156,18 @@ class TestSolve:
         assert capsys.readouterr().err == problem + "\n"
         assert not (tmp_path / "solve").exists()
 
+    @pytest.mark.parametrize("defaults", [
+        {"random_mdp": {"num_states": 12, "num_actions": 4, "safe_fraction": 0.7, "seed": 0, "gamma": 0.9}},
+        {"tol": 1e-8, "gap_tolerance": 1e-6},
+    ], ids=["random_mdp", "tolerances"])
+    def test_defaults_match_their_explicit_values(self, tmp_path, defaults):
+        implicit = {"random_mdp": {"num_states": 12, "num_actions": 4}, "output_dir": str(tmp_path / "implicit")}
+        explicit = {**implicit, **defaults, "output_dir": str(tmp_path / "explicit")}
+        assert main(["solve", write_config(tmp_path, implicit)]) == 0
+        assert main(["solve", write_config(tmp_path, explicit)]) == 0
+        for name in ("problem.json", "q_guarded.json", "q_pruned_oracle.json", "solution.json"):
+            assert (tmp_path / "implicit" / name).read_bytes() == (tmp_path / "explicit" / name).read_bytes()
+
     def test_zero_gap_tolerance_is_allowed(self, tmp_path):
         doc = {"env": {"map": ["S.G"], "gamma": 0.0}, "gap_tolerance": 0,
                "output_dir": str(tmp_path / "solve")}
@@ -410,6 +422,20 @@ class TestTrain:
         assert re.fullmatch(r"step \d+: \w+ is nan; the run diverged\n", capsys.readouterr().err)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("where", ["dataset", "out"])
+    def test_failed_write_leaves_no_parent_directories(self, tmp_path, capsys, where):
+        # Training succeeds; then a parent that is a file stops the write,
+        # which removes the directories it made and names the path it wrote.
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        doc = base_train_config(tmp_path, total_steps=60)
+        doc["offline_dataset"] = str(afile / "x.jsonl") if where == "dataset" else str(tmp_path / "data" / "x.jsonl")
+        out = tmp_path / "deep" / "nested" / "run" if where == "dataset" else afile / "run"
+        failing = Path(doc["offline_dataset"]) if where == "dataset" else out
+        assert main(["train", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"cannot write {failing}: [Errno 17] File exists: '{afile}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
+
     def test_bad_configured_dataset_leaves_no_parent_directories(self, tmp_path, capsys):
         dataset = tmp_path / "data.jsonl"
         dataset.write_text('{"s": 3, "a": 1, "s2": 4, "done": false, "t": 0, "ep": 0}\n')
@@ -451,6 +477,18 @@ class TestTrain:
         assert str(bad) in err
         assert "can't decode byte 0xff" in err
         assert not (tmp_path / "out").exists()
+
+    def test_generate_offline_defaults(self, tmp_path):
+        # An empty generate_offline block rolls out the same dataset, and
+        # trains the same run, as one that spells out every default.
+        doc = base_train_config(tmp_path, total_steps=60)
+        doc["generate_offline"] = {}
+        assert main(["train", write_config(tmp_path, doc), "--out", str(tmp_path / "implicit")]) == 0
+        doc["generate_offline"] = {"episodes": 100, "max_ep_len": 100, "behavior": "uniform_safe", "seed": 0,
+                                   "guardian_filter": True}
+        assert main(["train", write_config(tmp_path, doc), "--out", str(tmp_path / "explicit")]) == 0
+        for name in ("log.jsonl", "summary.json", "offline.jsonl"):
+            assert (tmp_path / "implicit" / name).read_bytes() == (tmp_path / "explicit" / name).read_bytes()
 
     def test_generated_dataset_moves_to_configured_path(self, tmp_path):
         doc = base_train_config(tmp_path, total_steps=60)

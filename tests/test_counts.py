@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from guardedrl.cli import check_least, sweep_from_doc
+from guardedrl.cli import GenerateOfflineConfig, RandomMdpConfig, sweep_from_doc
 from guardedrl.envs import (
     GridWorldSpec,
     build_cliff_grid,
@@ -75,6 +75,11 @@ def field_site(name, least, base, call):
     return name, least, base, lambda value: call(**{name: value})
 
 
+def block_site(block, cls, key, least, base, **given):
+    """A count of a config block's dataclass, named in its messages as "<block> key '<key>'"."""
+    return f"{block} key {key!r}", least, base, lambda value: cls(**{**given, key: value})
+
+
 RUN_DEFAULTS = dict(ensemble_size=2, batch_size=64, updates_per_step=1, eval_every=1000,
                     eval_episodes=10, eval_max_len=100, ttfv_episodes=5, ttfv_max_steps=200,
                     max_episode_len=200, online_buffer_capacity=10_000)
@@ -109,8 +114,12 @@ SITES = [
      ("max_iters", 1, 1000, lambda value: solve_guarded_value_iteration(MDP, SPEC, max_iters=value))),
     ("solve_pruned_value_iteration.max_iters",
      ("max_iters", 1, 1000, lambda value: solve_pruned_value_iteration(MDP, SPEC, max_iters=value))),
-    ("check_least", ("generate_offline key 'episodes'", 1, 3,
-                     lambda value: check_least({"episodes": value}, "generate_offline", episodes=1))),
+    # GenerateOfflineConfig.episodes; the id is kept so that the test names stay stable.
+    ("check_least", block_site("generate_offline", GenerateOfflineConfig, "episodes", 1, 3)),
+    ("GenerateOfflineConfig.max_ep_len", block_site("generate_offline", GenerateOfflineConfig, "max_ep_len", 1, 10)),
+    ("GenerateOfflineConfig.seed", block_site("generate_offline", GenerateOfflineConfig, "seed", 0, 5)),
+    *((f"RandomMdpConfig.{key}", block_site("random_mdp", RandomMdpConfig, key, least, 3, num_states=3, num_actions=2))
+      for key, least in (("num_states", 1), ("num_actions", 1), ("seed", 0))),
     ("sweep seeds", ("sweep seeds", 0, 2,
                      lambda value: sweep_from_doc({"sweep": {"variants": ["guardian"], "seeds": [value]}}))),
 ]

@@ -113,7 +113,8 @@ SITES = [
     ("sample_hybrid_batch.lam", site("lam", 0, 1, batch)),
     ("action_novelty_rate.eps",
      field("eps", 0, 1, lambda eps: action_novelty_rate(BC, BC, eps=eps), low_open=True, high_open=True)),
-    # The config parse refuses a non-number before check_range sees it.
+    # SolveTolerances' two checks, reached through `guardedrl solve`: the config
+    # parse refuses a non-number before check_range sees it.
     ("solve top-level tol",
      site("top-level key 'tol'", 0, math.inf, lambda tol: solve(tol=tol), low_open=True, high_open=True,
           kind="a number")),
