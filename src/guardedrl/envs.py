@@ -15,8 +15,15 @@ from numbers import Integral
 
 import numpy as np
 
-from .guardian import project_action
-from .mdp import SafetySpec, TabularMdp, categorical_draw, check_count, check_range, check_start_state
+from .mdp import (
+    SafetySpec,
+    TabularMdp,
+    categorical_draw,
+    check_compatible,
+    check_count,
+    check_range,
+    check_start_state,
+)
 from .sampling import OfflineDataset, column_buffers
 
 UP, DOWN, LEFT, RIGHT, NOOP = range(5)
@@ -26,6 +33,8 @@ GRID_DISPLACEMENTS = np.array(
     [(0, 1), (0, -1), (-1, 0), (1, 0), (0, 0)], dtype=np.float64
 )
 _PERPENDICULAR = {UP: (LEFT, RIGHT), DOWN: (LEFT, RIGHT), LEFT: (UP, DOWN), RIGHT: (UP, DOWN)}
+# Uniforms a rollout draws from its generator at a time (even: two per step).
+_UNIFORM_BLOCK = 4096
 
 
 def _cell(name: str, value) -> tuple[int, int]:
@@ -258,10 +267,14 @@ def collect_offline_dataset(
     """Roll out a behavior policy and package the transitions as a dataset.
 
     With guardian_filter on (the default) every proposal is projected
-    before execution, so the dataset is rule-consistent. Each step draws
-    the proposal, then the successor, from one generator. Deterministic
-    given the seed. Transitions are written straight into column buffers.
-    start_state must be a non-terminal state of mdp.
+    before execution, so the dataset is rule-consistent; spec must then
+    match mdp's shape. Each step draws the proposal, then the successor,
+    from one generator. The uniforms are drawn from it in blocks and used
+    in order, which is the stream of one rng.random() per use: a step
+    reads the same tables as project_action and env_step, so the dataset
+    equals a rollout through those calls. Deterministic given the seed.
+    Transitions are written straight into column buffers. start_state
+    must be a non-terminal state of mdp.
     """
     behavior = np.asarray(behavior, dtype=np.float64)
     if behavior.shape != (mdp.num_states, mdp.num_actions):
@@ -274,19 +287,29 @@ def collect_offline_dataset(
     check_start_state(mdp, start_state)
     if mdp.terminal_flags[start_state]:
         raise ValueError("start_state must not be terminal")
+    if guardian_filter:
+        check_compatible(mdp, spec)
+        executed = [[p.exec_action for p in row] for row in spec.projection_table]
     rng = np.random.default_rng(seed)
     cum_behavior = behavior.cumsum(axis=1).tolist()
+    cdfs, rewards, terminal = mdp.successor_cdfs, mdp.reward_rows, mdp.terminal_flags
     buffers = column_buffers()
     s_col, a_col, r_col, s_next_col, done_col, t_col, ep_col = buffers
+    uniforms, i = [], 0  # every step uses two; _UNIFORM_BLOCK is even
     for ep in range(n_episodes):
         s = start_state
         for t in range(max_ep_len):
-            a_raw = categorical_draw(cum_behavior[s], rng.random())
-            a_exec = project_action(s, a_raw, spec).exec_action if guardian_filter else a_raw
-            r, s_next, done = env_step(mdp, s, a_exec, rng)
+            if i == len(uniforms):
+                uniforms, i = rng.random(_UNIFORM_BLOCK).tolist(), 0
+            a = categorical_draw(cum_behavior[s], uniforms[i])
+            if guardian_filter:
+                a = executed[s][a]
+            s_next = categorical_draw(cdfs[s][a], uniforms[i + 1])
+            i += 2
+            done = terminal[s_next]
             s_col.append(s)
-            a_col.append(a_exec)
-            r_col.append(r)
+            a_col.append(a)
+            r_col.append(rewards[s][a])
             s_next_col.append(s_next)
             done_col.append(done)
             t_col.append(t)

@@ -28,12 +28,15 @@ sampling takes place between writes.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -80,6 +83,11 @@ _FLAGS = {False: 0, True: 1}
 # The type that a row key's buffer would store but the format refuses: a
 # boolean in a numeric column, a float (0.0 hashes like False) as done.
 _REFUSED = {key: float if key == "done" else bool for key in _JSONL_KEYS}
+# A row's values in column order.
+_ROW_VALUES = itemgetter(*_JSONL_KEYS)
+# Lines the loader parses with one json.loads: 512 rows of the usual width
+# are about 36 kB.
+_CHUNK_LINES = 512
 
 
 def column_buffers() -> tuple[array, ...]:
@@ -282,52 +290,102 @@ class OfflineDataset:
         naming path:line and the key: first a key whose value cannot be
         stored, then a boolean in a numeric column or a float "done", then
         a non-finite "r". A file that is not UTF-8 raises ValueError
-        naming the path.
+        naming the path, and so does one without a transition.
+
+        Lines are parsed in chunks of _CHUNK_LINES with one json.loads
+        each; a chunk with any bad or blank line is read again line by
+        line, which words every diagnostic, so the result and each
+        message are those of reading one line at a time.
         """
         buffers = column_buffers()
-        s, a, r, s2, done, t, ep = buffers
         try:
             with open(path) as fh:
-                for lineno, line in enumerate(fh, 1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        row = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise ValueError(f"{path}:{lineno}: not valid JSON: {exc.msg}") from None
-                    try:
-                        s.append(row["s"])
-                        a.append(row["a"])
-                        r.append(row["r"])
-                        s2.append(row["s2"])
-                        done.append(_FLAGS[row["done"]])
-                        t.append(row["t"])
-                        ep.append(row["ep"])
-                    except (KeyError, TypeError, OverflowError):
-                        # The columns before the failing one grew by this row.
-                        i = [len(buf) for buf in buffers].index(len(ep))
-                        key = _JSONL_KEYS[i]
-                        if not isinstance(row, dict):
-                            problem = f"expected a JSON object, got {type(row).__name__}"
-                        elif key not in row:
-                            problem = f"missing key {key!r}"
-                        else:
-                            problem = f"key {key!r} must be {_EXPECTED[_TYPECODES[i]]}, got {row[key]!r}"
-                        raise ValueError(f"{path}:{lineno}: {problem}") from None
-                    if (type(row["s"]) is bool or type(row["a"]) is bool
-                            or type(row["r"]) is bool or type(row["s2"]) is bool
-                            or type(row["done"]) is float
-                            or type(row["t"]) is bool or type(row["ep"]) is bool):
-                        key = next(k for k in _JSONL_KEYS if type(row[k]) is _REFUSED[k])
-                        kind = _EXPECTED[_TYPECODES[_JSONL_KEYS.index(key)]]
-                        raise ValueError(f"{path}:{lineno}: key {key!r} must be {kind}, got {row[key]!r}")
-                    if not math.isfinite(r[-1]):
-                        # json reads NaN and Infinity, which are not JSON numbers.
-                        raise ValueError(f"{path}:{lineno}: key 'r' must be finite, got {r[-1]!r}")
+                first = 1  # line number of the chunk's first line
+                while lines := list(islice(fh, _CHUNK_LINES)):
+                    if not _extend_by_chunk(buffers, lines):
+                        _append_lines(path, buffers, lines, first)
+                    first += len(lines)
         except UnicodeDecodeError as exc:
+            # The lines read before the undecodable byte were lost with their
+            # chunk: a second pass, line by line, names a bad row among them.
+            with open(path) as fh, contextlib.suppress(UnicodeDecodeError):
+                _append_lines(path, column_buffers(), fh, 1)
             raise ValueError(f"{path}: {exc}") from None
+        if not buffers[0]:
+            raise ValueError(f"{path}: no transitions")
         return cls(buffers)
+
+
+def _extend_by_chunk(buffers: tuple[array, ...], lines: list[str]) -> bool:
+    """Append the rows of lines if every line holds one valid row; else append nothing and return False.
+
+    The lines are parsed as one array with a 0 between neighbours. A 0
+    after a comma is invalid inside an object, a line without brackets
+    opens no array, and a JSON string cannot span a line end, so each 0
+    is an element of the outer array. 2n - 1 elements for n lines then
+    mean that each line alone is one JSON value, and the even elements
+    are those values in order.
+    """
+    text = ",0,".join(lines)
+    if "[" in text or "]" in text:
+        return False
+    try:
+        values = json.loads("[" + text + "]")
+        if len(values) != 2 * len(lines) - 1:
+            return False
+        columns = list(zip(*map(_ROW_VALUES, values[::2])))
+        flags = array("B", map(_FLAGS.__getitem__, columns[4]))
+        chunk = [flags if code == "B" else array(code, column) for code, column in zip(_TYPECODES, columns)]
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
+        return False
+    refused = any(_REFUSED[key] in set(map(type, column)) for key, column in zip(_JSONL_KEYS, columns))
+    if refused or not np.isfinite(np.frombuffer(chunk[2], dtype=np.float64)).all():
+        return False
+    for buf, part in zip(buffers, chunk):
+        buf.extend(part)
+    return True
+
+
+def _append_lines(path: str | Path, buffers: tuple[array, ...], lines: Iterable[str], first: int) -> None:
+    """Append the row of each non-blank line, numbered from first; the first bad one raises ValueError."""
+    s, a, r, s2, done, t, ep = buffers
+    for lineno, line in enumerate(lines, first):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: not valid JSON: {exc.msg}") from None
+        try:
+            s.append(row["s"])
+            a.append(row["a"])
+            r.append(row["r"])
+            s2.append(row["s2"])
+            done.append(_FLAGS[row["done"]])
+            t.append(row["t"])
+            ep.append(row["ep"])
+        except (KeyError, TypeError, OverflowError):
+            # The columns before the failing one grew by this row.
+            i = [len(buf) for buf in buffers].index(len(ep))
+            key = _JSONL_KEYS[i]
+            if not isinstance(row, dict):
+                problem = f"expected a JSON object, got {type(row).__name__}"
+            elif key not in row:
+                problem = f"missing key {key!r}"
+            else:
+                problem = f"key {key!r} must be {_EXPECTED[_TYPECODES[i]]}, got {row[key]!r}"
+            raise ValueError(f"{path}:{lineno}: {problem}") from None
+        if (type(row["s"]) is bool or type(row["a"]) is bool
+                or type(row["r"]) is bool or type(row["s2"]) is bool
+                or type(row["done"]) is float
+                or type(row["t"]) is bool or type(row["ep"]) is bool):
+            key = next(k for k in _JSONL_KEYS if type(row[k]) is _REFUSED[k])
+            kind = _EXPECTED[_TYPECODES[_JSONL_KEYS.index(key)]]
+            raise ValueError(f"{path}:{lineno}: key {key!r} must be {kind}, got {row[key]!r}")
+        if not math.isfinite(r[-1]):
+            # json reads NaN and Infinity, which are not JSON numbers.
+            raise ValueError(f"{path}:{lineno}: key 'r' must be finite, got {r[-1]!r}")
 
 
 # Sentinel run end of a run still growing.

@@ -447,6 +447,18 @@ class TestTrain:
         assert capsys.readouterr().err == f"{dataset}:1: missing key 'r'\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.jsonl"]
 
+    @pytest.mark.parametrize("text", ["", " \n\n"], ids=["empty", "whitespace"])
+    def test_configured_dataset_without_transitions_is_named(self, tmp_path, capsys, text):
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text(text)
+        doc = base_train_config(tmp_path, total_steps=60)
+        del doc["generate_offline"]
+        doc["offline_dataset"] = str(dataset)
+        assert main(["train", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"{dataset}: no transitions\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.jsonl"]
+        assert dataset.read_text() == text
+
     def test_generated_dataset_is_never_reloaded(self, tmp_path, monkeypatch):
         # A generated dataset is trained on in memory and written once.
         def refuse(path):

@@ -9,6 +9,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from guardedrl.envs import (
+    _UNIFORM_BLOCK,
     DOWN,
     LEFT,
     NOOP,
@@ -22,9 +23,11 @@ from guardedrl.envs import (
     uniform_policy,
     uniform_safe_policy,
 )
+from guardedrl.guardian import project_action
 from guardedrl.mdp import (
     SafetySpec,
     TabularMdp,
+    categorical_draw,
     max_norm_distance,
     solve_guarded_value_iteration,
     solve_pruned_value_iteration,
@@ -194,7 +197,49 @@ class TestEnvStep:
         assert p_value > 0.001
 
 
+def reference_rollout(mdp, spec, behavior, n_episodes, max_ep_len, seed, guardian_filter, start_state):
+    """Dataset columns (s, a, r, s_next, done, t, episode) of a rollout drawing one rng.random() per use."""
+    rng = np.random.default_rng(seed)
+    cum_behavior = behavior.cumsum(axis=1).tolist()
+    rows = []
+    for ep in range(n_episodes):
+        s = start_state
+        for t in range(max_ep_len):
+            a = categorical_draw(cum_behavior[s], rng.random())
+            if guardian_filter:
+                a = project_action(s, a, spec).exec_action
+            r, s_next, done = env_step(mdp, s, a, rng)
+            rows.append((s, a, r, s_next, done, t, ep))
+            s = s_next
+            if done:
+                break
+    return [list(column) for column in zip(*rows)]
+
+
 class TestCollectOfflineDataset:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("guardian_filter", [True, False], ids=["filtered", "unfiltered"])
+    def test_equals_the_reference_rollout(self, seed, guardian_filter):
+        # The 12x8 wide cliff: long episodes, and hazards next to the start row.
+        grid = GridWorldSpec.from_ascii(["............"] * 6 + ["S..........G", "XXXXXXXXXXXX"],
+                                        slip_prob=0.2, gamma=0.95, step_reward=-0.02)
+        mdp, safety = build_cliff_grid(grid)
+        behavior = uniform_policy(mdp.num_states, 5)
+        kwargs = dict(n_episodes=300, max_ep_len=200, seed=seed, guardian_filter=guardian_filter,
+                      start_state=grid.start_state)
+        ds = collect_offline_dataset(mdp, safety, behavior, **kwargs)
+        assert len(ds) > 3 * _UNIFORM_BLOCK // 2  # the rollout uses more than three blocks
+        data = ds.transitions
+        got = [col.tolist() for col in (*data.columns(), ds.t, ds.episode)]
+        assert got == reference_rollout(mdp, safety, behavior, **kwargs)
+
+    def test_filtered_collection_needs_a_spec_of_the_mdp_shape(self):
+        mdp, _ = build_cliff_grid(corridor())
+        other = SafetySpec(safe=np.ones((mdp.num_states, 4), dtype=bool), action_embedding=np.eye(4))
+        with pytest.raises(ValueError, match="does not match"):
+            collect_offline_dataset(mdp, other, uniform_policy(mdp.num_states, 5), n_episodes=1,
+                                    max_ep_len=5, seed=0)
+
     def test_deterministic_policy_identical_episodes(self):
         spec = corridor(slip_prob=0.0)
         mdp, safety = build_cliff_grid(spec)

@@ -1,5 +1,6 @@
 """Schedules, the replay store, hybrid sampling, and the BC policy."""
 
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from columns import columns_of, dataset_of
 
 from guardedrl.sampling import (
+    _CHUNK_LINES,
     DssConfig,
     DtsConfig,
     OfflineDataset,
@@ -21,6 +23,22 @@ from guardedrl.sampling import (
 
 def tr(s=0, a=0, r=0.0, s_next=0, done=False, t=0, ep=0):
     return TransitionRecord(s=s, a_exec=a, r=r, s_next=s_next, done=done, t=t, episode=ep)
+
+
+GOOD_ROW = '{"s": 0, "a": 0, "r": 0.0, "s2": 1, "done": false, "t": 0, "ep": 0}\n'
+
+
+def with_prefixes(cases, ids):
+    """pytest params: each case with no rows before it, under its own id, then after more than a loader chunk of good rows."""
+    return ([pytest.param(*case, 0, id=case_id) for case, case_id in zip(cases, ids)]
+            + [pytest.param(*case, _CHUNK_LINES + 5, id=f"{case_id}-later-chunk")
+               for case, case_id in zip(cases, ids)])
+
+
+def good_lines(n):
+    """n valid JSONL rows: one episode (id 9) of states 0, 1, ..., not done."""
+    return "".join(f'{{"s": {k}, "a": 1, "r": -0.02, "s2": {k + 1}, "done": false, "t": {k}, "ep": 9}}\n'
+                   for k in range(n))
 
 
 def chain_episode(ep, length, start=0, done_at_end=True):
@@ -196,7 +214,7 @@ class TestOfflineDataset:
         )
         assert OfflineDataset.load_jsonl(path).transitions.done.tolist() == [False, True]
 
-    @pytest.mark.parametrize("row, problem", [
+    @pytest.mark.parametrize("row, problem, prefix", with_prefixes([
         ('{"s": 1, "a": 0, "s2": 2, "done": false, "t": 1, "ep": 0}', "missing key 'r'"),
         ('{"s": 1, "a": 0, "r": "high", "s2": 2, "done": false, "t": 1, "ep": 0}', "key 'r'"),
         ('{"s": 1, "a": 0, "r": NaN, "s2": 2, "done": false, "t": 1, "ep": 0}', "key 'r'"),
@@ -206,18 +224,16 @@ class TestOfflineDataset:
         ('{"s": 1, "a": 0, "r": 0.0, "s2": 2, "done": false, "t": 1, "ep": 1e400}', "key 'ep'"),
         ('[1, 0, 0.0, 2, false, 1, 0]', "JSON object"),
         ('{"s": 1, "a": 0,', "not valid JSON"),
-    ], ids=["missing", "text-r", "nan-r", "float-s", "null-a", "text-done", "inf-ep", "array", "cut"])
-    def test_loader_names_line_and_key_of_a_bad_row(self, tmp_path, row, problem):
+    ], ["missing", "text-r", "nan-r", "float-s", "null-a", "text-done", "inf-ep", "array", "cut"]))
+    def test_loader_names_line_and_key_of_a_bad_row(self, tmp_path, row, problem, prefix):
         path = tmp_path / "bad.jsonl"
-        path.write_text(
-            '{"s": 0, "a": 0, "r": 0.0, "s2": 1, "done": false, "t": 0, "ep": 0}\n\n' + row + "\n"
-        )
+        path.write_text(good_lines(prefix) + GOOD_ROW + "\n" + row + "\n")
         with pytest.raises(ValueError) as excinfo:
             OfflineDataset.load_jsonl(path)
         message = str(excinfo.value)
-        assert f"{path}:3" in message and problem in message
+        assert f"{path}:{prefix + 3}:" in message and problem in message
 
-    @pytest.mark.parametrize("row, problem", [
+    @pytest.mark.parametrize("row, problem, prefix", with_prefixes([
         ('7', "expected a JSON object, got int"),
         ('null', "expected a JSON object, got NoneType"),
         ('{"a": 0, "r": 0.0, "s2": 2, "done": false, "t": 1, "ep": 0}', "missing key 's'"),
@@ -253,15 +269,105 @@ class TestOfflineDataset:
          "key 'done' must be a boolean, got 0.0"),
         ('{"s": 1, "a": 0, "r": 0.0, "s2": 2, "done": 1.0, "t": 1, "ep": 0}',
          "key 'done' must be a boolean, got 1.0"),
-    ], ids=["number", "null", "missing-s", "text-s", "text-r", "missing-done", "two-done",
-            "missing-ep", "float-ep", "huge-ep", "first-of-two", "boolean-s", "boolean-a",
-            "boolean-r", "boolean-s2", "boolean-t", "boolean-ep", "float-done-0", "float-done-1"])
-    def test_loader_message_of_a_bad_row_is_exact(self, tmp_path, row, problem):
+        # json reads NaN and Infinity, which are not JSON numbers.
+        ('{"s": 1, "a": 0, "r": NaN, "s2": 2, "done": false, "t": 1, "ep": 0}', "key 'r' must be finite, got nan"),
+        ('{"s": 1, "a": 0, "r": -Infinity, "s2": 2, "done": false, "t": 1, "ep": 0}',
+         "key 'r' must be finite, got -inf"),
+    ], ["number", "null", "missing-s", "text-s", "text-r", "missing-done", "two-done",
+        "missing-ep", "float-ep", "huge-ep", "first-of-two", "boolean-s", "boolean-a",
+        "boolean-r", "boolean-s2", "boolean-t", "boolean-ep", "float-done-0", "float-done-1",
+        "nan-r", "minus-inf-r"]))
+    def test_loader_message_of_a_bad_row_is_exact(self, tmp_path, row, problem, prefix):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"s": 0, "a": 0, "r": 0.0, "s2": 1, "done": false, "t": 0, "ep": 0}\n' + row + "\n")
+        path.write_text(good_lines(prefix) + GOOD_ROW + row + "\n")
         with pytest.raises(ValueError) as excinfo:
             OfflineDataset.load_jsonl(path)
-        assert str(excinfo.value) == f"{path}:2: {problem}"
+        assert str(excinfo.value) == f"{path}:{prefix + 2}: {problem}"
+
+    @pytest.mark.parametrize("lines, bad_line, problem, prefix", with_prefixes([
+        (GOOD_ROW.strip() + " " + GOOD_ROW, 1, "not valid JSON: Extra data"),
+        (GOOD_ROW.strip() + ", " + GOOD_ROW, 1, "not valid JSON: Extra data"),
+        ('{"s": 1, "a": 0,\n"r": 0.0, "s2": 2, "done": false, "t": 1, "ep": 0}\n', 1,
+         "not valid JSON: Expecting property name enclosed in double quotes"),
+        # Joined by a comma, the split row and the line of two rows would
+        # read as three rows from three lines.
+        ('{"s": 1, "a": 0, "r": 0.0\n"s2": 2, "done": false, "t": 1, "ep": 0}\n'
+         + GOOD_ROW.strip() + ", " + GOOD_ROW, 1, "not valid JSON: Expecting ',' delimiter"),
+        # The same inside an array: a 0 between the lines would be one of its elements.
+        ('{"s": 1, "a": 0, "r": 0.0, "s2": 2, "done": false, "t": 1, "ep": 0, "x": [1\n2]}\n'
+         + GOOD_ROW.strip() + ", 0, " + GOOD_ROW, 1, "not valid JSON: Expecting ',' delimiter"),
+        (GOOD_ROW + "\n \t\n" + '{"s": 1, "a": 0, "r": 0.0, "s2": 2, "done": false, "t": 1, "ep": 0, "x": [}\n', 4,
+         "not valid JSON: Expecting value"),
+        (GOOD_ROW + '{"s": 1, "a": 0, "r": 0.0, "s2": 2, "done": false, "t": 1}', 2, "missing key 'ep'"),
+    ], ["two-rows-space", "two-rows-comma", "split-row", "split-and-doubled", "split-in-array", "after-blanks",
+        "last-line-unterminated"]))
+    def test_loader_reads_each_line_on_its_own(self, tmp_path, lines, bad_line, problem, prefix):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(good_lines(prefix) + lines)
+        with pytest.raises(ValueError) as excinfo:
+            OfflineDataset.load_jsonl(path)
+        assert str(excinfo.value) == f"{path}:{prefix + bad_line}: {problem}"
+
+    def test_loader_names_a_bad_row_at_a_chunk_edge(self, tmp_path):
+        # Blank lines end the first chunk and start the second; the bad row follows them.
+        path = tmp_path / "bad.jsonl"
+        bad = '{"s": 1, "a": 0, "r": 0.0, "s2": 2, "done": 0.0, "t": 1, "ep": 0}\n'
+        path.write_text(good_lines(_CHUNK_LINES - 1) + "\n" + " \t\n" + bad)
+        with pytest.raises(ValueError) as excinfo:
+            OfflineDataset.load_jsonl(path)
+        assert str(excinfo.value) == f"{path}:{_CHUNK_LINES + 2}: key 'done' must be a boolean, got 0.0"
+
+    @pytest.mark.parametrize("good_rows", [1, 250], ids=["byte-near", "byte-far"])
+    def test_loader_reports_what_reading_line_by_line_meets_first(self, tmp_path, good_rows):
+        # A bad row on line 2 and a byte that is not UTF-8 further on: which
+        # one is named depends on how far the decoder has read ahead, as
+        # when every line is decoded and parsed in turn.
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes((GOOD_ROW + "{]\n" + good_lines(good_rows)).encode() + b"\xff\n")
+        try:
+            with open(path) as fh:
+                for lineno, line in enumerate(fh, 1):
+                    try:
+                        json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        expected = f"{path}:{lineno}: not valid JSON: {exc.msg}"
+                        break
+        except UnicodeDecodeError as exc:
+            expected = f"{path}: {exc}"
+        with pytest.raises(ValueError) as excinfo:
+            OfflineDataset.load_jsonl(path)
+        assert str(excinfo.value) == expected
+
+    @pytest.mark.parametrize("text", ["", "\n", " \n\t\n\n"], ids=["empty", "blank", "whitespace"])
+    def test_loader_refuses_a_file_without_transitions(self, tmp_path, text):
+        path = tmp_path / "empty.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValueError) as excinfo:
+            OfflineDataset.load_jsonl(path)
+        assert str(excinfo.value) == f"{path}: no transitions"
+
+    @pytest.mark.parametrize("layout", ["as-saved", "blank-chunk-edges", "no-final-newline", "crlf"])
+    def test_multi_chunk_round_trip(self, tmp_path, layout):
+        records = []
+        for ep, length in enumerate((_CHUNK_LINES - 1, 1, _CHUNK_LINES + 3, 40, _CHUNK_LINES)):
+            records += [tr(s=k % 7, a=(k + ep) % 5, r=(k - 50) / 64 + 1e-17 * ep, s_next=(k + 1) % 7,
+                           t=k, ep=ep, done=k == length - 1 and ep % 2 == 0) for k in range(length)]
+        ds = dataset_of(records)
+        path = tmp_path / "data.jsonl"
+        ds.save_jsonl(path)
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) > 3 * _CHUNK_LINES
+        if layout == "blank-chunk-edges":
+            for edge in (_CHUNK_LINES, 2 * _CHUNK_LINES, 3 * _CHUNK_LINES):
+                lines[edge - 1:edge - 1] = ["\n", "  \t \n"]  # last line of a chunk, first of the next
+        text = "".join(lines)
+        if layout == "no-final-newline":
+            text = text.rstrip("\n")
+        if layout == "crlf":
+            path.write_bytes(text.replace("\n", "\r\n").encode())
+        else:
+            path.write_text(text)
+        assert_same_rows(OfflineDataset.load_jsonl(path), ds)
 
     @pytest.mark.parametrize("bad, problem", [
         (tr(s=-3, s_next=1, ep=1), r"s = -3 outside \[0, 5\)"),
