@@ -116,22 +116,43 @@ class SolveTolerances:
         check_range("top-level key 'gap_tolerance'", self.gap_tolerance, 0, math.inf, high_open=True)
 
 
+@dataclass(frozen=True)
+class SweepConfig:
+    """The sweep block: variants (known names) and seeds (JSON integers >= 0), both non-empty, neither repeating."""
+
+    variants: tuple[str, ...] = ()
+    seeds: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if not self.variants or not self.seeds:
+            raise ValueError("config needs a sweep block with non-empty variants and seeds")
+        for variant in self.variants:
+            if variant not in VARIANTS:
+                raise ValueError(f"sweep variants must be among {', '.join(VARIANTS)}, got {variant!r}")
+        for seed in self.seeds:
+            check_count("sweep seeds", seed, 0)
+        for name, values in (("variants", self.variants), ("seeds", self.seeds)):
+            for i, value in enumerate(values):
+                if value in values[:i]:  # its runs would share one directory
+                    raise ValueError(f"sweep {name} must not repeat, got {value!r} more than once")
+
+
 # The JSON value kinds a config key accepts; a boolean is never a number.
 KINDS = {"a number": (int, float), "an integer": (int,), "a string": (str,),
          "a boolean": (bool,), "an array": (list,), "a string or an array": (str, list)}
 _FIELD_KINDS = {"float": "a number", "int": "an integer", "str": "a string", "bool": "a boolean"}
 # Block name -> key -> kind: the block's dataclass fields (tuples and sets are
-# arrays), except schedule horizons and the learner's discount, which always
-# come from total_steps and env.gamma.
+# arrays), except schedule horizons and the learner's discount. Those are
+# derived from total_steps and env.gamma, so no file may set them; the fields
+# go (ROADMAP item 5) once perfbench stops passing them (item 1).
 BLOCK_KEYS = {
     name: {f.name: _FIELD_KINDS.get(f.type, "an array") for f in fields(cls) if f.name != "horizon"}
     for name, cls in (("env", GridWorldSpec), ("learner", LearnerConfig), ("dts", DtsConfig),
                       ("dss", DssConfig), ("generate_offline", GenerateOfflineConfig),
-                      ("random_mdp", RandomMdpConfig))
+                      ("random_mdp", RandomMdpConfig), ("sweep", SweepConfig))
 }
 del BLOCK_KEYS["learner"]["gamma"]
 BLOCK_KEYS["env"]["map"] = "a string or an array"
-BLOCK_KEYS["sweep"] = dict(variants="an array", seeds="an array")
 # The top level itself: RunConfig's scalar fields, the dataset path, the
 # output directory and solve's tolerances. Other top-level keys are
 # ignored, so one file can serve every subcommand.
@@ -139,7 +160,6 @@ TOP_LEVEL = "top-level"
 BLOCK_KEYS[TOP_LEVEL] = {f.name: _FIELD_KINDS[f.type] for cls in (RunConfig, SolveTolerances)
                          for f in fields(cls) if f.type in _FIELD_KINDS}
 BLOCK_KEYS[TOP_LEVEL].update(offline_dataset="a string", output_dir="a string")
-_RUN_FIELDS = {f.name for f in fields(RunConfig)}
 
 
 def config_block(doc: dict, name: str) -> dict:
@@ -170,9 +190,9 @@ def output_dir(args: argparse.Namespace, doc: dict, default: str) -> Path:
     return Path(config_block(doc, TOP_LEVEL).get("output_dir", default))
 
 
-def parse_block(doc: dict, name: str, cls, hint: str = ""):
-    """The doc's `name` block (see config_block) as a cls; a missing field without a default is refused, then hint."""
-    block = config_block(doc, name)
+def parse_block(doc: dict, name: str, cls, hint: str = "", **preset):
+    """The doc's `name` block (see config_block) as a cls; presets fill absent fields, then a missing one is refused."""
+    block = {**preset, **config_block(doc, name)}
     for f in fields(cls):
         if f.default is MISSING and f.name not in block:
             raise ValueError(f"{name} block is missing key {f.name!r}{hint}")
@@ -206,20 +226,14 @@ def run_config_from_doc(doc: dict) -> RunConfig:
     for key in ("env", "total_steps"):
         if key not in doc:
             raise ValueError(f"config is missing required key {key!r}")
-    top = config_block(doc, TOP_LEVEL)
-    dts_doc = config_block(doc, "dts")
-    dss_doc = config_block(doc, "dss")
-    learner_doc = config_block(doc, "learner")
-    parse_block(doc, "generate_offline", GenerateOfflineConfig)
+    horizon = max(config_block(doc, TOP_LEVEL)["total_steps"], 1)
     grid = grid_from_doc(doc)
-    horizon = max(top["total_steps"], 1)
-    return RunConfig(
-        **{"variant": "guardian", "seed": 0, **{k: v for k, v in top.items() if k in _RUN_FIELDS}},
-        grid=grid,
-        learner=LearnerConfig(**learner_doc, gamma=grid.gamma),
-        dts=DtsConfig(**{"delta_min": 1, "delta_max": 16, "beta": 2.0, **dts_doc}, horizon=horizon),
-        dss=DssConfig(**{"lambda_min": 0.1, "lambda_max": 0.5, "k": 10.0 / horizon, **dss_doc},
-                      horizon=horizon),
+    parse_block(doc, "generate_offline", GenerateOfflineConfig)
+    return parse_block(
+        doc, TOP_LEVEL, RunConfig, variant="guardian", seed=0, grid=grid,
+        learner=parse_block(doc, "learner", LearnerConfig, gamma=grid.gamma),
+        dts=parse_block(doc, "dts", DtsConfig, delta_min=1, delta_max=16, beta=2.0, horizon=horizon),
+        dss=parse_block(doc, "dss", DssConfig, lambda_min=0.1, lambda_max=0.5, k=10.0 / horizon, horizon=horizon),
     )
 
 
@@ -234,8 +248,8 @@ def prepare_offline_dataset(doc: dict, grid: GridWorldSpec) -> OfflineDataset:
                                    guardian_filter=gen.guardian_filter, start_state=grid.start_state)
 
 
-def _train_one(doc: dict, out_dir: Path) -> dict:
-    """Train one config; nothing reaches the disk until the run succeeded.
+def _train_one(doc: dict, cfg: RunConfig, out_dir: Path) -> dict:
+    """Train the doc's parsed cfg; nothing reaches the disk until the run succeeded.
 
     An existing file named by "offline_dataset" is loaded; otherwise the
     dataset is generated in memory. After training, the run files and a
@@ -246,7 +260,6 @@ def _train_one(doc: dict, out_dir: Path) -> dict:
     parent of out_dir: a write that fails after training removes the
     directories it created and is reported with the path it was writing.
     """
-    cfg = run_config_from_doc(doc)
     configured = doc.get("offline_dataset")
     generated = not (configured and Path(configured).exists())
     offline = prepare_offline_dataset(doc, cfg.grid) if generated else OfflineDataset.load_jsonl(configured)
@@ -291,40 +304,23 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.steps is not None:
         doc["total_steps"] = args.steps
     out_dir = output_dir(args, doc, "runs/run")
-    summary = _train_one(doc, out_dir)
+    summary = _train_one(doc, run_config_from_doc(doc), out_dir)
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 
 
-def sweep_from_doc(doc: dict) -> tuple[list[str], list[int]]:
-    """The sweep block's variants (known names) and seeds (JSON integers >= 0), both non-empty."""
-    sweep = config_block(doc, "sweep")
-    variants, seeds = sweep.get("variants"), sweep.get("seeds")
-    if not variants or not seeds:
-        raise ValueError("config needs a sweep block with non-empty variants and seeds")
-    for variant in variants:
-        if variant not in VARIANTS:
-            raise ValueError(f"sweep variants must be among {', '.join(VARIANTS)}, got {variant!r}")
-    for seed in seeds:
-        check_count("sweep seeds", seed, 0)
-    for name, values in (("variants", variants), ("seeds", seeds)):
-        for i, value in enumerate(values):
-            if value in values[:i]:  # its runs would share one directory
-                raise ValueError(f"sweep {name} must not repeat, got {value!r} more than once")
-    return variants, seeds
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     doc = load_config(args.config)
-    variants, seeds = sweep_from_doc(doc)
+    sweep = parse_block(doc, "sweep", SweepConfig)
     base_out = output_dir(args, doc, "runs/sweep")
-    runs = [(variant, seed) for variant in variants for seed in seeds]
+    runs = [(variant, seed) for variant in sweep.variants for seed in sweep.seeds]
     docs = [{**doc, "variant": variant, "seed": seed} for variant, seed in runs]
+    cfgs = [run_config_from_doc(run_doc) for run_doc in docs]  # every run is checked before a worker starts
     out_dirs = [base_out / f"{variant}_seed{seed}" for variant, seed in runs]
     # One worker per core, never more than there are runs. A failed run
     # cancels the runs not yet started and is raised here.
     with ProcessPoolExecutor(min(os.cpu_count() or 1, len(runs))) as pool:
-        for out_dir, _ in zip(out_dirs, pool.map(_train_one, docs, out_dirs)):
+        for out_dir, _ in zip(out_dirs, pool.map(_train_one, docs, cfgs, out_dirs)):
             print(out_dir)
     return EXIT_OK
 
@@ -359,7 +355,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def load_summary(directory: Path) -> dict:
-    """A run's summary: an object with a string variant and each report field a finite number or null."""
+    """A run's summary: an object with a known variant, if any, and each report field a finite number or null."""
     try:
         log = RunLog.load(directory)
         summary = log.summary
@@ -369,6 +365,8 @@ def load_summary(directory: Path) -> dict:
             raise ValueError(f"summary is a JSON {type(summary).__name__}, not an object")
         if not isinstance(summary.get("variant", ""), str):
             raise ValueError(f"summary key 'variant' must be a string, got {summary['variant']!r}")
+        if "variant" in summary and summary["variant"] not in VARIANTS:  # a CSV cell must hold no comma or line break
+            raise ValueError(f"summary key 'variant' must be one of {', '.join(VARIANTS)}, got {summary['variant']!r}")
         for key in REPORT_FIELDS:
             value = summary.get(key)
             if value is not None and (type(value) not in (int, float) or not math.isfinite(value)):

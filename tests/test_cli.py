@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import math
 import re
 import statistics
 from pathlib import Path
 
 import pytest
 
-from guardedrl.cli import main, run_config_from_doc, sweep_from_doc
+from guardedrl.cli import SweepConfig, main, parse_block, run_config_from_doc
 from guardedrl.mdp import ConvergenceError, solve_pruned_value_iteration
 from guardedrl.sampling import OfflineDataset
 from guardedrl.trainer import RunLog
@@ -644,7 +645,14 @@ class TestSweepAndReport:
          "summary key 'support_kl' must be a finite number or null, got True"),
         ({"variant": "guardian", "final_ttfv": float("nan")},
          "summary key 'final_ttfv' must be a finite number or null, got nan"),
-    ], ids=["array-summary", "array-variant", "text-field", "boolean-field", "nan-field"])
+        # A variant is a CSV cell: a comma or a line break in it would break the report's rows.
+        ({"variant": "guardian,evil\nrow"},
+         "summary key 'variant' must be one of guardian, exec_mask_only, no_guard, offline_only, "
+         "got 'guardian,evil\\nrow'"),
+        ({"variant": "unknown"},
+         "summary key 'variant' must be one of guardian, exec_mask_only, no_guard, offline_only, got 'unknown'"),
+    ], ids=["array-summary", "array-variant", "text-field", "boolean-field", "nan-field", "csv-breaking-variant",
+            "unknown-variant"])
     def test_report_malformed_summary_names_directory(self, tmp_path, capsys, summary, problem):
         run = tmp_path / "run"
         run.mkdir()
@@ -652,6 +660,14 @@ class TestSweepAndReport:
         (run / "summary.json").write_text(json.dumps(summary))
         assert main(["report", str(run)]) == 1
         assert capsys.readouterr().err == f"missing or corrupt run log in {run}: {problem}\n"
+
+    def test_report_names_a_summary_without_variant_unknown(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "log.jsonl").write_text('{"step": 0}\n')
+        (run / "summary.json").write_text(json.dumps({"coverage": 0.5}))
+        assert main(["report", str(run)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "unknown,1,,,,,0.5,,"
 
     # sweep sizes its own worker pool: --jobs, whatever its value, is an
     # unrecognized argument.
@@ -693,6 +709,45 @@ class TestSweepAndReport:
         assert workers == started
         assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == [
             "guardian_seed0", "no_guard_seed0"]
+
+    @pytest.mark.parametrize("change, problem", [
+        (lambda doc: doc["learner"].update(alhpa=0.1), "unknown learner key 'alhpa'; closest known key is 'alpha'"),
+        (lambda doc: doc["dts"].update(beta=math.inf), "config['dts']['beta'] must be finite, got inf"),
+        (lambda doc: doc.pop("env"), "config is missing required key 'env'"),
+        (lambda doc: doc["generate_offline"].update(episodes=0),
+         "generate_offline key 'episodes' must be >= 1, got 0"),
+    ], ids=["learner-typo", "infinite-beta", "no-env", "no-episodes"])
+    def test_bad_run_config_starts_no_sweep_worker(self, tmp_path, monkeypatch, capsys, change, problem):
+        # Every run's config is checked in the calling process: a config
+        # that train refuses makes sweep fail with train's one line before
+        # a worker pool exists or anything is written.
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return iter(())
+
+        monkeypatch.setattr("guardedrl.cli.ProcessPoolExecutor", RecordingPool)
+        doc = base_train_config(tmp_path, total_steps=0)
+        doc["sweep"] = {"variants": ["guardian", "no_guard"], "seeds": [0]}
+        change(doc)
+        config = write_config(tmp_path, doc)
+        assert main(["train", config, "--out", str(tmp_path / "train")]) == 1
+        train_err = capsys.readouterr().err
+        assert train_err.startswith(problem) and train_err.count("\n") == 1
+        assert main(["sweep", config, "--out", str(tmp_path / "sweep")]) == 1
+        assert capsys.readouterr().err == train_err
+        assert pools == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_sweep_without_block_fails(self, tmp_path):
         doc = base_train_config(tmp_path)
@@ -770,4 +825,5 @@ class TestDocumentedConfigs:
         doc = json_block_after("docs/formats.md", "## Experiment config (JSON)")
         cfg = run_config_from_doc(doc)
         assert (cfg.variant, cfg.total_steps, cfg.learner.gamma) == ("guardian", 8000, 0.95)
-        assert sweep_from_doc(doc) == (["guardian", "exec_mask_only"], [0, 1, 2])
+        sweep = parse_block(doc, "sweep", SweepConfig)
+        assert (sweep.variants, sweep.seeds) == (["guardian", "exec_mask_only"], [0, 1, 2])

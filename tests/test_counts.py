@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from guardedrl.cli import GenerateOfflineConfig, RandomMdpConfig, sweep_from_doc
+from guardedrl.cli import GenerateOfflineConfig, RandomMdpConfig, SweepConfig, parse_block
 from guardedrl.envs import (
     GridWorldSpec,
     build_cliff_grid,
@@ -121,7 +121,8 @@ SITES = [
     *((f"RandomMdpConfig.{key}", block_site("random_mdp", RandomMdpConfig, key, least, 3, num_states=3, num_actions=2))
       for key, least in (("num_states", 1), ("num_actions", 1), ("seed", 0))),
     ("sweep seeds", ("sweep seeds", 0, 2,
-                     lambda value: sweep_from_doc({"sweep": {"variants": ["guardian"], "seeds": [value]}}))),
+                     lambda value: parse_block({"sweep": {"variants": ["guardian"], "seeds": [value]}}, "sweep",
+                                               SweepConfig))),
 ]
 SITE_IDS = [site_id for site_id, _ in SITES]
 SITE_ARGS = [site for _, site in SITES]
