@@ -377,9 +377,14 @@ def load_summary(directory: Path) -> dict:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    run_dirs: dict[Path, Path] = {}  # each directory once, under the first spelling given
+    for run_dir in map(Path, args.run_dirs):
+        run_dirs.setdefault(run_dir.resolve(), run_dir)
+    if args.out and Path(args.out).resolve() in {(d / f).resolve() for d in run_dirs for f in ("summary.json", "log.jsonl")}:
+        raise ValueError(f"report --out {args.out} is a run file that report reads; refusing to overwrite it")
     by_variant: dict[str, list[dict]] = {}
-    for run_dir in args.run_dirs:
-        summary = load_summary(Path(run_dir))
+    for run_dir in run_dirs.values():
+        summary = load_summary(run_dir)
         by_variant.setdefault(summary.get("variant", "unknown"), []).append(summary)
     lines = ["variant,runs," + ",".join(REPORT_FIELDS)]
     for variant in sorted(by_variant):

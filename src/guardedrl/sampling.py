@@ -33,10 +33,10 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -226,12 +226,14 @@ class OfflineDataset:
         Each buffer holds one column's items in its dtype: the array
         buffers of column_buffers, or contiguous numpy arrays. Rows of
         one episode are contiguous; a change of episode id starts a new
-        episode. The buffers are wrapped, not copied.
+        episode. The buffers are wrapped, not copied; zero rows are refused.
         """
         *columns, t, episode = (
             np.frombuffer(buf, dtype=dtype) for buf, dtype in zip(buffers, _ROW_DTYPES)
         )
         data = TransitionBatch(*columns)
+        if len(data) == 0:
+            raise ValueError("offline dataset is empty")
         starts = np.ones(len(data), dtype=bool)
         starts[1:] = episode[1:] != episode[:-1]
         bounds = np.append(np.flatnonzero(starts), len(data))
@@ -285,107 +287,101 @@ class OfflineDataset:
     def load_jsonl(cls, path: str | Path) -> "OfflineDataset":
         """Read one transition per line; a change of "ep" starts a new episode.
 
-        A line that is not a JSON object with every key, integer indices,
+        Blank lines are skipped and keys beyond the seven are ignored. A
+        line that is not a JSON object with every key, integer indices,
         a finite numeric "r" and a boolean (or 0/1) "done" raises ValueError
         naming path:line and the key: first a key whose value cannot be
         stored, then a boolean in a numeric column or a float "done", then
         a non-finite "r". A file that is not UTF-8 raises ValueError
-        naming the path, and so does one without a transition.
+        naming the path, and so does one without a transition. The problem
+        named is the first one that reading one line at a time meets.
 
-        Lines are parsed in chunks of _CHUNK_LINES with one json.loads
-        each; a chunk with any bad or blank line is read again line by
-        line, which words every diagnostic, so the result and each
-        message are those of reading one line at a time.
+        The file is read once, in chunks of _CHUNK_LINES lines.
         """
         buffers = column_buffers()
-        try:
-            with open(path) as fh:
-                first = 1  # line number of the chunk's first line
-                while lines := list(islice(fh, _CHUNK_LINES)):
-                    if not _extend_by_chunk(buffers, lines):
-                        _append_lines(path, buffers, lines, first)
-                    first += len(lines)
-        except UnicodeDecodeError as exc:
-            # The lines read before the undecodable byte were lost with their
-            # chunk: a second pass, line by line, names a bad row among them.
-            with open(path) as fh, contextlib.suppress(UnicodeDecodeError):
-                _append_lines(path, column_buffers(), fh, 1)
-            raise ValueError(f"{path}: {exc}") from None
+        with open(path) as fh:
+            for first in count(1, _CHUNK_LINES):  # every chunk but the last is full
+                lines, stop = [], None
+                try:
+                    lines.extend(islice(fh, _CHUNK_LINES))  # keeps the lines read before a bad byte
+                except UnicodeDecodeError as exc:
+                    stop = f"{path}: {exc}"
+                _extend_by_chunk(path, buffers, lines, first, stop)
+                if not lines:
+                    break
         if not buffers[0]:
             raise ValueError(f"{path}: no transitions")
         return cls(buffers)
 
 
-def _extend_by_chunk(buffers: tuple[array, ...], lines: list[str]) -> bool:
-    """Append the rows of lines if every line holds one valid row; else append nothing and return False.
+def _extend_by_chunk(path: str | Path, buffers: tuple[array, ...], lines: list[str], first: int, stop: str | None) -> None:
+    """Append the rows of lines, numbered from first; raise ValueError naming the first bad line, else stop if given.
 
     The lines are parsed as one array with a 0 between neighbours. A 0
     after a comma is invalid inside an object, a line without brackets
     opens no array, and a JSON string cannot span a line end, so each 0
     is an element of the outer array. 2n - 1 elements for n lines then
     mean that each line alone is one JSON value, and the even elements
-    are those values in order.
+    are those values in order. Other chunks are parsed line by line,
+    skipping blank lines, up to the first line that is not JSON, which
+    is named after the rows above it.
     """
     text = ",0,".join(lines)
-    if "[" in text or "]" in text:
-        return False
-    try:
-        values = json.loads("[" + text + "]")
-        if len(values) != 2 * len(lines) - 1:
-            return False
-        columns = list(zip(*map(_ROW_VALUES, values[::2])))
-        flags = array("B", map(_FLAGS.__getitem__, columns[4]))
-        chunk = [flags if code == "B" else array(code, column) for code, column in zip(_TYPECODES, columns)]
-    except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
-        return False
-    refused = any(_REFUSED[key] in set(map(type, column)) for key, column in zip(_JSONL_KEYS, columns))
-    if refused or not np.isfinite(np.frombuffer(chunk[2], dtype=np.float64)).all():
-        return False
-    for buf, part in zip(buffers, chunk):
-        buf.extend(part)
-    return True
-
-
-def _append_lines(path: str | Path, buffers: tuple[array, ...], lines: Iterable[str], first: int) -> None:
-    """Append the row of each non-blank line, numbered from first; the first bad one raises ValueError."""
-    s, a, r, s2, done, t, ep = buffers
-    for lineno, line in enumerate(lines, first):
-        line = line.strip()
-        if not line:
-            continue
+    values = []
+    if "[" not in text and "]" not in text:
+        with contextlib.suppress(ValueError, RecursionError):
+            values = json.loads("[" + text + "]")
+    if len(values) == 2 * len(lines) - 1:
+        values, linenos = values[::2], range(first, first + len(lines))
+    else:
+        values, linenos = [], []
+        for lineno, line in enumerate(lines, first):
+            if line := line.strip():
+                try:
+                    values.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    stop = f"{path}:{lineno}: not valid JSON: {exc.msg}"
+                    break
+                linenos.append(lineno)
+    if values:
         try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: not valid JSON: {exc.msg}") from None
-        try:
-            s.append(row["s"])
-            a.append(row["a"])
-            r.append(row["r"])
-            s2.append(row["s2"])
-            done.append(_FLAGS[row["done"]])
-            t.append(row["t"])
-            ep.append(row["ep"])
+            columns = list(zip(*map(_ROW_VALUES, values)))
+            flags = array("B", map(_FLAGS.__getitem__, columns[4]))
+            chunk = [flags if code == "B" else array(code, column) for code, column in zip(_TYPECODES, columns)]
+            bad = any(_REFUSED[key] in set(map(type, column)) for key, column in zip(_JSONL_KEYS, columns))
         except (KeyError, TypeError, OverflowError):
-            # The columns before the failing one grew by this row.
-            i = [len(buf) for buf in buffers].index(len(ep))
-            key = _JSONL_KEYS[i]
-            if not isinstance(row, dict):
-                problem = f"expected a JSON object, got {type(row).__name__}"
-            elif key not in row:
-                problem = f"missing key {key!r}"
-            else:
-                problem = f"key {key!r} must be {_EXPECTED[_TYPECODES[i]]}, got {row[key]!r}"
-            raise ValueError(f"{path}:{lineno}: {problem}") from None
-        if (type(row["s"]) is bool or type(row["a"]) is bool
-                or type(row["r"]) is bool or type(row["s2"]) is bool
-                or type(row["done"]) is float
-                or type(row["t"]) is bool or type(row["ep"]) is bool):
-            key = next(k for k in _JSONL_KEYS if type(row[k]) is _REFUSED[k])
-            kind = _EXPECTED[_TYPECODES[_JSONL_KEYS.index(key)]]
-            raise ValueError(f"{path}:{lineno}: key {key!r} must be {kind}, got {row[key]!r}")
-        if not math.isfinite(r[-1]):
-            # json reads NaN and Infinity, which are not JSON numbers.
-            raise ValueError(f"{path}:{lineno}: key 'r' must be finite, got {r[-1]!r}")
+            bad = True
+        if bad or not np.isfinite(np.frombuffer(chunk[2], dtype=np.float64)).all():
+            lineno, problem = next((n, p) for n, v in zip(linenos, values) if (p := _row_problem(v)))
+            raise ValueError(f"{path}:{lineno}: {problem}")
+        for buf, part in zip(buffers, chunk):
+            buf.extend(part)
+    if stop:
+        raise ValueError(stop)
+
+
+def _row_problem(row) -> str | None:
+    """Why a parsed line is not a row, or None for a row that _extend_by_chunk stores.
+
+    The first of, in order: a missing or unstorable key in column order,
+    a refused type in column order, a non-finite "r".
+    """
+    if not isinstance(row, dict):
+        return f"expected a JSON object, got {type(row).__name__}"
+    for key, code in zip(_JSONL_KEYS, _TYPECODES):
+        if key not in row:
+            return f"missing key {key!r}"
+        try:
+            array(code, [_FLAGS[row[key]] if code == "B" else row[key]])
+        except (KeyError, TypeError, OverflowError):
+            return f"key {key!r} must be {_EXPECTED[code]}, got {row[key]!r}"
+    for key, code in zip(_JSONL_KEYS, _TYPECODES):
+        if type(row[key]) is _REFUSED[key]:
+            return f"key {key!r} must be {_EXPECTED[code]}, got {row[key]!r}"
+    if not math.isfinite(row["r"]):
+        # json reads NaN and Infinity, which are not JSON numbers.
+        return f"key 'r' must be finite, got {row['r']!r}"
+    return None
 
 
 # Sentinel run end of a run still growing.
@@ -395,9 +391,9 @@ _OPEN_RUN = np.iinfo(np.int64).max
 class ReplayStore:
     """A run's replay: the offline rows, then an online FIFO ring, in one set of columns.
 
-    Rows [0, num_offline) hold the offline dataset in its order; an
-    empty dataset, or a capacity that is not an integer >= 1, is refused
-    here, and these rows never change. The online record with arrival
+    Rows [0, num_offline) hold the offline dataset (never empty) in its
+    order, and these rows never change; a capacity that is not an
+    integer >= 1 is refused. The online record with arrival
     number n (0 = first ever appended) sits in row
     num_offline + n % capacity; eviction is strictly FIFO, and online
     positions 0..online_count-1 count from the oldest retained
@@ -410,8 +406,6 @@ class ReplayStore:
 
     def __init__(self, offline: OfflineDataset, capacity: int):
         n = len(offline)
-        if n == 0:
-            raise ValueError("offline dataset is empty")
         check_count("capacity", capacity, 1)
         self.num_offline = n
         self.capacity = capacity
@@ -524,8 +518,6 @@ def derive_bc_policy(
     visited come out uniform. Smoothing keeps every probability strictly
     positive so KL divergences against this policy stay finite.
     """
-    if len(off) == 0:
-        raise ValueError("offline dataset is empty")
     counts = np.zeros((num_states, num_actions))
     np.add.at(counts, (off.transitions.s, off.transitions.a), 1.0)
     smoothed = counts + smoothing

@@ -287,8 +287,8 @@ def run_training(
 ) -> RunLog | tuple[RunLog, TrainerState]:
     """Execute the full training loop for cfg.total_steps steps on the offline dataset.
 
-    An empty dataset (refused by ReplayStore), or one whose state or
-    action ids fall outside the grid's MDP, fails before any step runs.
+    A dataset whose state or action ids fall outside the grid's MDP
+    fails before any step runs (OfflineDataset refuses an empty one).
     Returns the per-interval log with a final summary (never writes files
     itself); with return_state the final learner/store internals come
     back too. A non-finite number in an interval record or the summary

@@ -617,6 +617,30 @@ class TestSweepAndReport:
         assert capsys.readouterr().out == ""
         assert csv.read_text() == printed
 
+    def test_report_counts_a_directory_once_however_spelled(self, tmp_path, monkeypatch, capsys):
+        doc = base_train_config(tmp_path, total_steps=0)
+        assert main(["train", write_config(tmp_path, doc)]) == 0
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        assert main(["report", "run", "run/", "./run", str(tmp_path / "run")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2
+        assert out[1].startswith("guardian,1,")
+
+    @pytest.mark.parametrize("name", ["summary.json", "log.jsonl"])
+    def test_report_refuses_to_overwrite_a_file_it_reads(self, tmp_path, monkeypatch, capsys, name):
+        doc = base_train_config(tmp_path, total_steps=0)
+        assert main(["train", write_config(tmp_path, doc)]) == 0
+        capsys.readouterr()
+        before = {path.name: path.read_bytes() for path in (tmp_path / "run").iterdir()}
+        monkeypatch.chdir(tmp_path)
+        assert main(["report", "run", "--out", f"./run/../run/{name}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"report --out ./run/../run/{name} is a run file that report reads; "
+                                "refusing to overwrite it\n")
+        assert {path.name: path.read_bytes() for path in (tmp_path / "run").iterdir()} == before
+
     def test_report_no_args_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["report"])

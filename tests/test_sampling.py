@@ -2,10 +2,11 @@
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
-from columns import columns_of, dataset_of
+from columns import columns_of, dataset_of, row_columns
 
 from guardedrl.sampling import (
     _CHUNK_LINES,
@@ -14,6 +15,7 @@ from guardedrl.sampling import (
     OfflineDataset,
     ReplayStore,
     TransitionRecord,
+    column_buffers,
     derive_bc_policy,
     dss_mixing,
     dts_interval,
@@ -169,6 +171,11 @@ class TestOfflineDataset:
         episode = [tr(s=0, s_next=1, t=0), tr(s=1, s_next=2, t=2)]
         with pytest.raises(ValueError, match="step index"):
             dataset_of(episode)
+
+    @pytest.mark.parametrize("buffers", [column_buffers(), row_columns([])], ids=["arrays", "numpy"])
+    def test_refuses_zero_rows(self, buffers):
+        with pytest.raises(ValueError, match="^offline dataset is empty$"):
+            OfflineDataset(buffers)
 
     def test_jsonl_round_trip(self, tmp_path):
         ds = dataset_of(chain_episode(0, 5) + chain_episode(1, 3, start=7))
@@ -388,6 +395,83 @@ class TestOfflineDataset:
         rows = store.offline_window(anchors, delta=50, rng=rng)
         assert np.all(ds.episode[rows] == 0)
         assert np.all(ds.t[rows] >= 2)
+
+
+class TestLoaderContract:
+    """load_jsonl on seeded random files names the first line that fails on its own, or returns every row."""
+
+    # Bad lines of the kinds that the exact-message tests above cover.
+    BAD_LINES = [
+        '{"s": 1, "a": 0, "s2": 2, "done": false, "t": 0, "ep": 0}',
+        '{"s": "1", "a": 0, "r": 0.0, "s2": 2, "done": false, "t": 0, "ep": 0}',
+        '{"s": 1, "a": 0, "r": NaN, "s2": 2, "done": false, "t": 0, "ep": 0}',
+        '{"s": 1.5, "a": 0, "r": 0.0, "s2": 2, "done": false, "t": 0, "ep": 0}',
+        '{"s": true, "a": null, "r": 0.0, "s2": 2, "done": false, "t": 0, "ep": 0}',
+        '{"s": 1, "a": 0, "r": 0.0, "s2": 2, "done": 0.0, "t": 0, "ep": 0}',
+        '{"s": 1, "a": 0, "r": 0.0, "s2": 2, "done": 2, "t": 0, "ep": 0}',
+        '{"s": 1, "a": 0, "r": 0.0, "s2": 2, "done": false, "t": 0, "ep": 1180591620717411303424}',
+        '[1, 0, 0.0, 2, false, 0, 0]',
+        '7',
+        '{"s": 1, "a": 0,',
+        GOOD_ROW.strip() + ", " + GOOD_ROW.strip(),
+    ]
+    NOT_JSON = BAD_LINES[-2:]
+
+    @staticmethod
+    def message_alone(path, line):
+        """The problem load_jsonl names for a file holding only line, or None if that file loads."""
+        path.write_text(line + "\n")
+        try:
+            OfflineDataset.load_jsonl(path)
+        except ValueError as exc:
+            prefix = f"{path}:1: "
+            assert str(exc).startswith(prefix)
+            return str(exc)[len(prefix):]
+        return None
+
+    def random_file(self, rng, pitfall):
+        """Lines of one file (one episode per row, so continuity holds) and the rows of its good lines."""
+        lines, rows = [], []
+        for k in range(rng.choice([_CHUNK_LINES + 2, _CHUNK_LINES + 40, 2 * _CHUNK_LINES + 3])):
+            if rng.random() < 0.04:
+                lines.append(rng.choice(["", " ", "\t  "]))
+                continue
+            row = (rng.randrange(50), rng.randrange(4), rng.choice([-0.02, 0.0, 1.0, -1.0, 0.125]),
+                   rng.randrange(50), rng.choice([True, False]), 0, k)
+            extra = ', "x": [1, {"y": [2]}]' if rng.random() < 0.04 else ""
+            lines.append('{"s": %d, "a": %d, "r": %r, "s2": %d, "done": %s, "t": %d, "ep": %d%s}'
+                         % (*row[:4], "true" if row[4] else "false", *row[5:], extra))
+            rows.append(row)
+        spots = [_CHUNK_LINES - 2, _CHUNK_LINES - 1, _CHUNK_LINES, _CHUNK_LINES + 1, rng.randrange(len(lines))]
+        for _ in range(rng.randrange(3)):
+            lines[rng.choice(spots)] = rng.choice(self.BAD_LINES)
+        if pitfall:  # a bad row one or two lines above a line that is not JSON
+            at = rng.randrange(len(lines) - 2)
+            lines[at] = self.BAD_LINES[5]
+            lines[at + rng.choice([1, 2])] = rng.choice(self.NOT_JSON)
+        return lines, rows
+
+    def test_random_files_name_the_first_line_that_fails_alone(self, tmp_path):
+        # Each bad line fails alone; the files without one must return all of their rows.
+        alone = {line: self.message_alone(tmp_path / "alone.jsonl", line) for line in self.BAD_LINES}
+        assert None not in alone.values()
+        rng = random.Random(23)
+        errors = 0
+        for case in range(40):
+            lines, rows = self.random_file(rng, pitfall=case % 4 == 0)
+            path = tmp_path / f"case{case}.jsonl"
+            path.write_text("\n".join(lines) + "\n")
+            first = next(((k, alone[line]) for k, line in enumerate(lines, 1) if line in alone), None)
+            if first is None:
+                ds = OfflineDataset.load_jsonl(path)
+                loaded = [col.tolist() for col in (*ds.transitions.columns(), ds.t, ds.episode)]
+                assert loaded == [list(col) for col in zip(*rows)]
+                continue
+            errors += 1
+            with pytest.raises(ValueError) as excinfo:
+                OfflineDataset.load_jsonl(path)
+            assert str(excinfo.value) == f"{path}:{first[0]}: {first[1]}"
+        assert 0 < errors < 40  # both outcomes occur
 
 
 def forward_run(records, anchor, delta):
