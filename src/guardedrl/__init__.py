@@ -33,7 +33,6 @@ from .mdp import (
     TabularMdp,
     ValueIterationResult,
     apply_guarded_bellman,
-    assert_contraction_pair,
     max_norm_distance,
     save_problem,
     solve_guarded_value_iteration,

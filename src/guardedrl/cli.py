@@ -58,7 +58,10 @@ def load_config(path: str | Path) -> dict:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:  # nested deeper than the parser goes: a parse error like any other
+        raise json.JSONDecodeError(str(exc), text, 0) from None
     if not isinstance(doc, dict):
         raise ValueError(f"config {path} must be a JSON object")
     return doc
@@ -371,7 +374,7 @@ def load_summary(directory: Path) -> dict:
             value = summary.get(key)
             if value is not None and (type(value) not in (int, float) or not math.isfinite(value)):
                 raise ValueError(f"summary key {key!r} must be a finite number or null, got {value!r}")
-    except (OSError, ValueError) as exc:  # json's decode error is a ValueError
+    except (OSError, ValueError, RecursionError) as exc:  # json's decode error is a ValueError
         raise ValueError(f"missing or corrupt run log in {directory}: {exc}") from exc
     return summary
 
@@ -380,8 +383,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     run_dirs: dict[Path, Path] = {}  # each directory once, under the first spelling given
     for run_dir in map(Path, args.run_dirs):
         run_dirs.setdefault(run_dir.resolve(), run_dir)
-    if args.out and Path(args.out).resolve() in {(d / f).resolve() for d in run_dirs for f in ("summary.json", "log.jsonl")}:
-        raise ValueError(f"report --out {args.out} is a run file that report reads; refusing to overwrite it")
+    if args.out and any(Path(args.out).resolve().is_relative_to(run_dir) for run_dir in run_dirs):
+        raise ValueError(f"report --out {args.out} is inside a run directory that report reads; refusing to write there")
     by_variant: dict[str, list[dict]] = {}
     for run_dir in run_dirs.values():
         summary = load_summary(run_dir)

@@ -313,21 +313,6 @@ def apply_guarded_bellman(q: np.ndarray, mdp: TabularMdp, spec: SafetySpec) -> n
     return one_step_lookahead(mdp, safe_state_values(q, spec))
 
 
-def assert_contraction_pair(
-    mdp: TabularMdp, spec: SafetySpec, q1: np.ndarray, q2: np.ndarray
-) -> tuple[float, float]:
-    """Both sides of the contraction inequality for one (Q1, Q2) pair.
-
-    Returns (lhs, rhs) = (||T q1 - T q2||_inf, gamma * ||q1 - q2||_inf);
-    the caller asserts lhs <= rhs + 1e-9.
-    """
-    lhs = max_norm_distance(
-        apply_guarded_bellman(q1, mdp, spec), apply_guarded_bellman(q2, mdp, spec)
-    )
-    rhs = mdp.gamma * max_norm_distance(q1, q2)
-    return lhs, rhs
-
-
 def solve_guarded_value_iteration(
     mdp: TabularMdp, spec: SafetySpec, tol: float = 1e-8, max_iters: int = 100_000
 ) -> ValueIterationResult:

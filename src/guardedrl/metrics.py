@@ -16,8 +16,11 @@ from __future__ import annotations
 import numpy as np
 
 from .learner import LearnerConfig, PolicyTable, QEnsemble, compute_targets
-from .mdp import SafetySpec, check_range
+from .mdp import SafetySpec
 from .sampling import TransitionBatch
+
+# A greedy action whose behavior-cloning probability is below this is novel.
+NOVELTY_EPS = 0.05
 
 
 def coverage_count(visits: np.ndarray) -> int:
@@ -77,14 +80,13 @@ def support_kl(
     return float(np.sum(w * ratio_terms.sum(axis=1)))
 
 
-def action_novelty_rate(final_probs: np.ndarray, bc_probs: np.ndarray, eps: float = 0.05) -> float:
+def action_novelty_rate(final_probs: np.ndarray, bc_probs: np.ndarray) -> float:
     """Fraction of all states whose greedy final action the BC policy barely supports.
 
-    A state counts as novel when pi_bc(argmax pi_final | s) < eps;
+    A state counts as novel when pi_bc(argmax pi_final | s) < NOVELTY_EPS;
     argmax ties break toward the lowest action id.
     """
-    check_range("eps", eps, 0, 1, low_open=True, high_open=True)
     final_probs = np.asarray(final_probs, dtype=np.float64)
     bc_probs = np.asarray(bc_probs, dtype=np.float64)
     greedy = np.argmax(final_probs, axis=1)
-    return float(np.mean(bc_probs[np.arange(len(greedy)), greedy] < eps))
+    return float(np.mean(bc_probs[np.arange(len(greedy)), greedy] < NOVELTY_EPS))

@@ -88,6 +88,8 @@ _ROW_VALUES = itemgetter(*_JSONL_KEYS)
 # Lines the loader parses with one json.loads: 512 rows of the usual width
 # are about 36 kB.
 _CHUNK_LINES = 512
+# Pseudo-count added to every (state, action) of the behavior-cloning policy.
+BC_SMOOTHING = 0.01
 
 
 def column_buffers() -> tuple[array, ...]:
@@ -241,7 +243,6 @@ class OfflineDataset:
         self.transitions = data
         self.t = t
         self.episode = episode
-        self.num_episodes = len(bounds) - 1
         # One past the last row of each row's episode: an anchor's window end.
         self._end = np.repeat(bounds[1:], np.diff(bounds))
 
@@ -339,8 +340,8 @@ def _extend_by_chunk(path: str | Path, buffers: tuple[array, ...], lines: list[s
             if line := line.strip():
                 try:
                     values.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    stop = f"{path}:{lineno}: not valid JSON: {exc.msg}"
+                except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep to parse
+                    stop = f"{path}:{lineno}: not valid JSON: {getattr(exc, 'msg', exc)}"
                     break
                 linenos.append(lineno)
     if values:
@@ -440,11 +441,6 @@ class ReplayStore:
             self._run_end[retained % self.capacity] = n + 1
             self._run_start = n + 1
 
-    def online_rows(self) -> np.ndarray:
-        """Rows of the retained online records, oldest first."""
-        arrivals = np.arange(self._appended - self.online_count, self._appended)
-        return self.num_offline + arrivals % self.capacity
-
     def offline_window(
         self, anchors: np.ndarray, delta: int, rng: np.random.Generator
     ) -> np.ndarray:
@@ -509,16 +505,14 @@ def sample_hybrid_batch(
     return HybridBatch(store.columns.take(rows), online_mask, fallback)
 
 
-def derive_bc_policy(
-    off: OfflineDataset, num_states: int, num_actions: int, smoothing: float = 0.01
-) -> np.ndarray:
+def derive_bc_policy(off: OfflineDataset, num_states: int, num_actions: int) -> np.ndarray:
     """Behavior-cloning policy from offline action counts with additive smoothing.
 
-    pi(a|s) = (count(s, a) + eps) / (count(s) + A * eps); states never
-    visited come out uniform. Smoothing keeps every probability strictly
-    positive so KL divergences against this policy stay finite.
+    pi(a|s) = (count(s, a) + BC_SMOOTHING) / (count(s) + A * BC_SMOOTHING);
+    unvisited states come out uniform. Smoothing keeps every probability
+    strictly positive so KL divergences against this policy stay finite.
     """
     counts = np.zeros((num_states, num_actions))
     np.add.at(counts, (off.transitions.s, off.transitions.a), 1.0)
-    smoothed = counts + smoothing
+    smoothed = counts + BC_SMOOTHING
     return smoothed / smoothed.sum(axis=1, keepdims=True)

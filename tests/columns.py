@@ -1,4 +1,4 @@
-"""Test helpers: transition columns and datasets from TransitionRecord rows."""
+"""Test helpers: transition columns and datasets from TransitionRecord rows, and replay rows by arrival."""
 
 import numpy as np
 
@@ -22,3 +22,14 @@ def columns_of(records):
 def dataset_of(records):
     """OfflineDataset of the records, in order."""
     return OfflineDataset(row_columns(records))
+
+
+def episode_count(dataset):
+    """Episodes of a dataset: runs of rows with one episode id."""
+    return 1 + int(np.count_nonzero(dataset.episode[1:] != dataset.episode[:-1]))
+
+
+def ring_rows(store, appended):
+    """Store rows of the online records a ring keeps after `appended` arrivals, oldest first."""
+    arrivals = np.arange(max(0, appended - store.capacity), appended)
+    return store.num_offline + arrivals % store.capacity

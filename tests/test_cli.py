@@ -47,6 +47,17 @@ def base_train_config(tmp_path, total_steps=150, seed=0):
     }
 
 
+# A JSON value nested deeper than Python's parser recurses.
+DEEP = "[" * 5000 + "]" * 5000
+
+
+def parse_failure(text):
+    """The message of the RecursionError that json.loads raises on text."""
+    with pytest.raises(RecursionError) as excinfo:
+        json.loads(text)
+    return str(excinfo.value)
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc, indent=2))
@@ -336,6 +347,17 @@ class TestTrain:
         assert err.count("\n") == 1
         assert not (tmp_path / "deep").exists()
 
+    @pytest.mark.parametrize("command", ["train", "solve"])
+    def test_config_nested_too_deep_exits_2_before_writing(self, tmp_path, capsys, command):
+        text = json.dumps(base_train_config(tmp_path))[:-1] + ', "x": ' + DEEP + "}"
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config parse error at line 1, column 1: {parse_failure(text)}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_unreadable_config_exits_1(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         assert main(["train", str(missing), "--out", str(tmp_path / "run")]) == 1
@@ -446,6 +468,19 @@ class TestTrain:
         out = tmp_path / "deep" / "nested" / "run"
         assert main(["train", write_config(tmp_path, doc), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"{dataset}:1: missing key 'r'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.jsonl"]
+
+    def test_configured_dataset_line_nested_too_deep_is_named(self, tmp_path, capsys):
+        # The deep line sits past the loader's first chunk of 512 lines.
+        rows = [f'{{"s": 3, "a": 4, "r": -0.01, "s2": 3, "done": false, "t": {t}, "ep": 0}}' for t in range(600)]
+        rows[549] = DEEP
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text("\n".join(rows) + "\n")
+        doc = base_train_config(tmp_path, total_steps=60)
+        del doc["generate_offline"]
+        doc["offline_dataset"] = str(dataset)
+        assert main(["train", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"{dataset}:550: not valid JSON: {parse_failure(DEEP)}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.jsonl"]
 
     @pytest.mark.parametrize("text", ["", " \n\n"], ids=["empty", "whitespace"])
@@ -627,7 +662,10 @@ class TestSweepAndReport:
         assert len(out) == 2
         assert out[1].startswith("guardian,1,")
 
-    @pytest.mark.parametrize("name", ["summary.json", "log.jsonl"])
+    # Any path inside a directory that report reads is refused, a file of the
+    # run or a new one: the run's provenance record and its dataset included.
+    @pytest.mark.parametrize("name", ["summary.json", "log.jsonl", "effective_config.json", "offline.jsonl",
+                                      "new.csv", "sub/new.csv", "."])
     def test_report_refuses_to_overwrite_a_file_it_reads(self, tmp_path, monkeypatch, capsys, name):
         doc = base_train_config(tmp_path, total_steps=0)
         assert main(["train", write_config(tmp_path, doc)]) == 0
@@ -637,9 +675,31 @@ class TestSweepAndReport:
         assert main(["report", "run", "--out", f"./run/../run/{name}"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"report --out ./run/../run/{name} is a run file that report reads; "
-                                "refusing to overwrite it\n")
+        assert captured.err == (f"report --out ./run/../run/{name} is inside a run directory that report reads; "
+                                "refusing to write there\n")
         assert {path.name: path.read_bytes() for path in (tmp_path / "run").iterdir()} == before
+
+    def test_report_writes_beside_a_run_directory(self, tmp_path, monkeypatch, capsys):
+        # "run-report" starts with the run directory's name but lies outside it.
+        doc = base_train_config(tmp_path, total_steps=0)
+        assert main(["train", write_config(tmp_path, doc)]) == 0
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        assert main(["report", "run"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["report", "run", "--out", "run-report/report.csv"]) == 0
+        assert (tmp_path / "run-report" / "report.csv").read_text() == printed
+
+    @pytest.mark.parametrize("name", ["log.jsonl", "summary.json"])
+    def test_report_run_file_nested_too_deep_names_directory(self, tmp_path, capsys, name):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "log.jsonl").write_text('{"step": 0}\n')
+        (run / "summary.json").write_text(json.dumps({"variant": "guardian"}))
+        (run / name).write_text(DEEP + "\n")
+        assert main(["report", str(run), "--out", str(tmp_path / "report.csv")]) == 1
+        assert capsys.readouterr().err == f"missing or corrupt run log in {run}: {parse_failure(DEEP)}\n"
+        assert not (tmp_path / "report.csv").exists()
 
     def test_report_no_args_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -12,7 +12,6 @@ from guardedrl.mdp import (
     SafetySpec,
     TabularMdp,
     apply_guarded_bellman,
-    assert_contraction_pair,
     max_norm_distance,
     safe_state_values,
     save_problem,
@@ -32,6 +31,12 @@ def guarded_backup_bruteforce(q, mdp, spec):
                 acc += mdp.transition[s, a, s2] * best
             out[s, a] = mdp.reward[s, a] + mdp.gamma * acc
     return out
+
+
+def contraction_pair(mdp, spec, q1, q2):
+    """Both sides of the contraction inequality: (||T q1 - T q2||_inf, gamma * ||q1 - q2||_inf)."""
+    lhs = max_norm_distance(apply_guarded_bellman(q1, mdp, spec), apply_guarded_bellman(q2, mdp, spec))
+    return lhs, mdp.gamma * max_norm_distance(q1, q2)
 
 
 def two_state_problem(gamma=0.9):
@@ -189,12 +194,12 @@ class TestContraction:
     def test_equal_inputs_give_zero_pair(self):
         mdp, spec = two_state_problem()
         q = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert assert_contraction_pair(mdp, spec, q, q) == (0.0, 0.0)
+        assert contraction_pair(mdp, spec, q, q) == (0.0, 0.0)
 
     def test_constant_shift_is_tight(self):
         mdp, spec = two_state_problem()
         q = np.array([[1.0, 2.0], [3.0, 4.0]])
-        lhs, rhs = assert_contraction_pair(mdp, spec, q, q + 3.0)
+        lhs, rhs = contraction_pair(mdp, spec, q, q + 3.0)
         assert rhs == pytest.approx(0.9 * 3.0)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -210,7 +215,7 @@ class TestContraction:
             )
             q1 = rng.normal(scale=5.0, size=(mdp.num_states, mdp.num_actions))
             q2 = rng.normal(scale=5.0, size=(mdp.num_states, mdp.num_actions))
-            lhs, rhs = assert_contraction_pair(mdp, spec, q1, q2)
+            lhs, rhs = contraction_pair(mdp, spec, q1, q2)
             assert lhs <= rhs + 1e-9
 
 

@@ -27,7 +27,6 @@ from guardedrl.envs import (
 )
 from guardedrl.learner import LearnerConfig, QEnsemble, soft_update_targets
 from guardedrl.mdp import TabularMdp, check_range, solve_guarded_value_iteration, solve_pruned_value_iteration
-from guardedrl.metrics import action_novelty_rate
 from guardedrl.sampling import DssConfig, DtsConfig, ReplayStore, sample_hybrid_batch
 
 GRID_FIELDS = dict(width=3, height=2, start=(0, 1), goal=(2, 1), hazards={(1, 0)})
@@ -35,7 +34,6 @@ GRID = GridWorldSpec(**GRID_FIELDS)
 MDP, SPEC = build_cliff_grid(GRID)
 DTS_FIELDS = dict(delta_min=2, delta_max=4, beta=2.0, horizon=10)
 DSS_FIELDS = dict(lambda_min=0.1, lambda_max=0.5, k=1.0, horizon=10)
-BC = np.array([[0.7, 0.3]])
 
 
 def site(name, low, high, call, *, low_open=False, high_open=False, kind="a real number"):
@@ -111,8 +109,6 @@ SITES = [
     ("DssConfig.lambda_max", field("lambda_max", 0.1, 1, dss)),
     ("DssConfig.k", field("k", 0, math.inf, dss, low_open=True, high_open=True)),
     ("sample_hybrid_batch.lam", site("lam", 0, 1, batch)),
-    ("action_novelty_rate.eps",
-     field("eps", 0, 1, lambda eps: action_novelty_rate(BC, BC, eps=eps), low_open=True, high_open=True)),
     # SolveTolerances' two checks, reached through `guardedrl solve`: the config
     # parse refuses a non-number before check_range sees it.
     ("solve top-level tol",

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from columns import columns_of, dataset_of, row_columns
+from columns import columns_of, dataset_of, episode_count, ring_rows, row_columns
 
 from guardedrl.sampling import (
     _CHUNK_LINES,
@@ -68,9 +68,9 @@ def store_of(offline_records, online_records=(), capacity=64):
     return store
 
 
-def online_batch(store):
-    """The retained online records' columns, oldest first."""
-    return store.columns.take(store.online_rows())
+def online_batch(store, appended):
+    """The columns of the online records retained after `appended` arrivals, oldest first."""
+    return store.columns.take(ring_rows(store, appended))
 
 
 class TestDtsInterval:
@@ -135,7 +135,7 @@ class TestOnlineBuffer:
     def test_fifo_eviction(self):
         store = store_of(chain_episode(0, 3), [tr(s=1), tr(s=2), tr(s=3)], capacity=2)
         assert store.online_count == 2
-        assert online_batch(store).s.tolist() == [2, 3]
+        assert online_batch(store, 3).s.tolist() == [2, 3]
 
     def test_single_record_sampled_back(self):
         store = store_of(chain_episode(0, 3), [tr(s=9)], capacity=4)
@@ -182,7 +182,7 @@ class TestOfflineDataset:
         path = tmp_path / "data.jsonl"
         ds.save_jsonl(path)
         loaded = OfflineDataset.load_jsonl(path)
-        assert loaded.num_episodes == 2
+        assert episode_count(loaded) == 2
         assert_same_rows(loaded, ds)
 
     def test_jsonl_line_format(self, tmp_path):
@@ -314,6 +314,20 @@ class TestOfflineDataset:
         with pytest.raises(ValueError) as excinfo:
             OfflineDataset.load_jsonl(path)
         assert str(excinfo.value) == f"{path}:{prefix + bad_line}: {problem}"
+
+    @pytest.mark.parametrize("row, prefix", with_prefixes([
+        ("[" * 5000 + "]" * 5000,),
+        # No bracket: the chunk's one parse is tried first and fails the same way.
+        ('{"x": ' * 5000 + "0" + "}" * 5000,),
+    ], ["arrays", "objects"]))
+    def test_loader_names_a_line_nested_too_deep_to_parse(self, tmp_path, row, prefix):
+        path = tmp_path / "deep.jsonl"
+        path.write_text(good_lines(prefix) + GOOD_ROW + row + "\n" + GOOD_ROW)
+        with pytest.raises(RecursionError) as parse_error:
+            json.loads(row)
+        with pytest.raises(ValueError) as excinfo:
+            OfflineDataset.load_jsonl(path)
+        assert str(excinfo.value) == f"{path}:{prefix + 2}: not valid JSON: {parse_error.value}"
 
     def test_loader_names_a_bad_row_at_a_chunk_edge(self, tmp_path):
         # Blank lines end the first chunk and start the second; the bad row follows them.
@@ -535,8 +549,8 @@ class TestWindowSupport:
         for n, (rec, last) in enumerate(zip(arrivals, last_flags(arrivals)), start=1):
             store.append(rec.s, rec.a_exec, rec.r, rec.s_next, rec.done, last)
             retained = arrivals[max(0, n - store.capacity):n]
-            assert_same_columns(online_batch(store), columns_of(retained))
-            rows = store.online_rows().tolist()
+            assert_same_columns(online_batch(store, n), columns_of(retained))
+            rows = ring_rows(store, n).tolist()
             seen = drawn_windows(store.online_window, store.online_count, delta)
             for anchor in range(store.online_count):
                 expected = {rows[pos] for pos in forward_run(retained, anchor, delta)}
@@ -551,7 +565,7 @@ class TestWindowSupport:
         built.save_jsonl(tmp_path / "data.jsonl")
         loaded = OfflineDataset.load_jsonl(tmp_path / "data.jsonl")
         for ds in (built, loaded):
-            assert ds.num_episodes == len(self.LENGTHS)
+            assert episode_count(ds) == len(self.LENGTHS)
             assert_same_rows(ds, built)
             assert_same_columns(ds.transitions, columns_of(records))
             store = ReplayStore(ds, capacity=3)
@@ -634,7 +648,7 @@ class TestStoreMatchesTwoStoreDraw:
         retained = arrivals[-self.CAPACITY:] if arrivals else []
         store = store_of(offline, arrivals, capacity=self.CAPACITY)
         if fill == "wrapped":
-            rows = store.online_rows()
+            rows = ring_rows(store, len(arrivals))
             assert rows[0] > rows[-1]  # the oldest record sits past the newest
         rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
         for _ in range(4):

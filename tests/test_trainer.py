@@ -7,7 +7,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from columns import dataset_of
+from columns import dataset_of, ring_rows
 
 from guardedrl.envs import (
     RIGHT,
@@ -130,7 +130,8 @@ class TestRunTraining:
         log, state = run_training(cfg, dataset, return_state=True)
         assert log.summary["executed_violations"] == 0
         _, spec = build_cliff_grid(grid)
-        executed = state.store.columns.take(state.store.online_rows())
+        assert state.store.online_count == 400
+        executed = state.store.columns.take(ring_rows(state.store, cfg.total_steps))
         assert len(executed) == 400
         assert spec.safe[executed.s, executed.a].all()
         assert all(rec["pre_guard_violation_rate"] is not None for rec in log.records[1:])
@@ -186,7 +187,8 @@ class TestRunTraining:
         assert cfg.dts.delta_max > cfg.max_episode_len
         _, state = run_training(cfg, dataset, return_state=True)
         store = state.store
-        rows = store.online_rows()
+        assert store.online_count == cfg.total_steps
+        rows = ring_rows(store, cfg.total_steps)
         np.testing.assert_array_equal(rows, store.num_offline + np.arange(cfg.total_steps))
         # The trainer's rule: a new episode starts after done or after 3 records.
         labels, episode, t_ep, capped = [], 0, 0, 0
