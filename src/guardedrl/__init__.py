@@ -62,7 +62,6 @@ from .trainer import (
     EvalResult,
     RunConfig,
     RunLog,
-    TrainerState,
     evaluate_policy,
     measure_ttfv,
     run_training,

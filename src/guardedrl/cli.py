@@ -4,9 +4,9 @@ One JSON config file drives everything; a handful of flat flags
 (--seed, --variant, --steps, --out) override it for train runs. The
 effective config (after overrides, with the dataset path pinned) is
 echoed into the output directory so any run can be reproduced from its
-own provenance record. Exit codes: 0 success, 1 runtime failure,
-2 usage or parse failure. File formats are documented in
-docs/formats.md.
+own provenance record. Exit codes: 0 success, 1 runtime failure
+(out of memory included: one line, `out of memory: <message>`), 2 usage
+or parse failure. File formats are documented in docs/formats.md.
 """
 
 from __future__ import annotations
@@ -251,43 +251,39 @@ def prepare_offline_dataset(doc: dict, grid: GridWorldSpec) -> OfflineDataset:
                                    guardian_filter=gen.guardian_filter, start_state=grid.start_state)
 
 
-def _train_one(doc: dict, cfg: RunConfig, out_dir: Path) -> dict:
-    """Train the doc's parsed cfg; nothing reaches the disk until the run succeeded.
+@contextlib.contextmanager
+def _staged(out_dir: Path, last: str, moves: tuple[tuple[str, Path], ...] = ()):
+    """Yield a temporary sibling of out_dir to write a command's files into, then move them into place.
 
-    An existing file named by "offline_dataset" is loaded; otherwise the
-    dataset is generated in memory. After training, the run files and a
-    generated dataset are written to a temporary sibling of out_dir and
-    moved into place: the dataset to its configured path (default:
-    <out_dir>/offline.jsonl), then the run files into out_dir,
-    summary.json last. A failed run creates nothing, not even a missing
-    parent of out_dir: a write that fails after training removes the
-    directories it created and is reported with the path it was writing.
+    Each (name, path) of moves goes first, to that path, which does not
+    exist yet; the other files go into out_dir, `last` last, after an
+    earlier `last` there is removed. A failed write names the path it was
+    writing and creates nothing: it removes the files it placed at new
+    paths and the directories it made, even a missing parent of out_dir.
     """
-    configured = doc.get("offline_dataset")
-    generated = not (configured and Path(configured).exists())
-    offline = prepare_offline_dataset(doc, cfg.grid) if generated else OfflineDataset.load_jsonl(configured)
-    dataset_path = Path(configured or out_dir / "offline.jsonl")
-    doc = {**doc, "offline_dataset": str(dataset_path.resolve())}
-    log = run_training(cfg, offline)
     # The missing directories the write may create, deepest first: a failed write removes those it left empty.
-    missing = sorted({p.absolute() for d in (out_dir, dataset_path.parent) for p in (d, *d.parents) if not p.exists()},
-                     key=lambda p: -len(p.parts))
-    staging, target = None, out_dir
+    missing = sorted({p.absolute() for d in (out_dir, *(path.parent for _, path in moves))
+                      for p in (d, *d.parents) if not p.exists()}, key=lambda p: -len(p.parts))
+    staging, target, placed = None, out_dir, []
     try:
         out_dir.parent.mkdir(parents=True, exist_ok=True)
         staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
-        log.save(staging)
-        (staging / "effective_config.json").write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
-        if generated:
-            offline.save_jsonl(staging / "offline.jsonl")
-            target = dataset_path
-            dataset_path.parent.mkdir(parents=True, exist_ok=True)
-            shutil.move(staging / "offline.jsonl", dataset_path)
-            target = out_dir
+        yield staging
+        for name, target in moves:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            placed.append(target)
+            shutil.move(staging / name, target)
+        target = out_dir
         out_dir.mkdir(exist_ok=True)
-        for path in sorted(staging.iterdir(), key=lambda p: p.name == "summary.json"):
+        (out_dir / last).unlink(missing_ok=True)  # an earlier write's `last` would vouch for a mix
+        for path in sorted(staging.iterdir(), key=lambda p: p.name == last):
+            if not (out_dir / path.name).exists():
+                placed.append(out_dir / path.name)
             path.replace(out_dir / path.name)
     except OSError as exc:
+        for path in placed:  # a file that replaced another stays
+            with contextlib.suppress(OSError):
+                path.unlink()
         raise OSError(f"cannot write {target}: {exc}") from exc
     finally:
         if staging is not None:
@@ -295,6 +291,27 @@ def _train_one(doc: dict, cfg: RunConfig, out_dir: Path) -> dict:
         for directory in missing:  # a successful write leaves none of them empty
             with contextlib.suppress(OSError):
                 directory.rmdir()
+
+
+def _train_one(doc: dict, cfg: RunConfig, out_dir: Path) -> dict:
+    """Train the doc's parsed cfg; nothing reaches the disk until the run succeeded.
+
+    An existing file named by "offline_dataset" is loaded; otherwise the
+    dataset is generated in memory. After training, the run files go into
+    out_dir through _staged, summary.json last, after a generated dataset
+    has gone to its configured path (default: <out_dir>/offline.jsonl).
+    """
+    configured = doc.get("offline_dataset")
+    generated = not (configured and Path(configured).exists())
+    offline = prepare_offline_dataset(doc, cfg.grid) if generated else OfflineDataset.load_jsonl(configured)
+    dataset_path = Path(configured or out_dir / "offline.jsonl")
+    doc = {**doc, "offline_dataset": str(dataset_path.resolve())}
+    log = run_training(cfg, offline)
+    with _staged(out_dir, "summary.json", (("offline.jsonl", dataset_path),) if generated else ()) as staging:
+        log.save(staging)
+        (staging / "effective_config.json").write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+        if generated:
+            offline.save_jsonl(staging / "offline.jsonl")
     return log.summary
 
 
@@ -346,13 +363,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"solver failed to converge: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     gap = max_norm_distance(result.q, oracle)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_problem(out_dir / "problem.json", mdp, spec)
-    (out_dir / "q_guarded.json").write_text(json.dumps({"q": result.q.tolist()}))
-    (out_dir / "q_pruned_oracle.json").write_text(json.dumps({"q": oracle.tolist()}))
     solution = {"gap": gap, "gap_tolerance": tols.gap_tolerance, "iterations": result.iterations,
                 "tol": tols.tol, "within_tolerance": gap <= tols.gap_tolerance}
-    (out_dir / "solution.json").write_text(json.dumps(solution, indent=2) + "\n")
+    with _staged(out_dir, "solution.json") as staging:
+        save_problem(staging / "problem.json", mdp, spec)
+        (staging / "q_guarded.json").write_text(json.dumps({"q": result.q.tolist()}))
+        (staging / "q_pruned_oracle.json").write_text(json.dumps({"q": oracle.tolist()}))
+        (staging / "solution.json").write_text(json.dumps(solution, indent=2) + "\n")
     print(json.dumps(solution, indent=2))
     return EXIT_OK if gap <= tols.gap_tolerance else EXIT_RUNTIME
 
@@ -449,6 +466,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

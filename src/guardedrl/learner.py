@@ -15,6 +15,8 @@ rows are gathered once, ordered by multiplicity, so fold round r
 (occurrence r of each key) updates a prefix slice in place, and the rows
 are scattered back once. A learner instance is single-owner mutable
 state: one updater at a time, read-only queries freely between updates.
+QEnsemble.init_random draws member entries uniformly from
+[-INIT_NOISE, INIT_NOISE].
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import numpy as np
 from .guardian import renormalize_policy_safe
 from .mdp import SafetySpec, check_range
 from .sampling import TransitionBatch
+
+INIT_NOISE = 0.1
 
 
 @dataclass
@@ -105,15 +109,14 @@ class QEnsemble:
         size: int = 2,
         *,
         rng: np.random.Generator,
-        init_scale: float = 0.1,
     ) -> "QEnsemble":
-        """Members drawn from rng with independent uniform noise in [-init_scale, init_scale].
+        """Members drawn from rng with independent uniform noise in [-INIT_NOISE, INIT_NOISE].
 
         rng is required: a seeded generator gives the same members on every
         run. The noise makes ensemble variance informative from step 0;
         targets start as exact copies.
         """
-        members = rng.uniform(-init_scale, init_scale, size=(size, num_states, num_actions))
+        members = rng.uniform(-INIT_NOISE, INIT_NOISE, size=(size, num_states, num_actions))
         return cls(members=members, targets=members.copy())
 
     @property
@@ -222,18 +225,6 @@ def update_critics(
     ens.members[:, us, ua] = table
 
 
-def actor_loss(logits_row: np.ndarray, qmin_row: np.ndarray, alpha: float) -> float:
-    """Analytic actor objective for one state.
-
-    L(s) = sum_a pi(a) * (alpha * log pi(a) - Qmin(s, a)) with
-    pi = softmax(logits). The expectation over the discrete action set
-    is exact, no sampling.
-    """
-    logp = log_softmax(np.asarray(logits_row, dtype=np.float64))
-    p = np.exp(logp)
-    return float(np.sum(p * (alpha * logp - np.asarray(qmin_row, dtype=np.float64))))
-
-
 def update_actor(
     pol: PolicyTable,
     states: Sequence[int],
@@ -242,8 +233,9 @@ def update_actor(
 ) -> float:
     """One gradient-descent step on the analytic actor loss per state.
 
-    The gradient w.r.t. the logits is pi * (f - L(s)) with
-    f_a = alpha * log pi(a) - Qmin(s, a); repeated states fold
+    L(s) = sum_a pi(a) * f_a, exact over the discrete action set, with
+    pi = softmax(logits) and f_a = alpha * log pi(a) - Qmin(s, a). Its
+    gradient w.r.t. the logits is pi * (f - L(s)); repeated states fold
     sequentially in batch order, in rounds over a compact (U, A) copy of
     the distinct states' logits (see update_critics), bit for bit equal
     to one-sample steps. Returns the mean pre-update loss, summed in

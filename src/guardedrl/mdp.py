@@ -35,10 +35,6 @@ NEAR_MISS_MARGIN = 1.5
 class ConvergenceError(RuntimeError):
     """Value iteration failed to reach tolerance within the sweep budget."""
 
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
 
 @dataclass(frozen=True)
 class TabularMdp:
@@ -227,11 +223,10 @@ def categorical_draw(cdf: Sequence[float], u: float) -> int:
 
 @dataclass(frozen=True)
 class ValueIterationResult:
-    """Solver output: Q table, sweep count, and successive-iterate residuals."""
+    """Solver output: Q table and sweep count."""
 
     q: np.ndarray
     iterations: int
-    residuals: tuple[float, ...] = field(repr=False)
 
 
 def check_compatible(mdp: TabularMdp, spec: SafetySpec) -> None:
@@ -320,25 +315,21 @@ def solve_guarded_value_iteration(
 
     Stops once gamma * ||Q_{k+1} - Q_k||_inf <= tol, which by the
     contraction property guarantees the returned table satisfies
-    ||T Q - Q||_inf <= tol. The distance to the exact fixed point is
-    bounded by r_k * gamma / (1 - gamma) for the last recorded residual.
-    Deterministic given its inputs.
+    ||T Q - Q||_inf <= tol, so its distance to the exact fixed point is
+    at most tol / (1 - gamma). Deterministic given its inputs.
     """
     check_compatible(mdp, spec)
     check_range("tol", tol, 0, np.inf, low_open=True, high_open=True)
     check_count("max_iters", max_iters, 1)
     q = np.zeros((mdp.num_states, mdp.num_actions))
-    residuals: list[float] = []
     for iteration in range(1, max_iters + 1):
         q_next = apply_guarded_bellman(q, mdp, spec)
         residual = float(np.max(np.abs(q_next - q)))
-        residuals.append(residual)
         q = q_next
         if mdp.gamma * residual <= tol:
-            return ValueIterationResult(q=q, iterations=iteration, residuals=tuple(residuals))
+            return ValueIterationResult(q=q, iterations=iteration)
     raise ConvergenceError(
-        f"no convergence to tol={tol} within {max_iters} sweeps (last residual {residuals[-1]:.3g})",
-        residual=residuals[-1],
+        f"no convergence to tol={tol} within {max_iters} sweeps (last residual {residual:.3g})"
     )
 
 
@@ -365,9 +356,7 @@ def solve_pruned_value_iteration(
         v = v_next
         if mdp.gamma * residual <= tol:
             return one_step_lookahead(mdp, v)
-    raise ConvergenceError(
-        f"pruned value iteration did not reach tol={tol} in {max_iters} sweeps", residual=residual
-    )
+    raise ConvergenceError(f"pruned value iteration did not reach tol={tol} in {max_iters} sweeps")
 
 
 # --- JSON output -----------------------------------------------------------

@@ -160,16 +160,6 @@ class EvalResult:
     state_visits: np.ndarray
 
 
-@dataclass
-class TrainerState:
-    """Post-run internals, exposed for inspection and tests."""
-
-    pol: PolicyTable
-    ens: QEnsemble
-    store: ReplayStore
-    visits: np.ndarray  # executed steps per state
-
-
 def _sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
     return categorical_draw(list(accumulate(probs.tolist())), rng.random())
 
@@ -280,18 +270,13 @@ def _check_finite(record: dict, where: str) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def run_training(
-    cfg: RunConfig,
-    offline: OfflineDataset,
-    return_state: bool = False,
-) -> RunLog | tuple[RunLog, TrainerState]:
+def run_training(cfg: RunConfig, offline: OfflineDataset) -> RunLog:
     """Execute the full training loop for cfg.total_steps steps on the offline dataset.
 
     A dataset whose state or action ids fall outside the grid's MDP
     fails before any step runs (OfflineDataset refuses an empty one).
     Returns the per-interval log with a final summary (never writes files
-    itself); with return_state the final learner/store internals come
-    back too. A non-finite number in an interval record or the summary
+    itself). A non-finite number in an interval record or the summary
     raises ValueError naming the step and the key; so does, at each
     interval, a non-finite entry anywhere in the policy logits or the Q
     member and target tables. numpy's overflow and invalid-value warnings
@@ -436,6 +421,4 @@ def run_training(
         "action_novelty_rate": float(action_novelty_rate(probs, bc)),
     }
     _check_finite(log.summary, f"summary after step {cfg.total_steps}")
-    if return_state:
-        return log, TrainerState(pol=pol, ens=ens, store=store, visits=visits)
     return log

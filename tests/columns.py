@@ -1,7 +1,12 @@
-"""Test helpers: transition columns and datasets from TransitionRecord rows, and replay rows by arrival."""
+"""Test helpers: transition columns and datasets from TransitionRecord rows, replay rows by arrival,
+a run's internals and the actor's reference objective."""
+
+from types import SimpleNamespace
 
 import numpy as np
 
+from guardedrl import trainer
+from guardedrl.learner import log_softmax
 from guardedrl.sampling import OfflineDataset, TransitionBatch
 
 _FIELDS = ("s", "a_exec", "r", "s_next", "done", "t", "episode")  # dataset row order
@@ -33,3 +38,25 @@ def ring_rows(store, appended):
     """Store rows of the online records a ring keeps after `appended` arrivals, oldest first."""
     arrivals = np.arange(max(0, appended - store.capacity), appended)
     return store.num_offline + arrivals % store.capacity
+
+
+def record_run_internals(monkeypatch):
+    """Make run_training keep what it builds: after a run, .store, .pol and .ens hold its last
+    ReplayStore, PolicyTable and QEnsemble, read by recording subclasses installed in guardedrl.trainer."""
+    internals = SimpleNamespace(store=None, pol=None, ens=None)
+    for attr, name in (("store", "ReplayStore"), ("pol", "PolicyTable"), ("ens", "QEnsemble")):
+        base = getattr(trainer, name)
+
+        def __init__(self, *args, _base=base, _attr=attr, **kwargs):
+            _base.__init__(self, *args, **kwargs)
+            setattr(internals, _attr, self)
+
+        monkeypatch.setattr(trainer, name, type(name, (base,), {"__init__": __init__}))
+    return internals
+
+
+def actor_loss(logits_row, qmin_row, alpha):
+    """The actor's objective at one state, L = sum_a pi(a) * (alpha * log pi(a) - Qmin(s, a)),
+    pi = softmax(logits): the reference that update_actor's analytic gradient is checked against."""
+    logp = log_softmax(np.asarray(logits_row, dtype=np.float64))
+    return float(np.sum(np.exp(logp) * (alpha * logp - np.asarray(qmin_row, dtype=np.float64))))

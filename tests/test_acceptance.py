@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from columns import ring_rows
+from columns import actor_loss, record_run_internals, ring_rows
 
 from guardedrl.cli import main as cli_main
 from guardedrl.envs import (
@@ -21,7 +21,7 @@ from guardedrl.envs import (
     uniform_safe_policy,
 )
 from guardedrl.guardian import renormalize_policy_safe
-from guardedrl.learner import LearnerConfig, PolicyTable, QEnsemble, actor_loss, update_actor
+from guardedrl.learner import LearnerConfig, PolicyTable, QEnsemble, update_actor
 from guardedrl.mdp import (
     apply_guarded_bellman,
     max_norm_distance,
@@ -161,7 +161,7 @@ def test_criterion_4_schedule_laws():
             f"boundaries exact, 1000-point monotonicity, midpoint gap={midpoint_gap:.1e}")
 
 
-def test_criterion_5_zero_executed_violations():
+def test_criterion_5_zero_executed_violations(monkeypatch):
     """Full guardian run (T=20000, zero slip): no predicate violation anywhere."""
     start = time.time()
     grid = cliff_grid(slip=0.0)
@@ -172,7 +172,8 @@ def test_criterion_5_zero_executed_violations():
     )
     cfg = make_run_config(grid, "guardian", total_steps=20_000, seed=0,
                           alpha=0.01, eval_every=2000)
-    log, state = run_training(cfg, offline, return_state=True)
+    state = record_run_internals(monkeypatch)
+    log = run_training(cfg, offline)
     executed = state.store.columns.take(ring_rows(state.store, cfg.total_steps))
     buffer_clean = bool(spec.safe[executed.s, executed.a].all())
     elapsed = time.time() - start
@@ -196,8 +197,8 @@ def test_criterion_6_tabular_convergence():
     q_star = solve_guarded_value_iteration(mdp, spec, tol=1e-10).q
 
     rng = np.random.default_rng(7)
-    ens = QEnsemble.init_random(mdp.num_states, mdp.num_actions, size=2,
-                                rng=rng, init_scale=0.01)
+    members = rng.uniform(-0.01, 0.01, size=(2, mdp.num_states, mdp.num_actions))
+    ens = QEnsemble(members=members, targets=members.copy())
     visits = np.zeros((mdp.num_states, mdp.num_actions))
     safe_lists = [np.flatnonzero(spec.safe[s]) for s in range(mdp.num_states)]
     s = grid.start_state

@@ -3,8 +3,11 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import re
 import statistics
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -188,7 +191,7 @@ class TestSolve:
 
     def test_convergence_failure_leaves_no_directory(self, tmp_path, monkeypatch, capsys):
         def fail(mdp, spec, tol):
-            raise ConvergenceError("no convergence within 3 sweeps", residual=0.5)
+            raise ConvergenceError("no convergence within 3 sweeps")
 
         monkeypatch.setattr("guardedrl.cli.solve_pruned_value_iteration", fail)
         doc = {"random_mdp": {"num_states": 12, "num_actions": 4}, "output_dir": str(tmp_path / "solve")}
@@ -212,6 +215,53 @@ class TestSolve:
         doc = {"env": {"map": ["S.G"], "gamma": 0.0}, "notes": {"any": "thing"},
                "output_dir": str(tmp_path / "solve")}
         assert main(["solve", write_config(tmp_path, doc)]) == 0
+
+    @pytest.mark.parametrize("blocked", ["problem.json", "q_guarded.json", "q_pruned_oracle.json", "solution.json"])
+    def test_blocked_write_leaves_no_new_file(self, tmp_path, capsys, blocked):
+        # One of the four files is a directory: none of the others is left behind.
+        out = tmp_path / "solve"
+        (out / blocked).mkdir(parents=True)
+        doc = {"random_mdp": {"num_states": 12, "num_actions": 4}}
+        assert main(["solve", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {out}: [Errno 21] Is a directory") and err.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == [blocked]
+        assert not any((out / blocked).iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "solve"]
+
+    def test_failed_rerun_leaves_no_solution(self, tmp_path, capsys):
+        # A rerun that replaces some files of an earlier solve and then fails
+        # must not leave the earlier solution.json vouching for the mix.
+        out = tmp_path / "solve"
+        doc = {"random_mdp": {"num_states": 12, "num_actions": 4}}
+        assert main(["solve", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        (out / "q_pruned_oracle.json").unlink()
+        (out / "q_pruned_oracle.json").mkdir()
+        doc["random_mdp"]["seed"] = 1
+        assert main(["solve", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"cannot write {out}: ")
+        assert not (out / "solution.json").exists()
+
+    def test_failed_write_leaves_no_parent_directories(self, tmp_path, monkeypatch, capsys):
+        def full(path, mdp, spec):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("guardedrl.cli.save_problem", full)
+        out = tmp_path / "deep" / "nested" / "solve"
+        doc = {"random_mdp": {"num_states": 12, "num_actions": 4}}
+        assert main(["solve", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"cannot write {out}: [Errno 28] No space left on device\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_files_move_into_place_solution_last(self, tmp_path, monkeypatch):
+        moved = []
+        replace = Path.replace
+        monkeypatch.setattr(Path, "replace", lambda self, target: moved.append(Path(target).name) or replace(self, target))
+        doc = {"random_mdp": {"num_states": 12, "num_actions": 4}, "output_dir": str(tmp_path / "solve")}
+        assert main(["solve", write_config(tmp_path, doc)]) == 0
+        assert sorted(moved[:-1]) == ["problem.json", "q_guarded.json", "q_pruned_oracle.json"]
+        assert moved[-1] == "solution.json"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "solve"]
 
 
 class TestTrain:
@@ -896,6 +946,40 @@ def json_block_after(path, marker):
     text = (REPO / path).read_text()
     start = text.index("```json\n", text.index(marker)) + len("```json\n")
     return json.loads(text[start:text.index("```", start)])
+
+
+class TestOutOfMemory:
+    """A MemoryError ends in one line and exit 1. The callee raises it: nothing is allocated for real,
+    since where memory is overcommitted a huge allocation can succeed and the process be killed later."""
+
+    MESSAGE = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64"
+
+    def fail(self, *args, **kwargs):
+        raise MemoryError(self.MESSAGE)
+
+    def test_train(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("guardedrl.cli.run_training", self.fail)
+        assert main(["train", write_config(tmp_path, base_train_config(tmp_path))]) == 1
+        assert capsys.readouterr().err == f"out of memory: {self.MESSAGE}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_sweep(self, tmp_path, monkeypatch, capsys):
+        # Forked workers inherit the patch; the error crosses the process boundary.
+        monkeypatch.setattr("guardedrl.cli.run_training", self.fail)
+        monkeypatch.setattr("guardedrl.cli.ProcessPoolExecutor",
+                            partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        doc = base_train_config(tmp_path)
+        doc["sweep"] = {"variants": ["guardian", "no_guard"], "seeds": [0]}
+        assert main(["sweep", write_config(tmp_path, doc), "--out", str(tmp_path / "sweep")]) == 1
+        assert capsys.readouterr().err == f"out of memory: {self.MESSAGE}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_solve(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("guardedrl.cli.build_random_safe_mdp", self.fail)
+        doc = {"random_mdp": {"num_states": 1000000, "num_actions": 3}, "output_dir": str(tmp_path / "solve")}
+        assert main(["solve", write_config(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err == f"out of memory: {self.MESSAGE}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 class TestDocumentedConfigs:

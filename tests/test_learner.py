@@ -5,14 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from columns import columns_of
+from columns import actor_loss, columns_of
 
 from guardedrl.guardian import renormalize_policy_safe
 from guardedrl.learner import (
+    INIT_NOISE,
     LearnerConfig,
     PolicyTable,
     QEnsemble,
-    actor_loss,
     compute_targets,
     ensemble_variance,
     soft_update_targets,
@@ -87,6 +87,13 @@ class TestInitRandom:
             QEnsemble.init_random(2, 2)
         with pytest.raises(TypeError):
             QEnsemble.init_random(2, 2, 2, np.random.default_rng(0))
+
+    def test_members_are_uniform_init_noise_and_targets_copy_them(self):
+        ens = QEnsemble.init_random(3, 2, size=4, rng=np.random.default_rng(5))
+        expected = np.random.default_rng(5).uniform(-INIT_NOISE, INIT_NOISE, size=(4, 3, 2))
+        np.testing.assert_array_equal(ens.members, expected)
+        np.testing.assert_array_equal(ens.targets, expected)
+        assert ens.targets is not ens.members
 
 
 class TestComputeGuardedTarget:

@@ -243,7 +243,8 @@ class TestValueIteration:
         for seed in range(5):
             mdp, spec = build_random_safe_mdp(8, 4, safe_fraction=0.6, seed=seed, gamma=0.9)
             result = solve_guarded_value_iteration(mdp, spec, tol=1e-8)
-            r = result.residuals
+            q, r = operator_iterates(mdp, spec, result.iterations)
+            np.testing.assert_array_equal(result.q, q)
             for k in range(len(r) - 1):
                 assert r[k + 1] <= mdp.gamma * r[k] + 1e-12
 
@@ -256,14 +257,27 @@ class TestValueIteration:
 
     def test_nonconvergence_raises_with_residual(self):
         mdp, spec = two_state_problem()
-        with pytest.raises(ConvergenceError) as excinfo:
+        _, residuals = operator_iterates(mdp, spec, 2)
+        message = f"no convergence to tol=1e-12 within 2 sweeps (last residual {residuals[-1]:.3g})"
+        assert residuals[-1] > 0.0
+        with pytest.raises(ConvergenceError, match=f"^{re.escape(message)}$"):
             solve_guarded_value_iteration(mdp, spec, tol=1e-12, max_iters=2)
-        assert excinfo.value.residual > 0.0
 
     def test_rejects_nonpositive_tol(self):
         mdp, spec = two_state_problem()
         with pytest.raises(ValueError):
             solve_guarded_value_iteration(mdp, spec, tol=0.0)
+
+
+def operator_iterates(mdp, spec, sweeps, operator=apply_guarded_bellman):
+    """(Q after `sweeps` guarded backups from Q = 0, the max-norm residual of each sweep)."""
+    q = np.zeros((mdp.num_states, mdp.num_actions))
+    residuals = []
+    for _ in range(sweeps):
+        q_next = operator(q, mdp, spec)
+        residuals.append(max_norm_distance(q_next, q))
+        q = q_next
+    return q, residuals
 
 
 SOLVERS = [solve_guarded_value_iteration, solve_pruned_value_iteration]
@@ -341,14 +355,10 @@ class TestSweep:
             calls.clear()
             result = solve_guarded_value_iteration(mdp, spec, tol=1e-10)
             assert len(calls) == result.iterations
-            q = np.zeros((mdp.num_states, mdp.num_actions))
-            residuals = []
-            for _ in range(result.iterations):
-                q_next = operator(q, mdp, spec)
-                residuals.append(max_norm_distance(q_next, q))
-                q = q_next
+            q, residuals = operator_iterates(mdp, spec, result.iterations, operator)
             np.testing.assert_array_equal(result.q, q)
-            assert result.residuals == tuple(residuals)
+            # The solver stops at the first sweep whose scaled residual meets tol.
+            assert [mdp.gamma * r <= 1e-10 for r in residuals] == [False] * (result.iterations - 1) + [True]
 
     def test_both_solvers_match_the_3d_row_max_reference(self):
         for mdp, spec in sweep_instances():

@@ -7,7 +7,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from columns import dataset_of, ring_rows
+from columns import dataset_of, record_run_internals, ring_rows
 
 from guardedrl.envs import (
     RIGHT,
@@ -125,9 +125,10 @@ class TestRunConfig:
 
 
 class TestRunTraining:
-    def test_guardian_zero_slip_never_violates(self, grid, dataset):
+    def test_guardian_zero_slip_never_violates(self, grid, dataset, monkeypatch):
         cfg = make_config(grid, variant="guardian", total_steps=400)
-        log, state = run_training(cfg, dataset, return_state=True)
+        state = record_run_internals(monkeypatch)
+        log = run_training(cfg, dataset)
         assert log.summary["executed_violations"] == 0
         _, spec = build_cliff_grid(grid)
         assert state.store.online_count == 400
@@ -136,9 +137,10 @@ class TestRunTraining:
         assert spec.safe[executed.s, executed.a].all()
         assert all(rec["pre_guard_violation_rate"] is not None for rec in log.records[1:])
 
-    def test_offline_only_keeps_buffer_empty(self, grid, dataset):
+    def test_offline_only_keeps_buffer_empty(self, grid, dataset, monkeypatch):
         cfg = make_config(grid, variant="offline_only", total_steps=150)
-        log, state = run_training(cfg, dataset, return_state=True)
+        state = record_run_internals(monkeypatch)
+        log = run_training(cfg, dataset)
         assert state.store.online_count == 0
         assert log.summary["executed_violations"] == 0
         assert log.summary["offline_fallbacks"] > 0
@@ -148,9 +150,10 @@ class TestRunTraining:
         log = run_training(cfg, dataset)
         assert log.summary["executed_violations"] > 0
 
-    def test_zero_steps_snapshot_only(self, grid, dataset):
+    def test_zero_steps_snapshot_only(self, grid, dataset, monkeypatch):
         cfg = make_config(grid, total_steps=0)
-        log, state = run_training(cfg, dataset, return_state=True)
+        state = record_run_internals(monkeypatch)
+        log = run_training(cfg, dataset)
         assert len(log.records) == 1
         assert log.records[0]["step"] == 0
         assert np.all(state.pol.logits == 0.0)
@@ -181,11 +184,12 @@ class TestRunTraining:
         with pytest.raises(ValueError, match=r"offline row 1 \(episode 1, t 0\): s = -3"):
             run_training(cfg, OfflineDataset.load_jsonl(path))
 
-    def test_time_cap_ends_a_ring_run(self, grid, dataset):
+    def test_time_cap_ends_a_ring_run(self, grid, dataset, monkeypatch):
         # Episodes are cut after 3 records, below the widest window (delta_max 8).
         cfg = make_config(grid, variant="no_guard", total_steps=150, seed=3, max_episode_len=3)
         assert cfg.dts.delta_max > cfg.max_episode_len
-        _, state = run_training(cfg, dataset, return_state=True)
+        state = record_run_internals(monkeypatch)
+        run_training(cfg, dataset)
         store = state.store
         assert store.online_count == cfg.total_steps
         rows = ring_rows(store, cfg.total_steps)
@@ -236,7 +240,7 @@ class TestRunTraining:
 
     def test_exec_mask_executes_safely_but_backs_up_raw(self, grid, dataset):
         cfg = make_config(grid, variant="exec_mask_only", total_steps=200, seed=5)
-        log, state = run_training(cfg, dataset, return_state=True)
+        log = run_training(cfg, dataset)
         assert log.summary["executed_violations"] == 0
         guardian_log = run_training(
             make_config(grid, variant="guardian", total_steps=200, seed=5), dataset
