@@ -257,9 +257,9 @@ def _staged(out_dir: Path, last: str, moves: tuple[tuple[str, Path], ...] = ()):
 
     Each (name, path) of moves goes first, to that path, which does not
     exist yet; the other files go into out_dir, `last` last, after an
-    earlier `last` there is removed. A failed write names the path it was
-    writing and creates nothing: it removes the files it placed at new
-    paths and the directories it made, even a missing parent of out_dir.
+    earlier `last` there is removed. A failed write names the file it was
+    placing (out_dir before that) and creates nothing: it removes the files
+    it placed at new paths and every directory it made, out_dir's parents too.
     """
     # The missing directories the write may create, deepest first: a failed write removes those it left empty.
     missing = sorted({p.absolute() for d in (out_dir, *(path.parent for _, path in moves))
@@ -273,17 +273,22 @@ def _staged(out_dir: Path, last: str, moves: tuple[tuple[str, Path], ...] = ()):
             target.parent.mkdir(parents=True, exist_ok=True)
             placed.append(target)
             shutil.move(staging / name, target)
-        target = out_dir
+        target = out_dir / last
         out_dir.mkdir(exist_ok=True)
-        (out_dir / last).unlink(missing_ok=True)  # an earlier write's `last` would vouch for a mix
+        target.unlink(missing_ok=True)  # an earlier write's `last` would vouch for a mix
         for path in sorted(staging.iterdir(), key=lambda p: p.name == last):
-            if not (out_dir / path.name).exists():
-                placed.append(out_dir / path.name)
-            path.replace(out_dir / path.name)
+            target = out_dir / path.name
+            if not target.exists():
+                placed.append(target)
+            path.replace(target)
     except OSError as exc:
         for path in placed:  # a file that replaced another stays
             with contextlib.suppress(OSError):
                 path.unlink()
+        # Name the OS error's path only if it is neither target nor staged (staging is removed below).
+        paths = [Path(f) for f in (exc.filename, exc.filename2) if f is not None]
+        if paths and all(p == target or p.parent == staging for p in paths):
+            raise OSError(f"cannot write {target}: [Errno {exc.errno}] {exc.strerror}") from exc
         raise OSError(f"cannot write {target}: {exc}") from exc
     finally:
         if staging is not None:

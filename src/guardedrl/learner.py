@@ -1,13 +1,14 @@
 """Soft-Q ensemble learner with safety-consistent backup targets.
 
-The learner itself is unconstrained: the actor optimizes the raw policy
-against the pessimistic ensemble and never reads the safety predicate.
-Safety enters only through the backup target, which (given a SafetySpec)
-takes its next-state expectation under the safe-renormalized policy so
-value estimates stay consistent with what execution-time projection
-will actually allow. That next-state value is a function of the state
-alone, so compute_targets builds it once per state and indexes it by
-each row's next state.
+The learner itself is unconstrained: the actor optimizes the raw policy,
+an (S, A) logits array that update_actor updates in place, against the
+pessimistic ensemble and never reads the safety predicate. Safety enters
+only through the backup target, which (given a SafetySpec) takes its
+next-state expectation under the safe-renormalized policy so value
+estimates stay consistent with what execution-time projection will
+actually allow. compute_targets takes the policy's probability table
+softmax(logits); the next-state value is a function of the state alone,
+so it is built once per state and indexed by each row's next state.
 
 Batch updates apply per-sample in deterministic batch order; repeated
 keys fold sequentially. They run on a compact table: the distinct keys'
@@ -62,32 +63,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
 
-class PolicyTable:
-    """Explicit tabular policy: per-state logits inducing softmax distributions."""
-
-    def __init__(self, logits: np.ndarray):
-        logits = np.array(logits, dtype=np.float64)
-        if logits.ndim != 2:
-            raise ValueError(f"logits must be 2-D (S, A), got shape {logits.shape}")
-        if not np.all(np.isfinite(logits)):
-            raise ValueError("logits must be finite")
-        self.logits = logits
-
-    @classmethod
-    def zeros(cls, num_states: int, num_actions: int) -> "PolicyTable":
-        return cls(np.zeros((num_states, num_actions)))
-
-    @property
-    def num_states(self) -> int:
-        return self.logits.shape[0]
-
-    def probs(self, s: int) -> np.ndarray:
-        return softmax(self.logits[s])
-
-    def all_probs(self) -> np.ndarray:
-        return softmax(self.logits)
-
-
 class QEnsemble:
     """N independent Q tables with paired target tables, N >= 2."""
 
@@ -136,27 +111,26 @@ class QEnsemble:
 
 def compute_targets(
     batch: TransitionBatch,
-    pol: PolicyTable,
+    probs: np.ndarray,
     ens: QEnsemble,
     spec: SafetySpec | None,
     cfg: LearnerConfig,
 ) -> tuple[np.ndarray, int]:
     """Backup targets for a whole batch, plus the starvation-fallback count.
 
-    y = r + gamma * V(s'), with the next-state value
+    probs is the policy's (S, A) probability table; y = r + gamma * V(s') with
     V(s) = E_{a ~ pi'(.|s)}[Qmin_target(s, a)] + alpha * H(pi'(.|s))
-    where pi' is the policy renormalized onto spec's safe set, or the raw
-    softmax policy when spec is None (unguarded backup). V and the
-    starved mask are built once per state, as (S,) tables, and indexed by
-    s'; each state's row is computed exactly as a row of s' would be, so
-    the targets do not depend on the batch size. Terminal transitions get
-    y = r and never count as starved. The entropy bonus is the soft-value
-    backup of the actor's objective E[Qmin] + alpha * H.
+    where pi' is probs renormalized onto spec's safe set, or probs itself
+    when spec is None (unguarded backup). V and the starved mask are built
+    once per state, as (S,) tables, and indexed by s'; each state's row is
+    computed exactly as a row of s' would be, so the targets do not depend
+    on the batch size. Terminal transitions get y = r and never count as
+    starved. The entropy bonus is the soft-value backup of the actor's
+    objective E[Qmin] + alpha * H.
     """
     if not len(batch):
         raise ValueError("batch must be non-empty")
     r, s_next, done = batch.r, batch.s_next, batch.done
-    probs = pol.all_probs()
     starved_count = 0
     if spec is not None:
         probs, starved = renormalize_policy_safe(probs, spec.safe)
@@ -226,13 +200,14 @@ def update_critics(
 
 
 def update_actor(
-    pol: PolicyTable,
+    logits: np.ndarray,
     states: Sequence[int],
     ens: QEnsemble,
     cfg: LearnerConfig,
 ) -> float:
     """One gradient-descent step on the analytic actor loss per state.
 
+    logits is the policy's (S, A) logits array, updated in place.
     L(s) = sum_a pi(a) * f_a, exact over the discrete action set, with
     pi = softmax(logits) and f_a = alpha * log pi(a) - Qmin(s, a). Its
     gradient w.r.t. the logits is pi * (f - L(s)); repeated states fold
@@ -246,19 +221,19 @@ def update_actor(
     states = np.asarray(states, dtype=np.int64)
     if states.size == 0:
         raise ValueError("states must be non-empty")
-    distinct, active, positions = _fold_plan(states, pol.num_states)
-    table = pol.logits[distinct]
+    distinct, active, positions = _fold_plan(states, logits.shape[0])
+    table = logits[distinct]
     qmin = ens.min_members()[distinct]
     round_losses = []
     for n in active:
-        logits = table[:n]
-        logp = log_softmax(logits)
+        rows = table[:n]
+        logp = log_softmax(rows)
         p = np.exp(logp)
         f = cfg.alpha * logp - qmin[:n]
         row_loss = np.einsum("ij,ij->i", p, f)
-        logits -= cfg.actor_lr * (p * (f - row_loss[:, None]))
+        rows -= cfg.actor_lr * (p * (f - row_loss[:, None]))
         round_losses.append(row_loss)
-    pol.logits[distinct] = table
+    logits[distinct] = table
     losses = np.empty(states.size)
     losses[positions] = np.concatenate(round_losses)
     return float(losses.mean())

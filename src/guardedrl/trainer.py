@@ -1,13 +1,15 @@
 """End-to-end training orchestration with safety variants and probes.
 
-One loop owns all mutable state. Per step: the policy proposes a raw
-action, the projection (variant-dependent) certifies it, the sanitized
-transition lands in the replay store's online ring, and the learner
-takes hybrid batches under the current curriculum schedules. The raw
-proposal is counted in every interactive variant (shadow channel): per
-interval, how many proposals were unsafe before the guard and how many
-were near misses (SafetySpec.near_miss_table), so pre-guard metrics stay
-comparable at zero behavioral cost. The proposal itself is not stored.
+One loop owns all mutable state. The policy is one (S, A) logits array:
+update_actor updates it in place, and every reader of the policy takes
+its probability table softmax(logits). Per step: the policy proposes a
+raw action, the projection (variant-dependent) certifies it, the
+sanitized transition lands in the replay store's online ring, and the
+learner takes hybrid batches under the current curriculum schedules. The
+raw proposal is counted in every interactive variant (shadow channel):
+per interval, how many proposals were unsafe before the guard and how
+many were near misses (SafetySpec.near_miss_table), so pre-guard metrics
+stay comparable at zero behavioral cost. The proposal is not stored.
 
 Variants:
   guardian        projected execution + guarded backup targets
@@ -37,11 +39,11 @@ from .envs import GridWorldSpec, build_cliff_grid, env_step
 from .guardian import project_action
 from .learner import (
     LearnerConfig,
-    PolicyTable,
     QEnsemble,
     compute_targets,
     ensemble_variance,
     soft_update_targets,
+    softmax,
     update_actor,
     update_critics,
 )
@@ -78,7 +80,7 @@ _GUARDED_BACKUP_VARIANTS = (VARIANT_GUARDIAN, VARIANT_OFFLINE_ONLY)
 
 @dataclass
 class RunConfig:
-    """One training run. total_steps and seed are integers >= 0, the other counts integers >= 1."""
+    """One training run. total_steps and seed are integers >= 0, ensemble_size >= 2, other counts >= 1."""
 
     variant: str
     grid: GridWorldSpec
@@ -104,9 +106,9 @@ class RunConfig:
             raise ValueError(f"variant must be one of {', '.join(VARIANTS)}, got {self.variant!r}")
         check_count("total_steps", self.total_steps, 0)
         check_count("seed", self.seed, 0)
-        for name in ("ensemble_size", "batch_size", "updates_per_step", "eval_every",
-                     "eval_episodes", "eval_max_len", "ttfv_episodes", "ttfv_max_steps",
-                     "max_episode_len", "online_buffer_capacity"):
+        check_count("ensemble_size", self.ensemble_size, 2)  # QEnsemble takes two members or more
+        for name in ("batch_size", "updates_per_step", "eval_every", "eval_episodes", "eval_max_len",
+                     "ttfv_episodes", "ttfv_max_steps", "max_episode_len", "online_buffer_capacity"):
             check_count(name, getattr(self, name), 1)
         if self.total_steps > 0 and not (
             self.dts.horizon == self.dss.horizon == self.total_steps
@@ -165,7 +167,7 @@ def _sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def evaluate_policy(
-    pol: PolicyTable,
+    probs: np.ndarray,
     mdp: TabularMdp,
     spec: SafetySpec,
     episodes: int,
@@ -177,16 +179,15 @@ def evaluate_policy(
 ) -> EvalResult:
     """Fixed-episode evaluation: undiscounted return, predicate violations.
 
-    Action selection is greedy by probability (stochastic draw behind a
-    flag) with projection applied iff guard_on. The policy's probability
-    table is computed once per call; a step reads its state's row (the
-    row's argmax, or a draw from the row). Deterministic per seed.
+    probs is the policy's (S, A) probability table. Action selection is
+    greedy by probability (stochastic draw behind a flag) with projection
+    applied iff guard_on; a step reads its state's row (the row's argmax,
+    or a draw from the row). Deterministic per seed.
     episodes and max_len are integers >= 1; start_state is a state of mdp.
     """
     check_count("episodes", episodes, 1)
     check_count("max_len", max_len, 1)
     check_start_state(mdp, start_state)
-    probs = pol.all_probs()
     greedy = probs.argmax(axis=1).tolist()
     rng = np.random.default_rng(seed)
     returns: list[float] = []
@@ -217,7 +218,7 @@ def evaluate_policy(
 
 
 def measure_ttfv(
-    pol: PolicyTable,
+    probs: np.ndarray,
     mdp: TabularMdp,
     spec: SafetySpec,
     episodes: int,
@@ -231,14 +232,14 @@ def measure_ttfv(
 
     A violation is an executed transition with g(s, a) false or entry
     into a hazard state. Episodes that end (or time out) without one
-    count as max_steps. Actions are greedy, read from the policy's
-    probability table, which is computed once per call. episodes and
-    max_steps are integers >= 1; start_state is a state of mdp.
+    count as max_steps. Actions are greedy by probability, read from
+    probs, the policy's (S, A) probability table. episodes and max_steps
+    are integers >= 1; start_state is a state of mdp.
     """
     check_count("episodes", episodes, 1)
     check_count("max_steps", max_steps, 1)
     check_start_state(mdp, start_state)
-    greedy = pol.all_probs().argmax(axis=1).tolist()
+    greedy = probs.argmax(axis=1).tolist()
     hazard_states = frozenset(hazard_states)
     rng = np.random.default_rng(seed)
     firsts: list[int] = []
@@ -278,7 +279,7 @@ def run_training(cfg: RunConfig, offline: OfflineDataset) -> RunLog:
     Returns the per-interval log with a final summary (never writes files
     itself). A non-finite number in an interval record or the summary
     raises ValueError naming the step and the key; so does, at each
-    interval, a non-finite entry anywhere in the policy logits or the Q
+    interval, a non-finite entry anywhere in the policy's logits or the Q
     member and target tables. numpy's overflow and invalid-value warnings
     are silenced inside the run, so that check is its one report of a
     divergence.
@@ -294,7 +295,7 @@ def run_training(cfg: RunConfig, offline: OfflineDataset) -> RunLog:
         np.random.default_rng(child) for child in seed_seq.spawn(4)
     )
     ens = QEnsemble.init_random(mdp.num_states, mdp.num_actions, cfg.ensemble_size, rng=rng_init)
-    pol = PolicyTable.zeros(mdp.num_states, mdp.num_actions)
+    logits = np.zeros((mdp.num_states, mdp.num_actions))
     store = ReplayStore(offline, cfg.online_buffer_capacity)
     visits = np.zeros(mdp.num_states, dtype=np.int64)
     log = RunLog()
@@ -311,28 +312,28 @@ def run_training(cfg: RunConfig, offline: OfflineDataset) -> RunLog:
     hazard_states = cfg.grid.hazard_states
     state = start
     t_ep = 0
-    # Interval and final evaluations differ only in their seed.
-    evaluate = partial(evaluate_policy, pol, mdp, spec, cfg.eval_episodes, cfg.eval_max_len,
-                       guard_on=guard_exec, start_state=start, stochastic=cfg.stochastic_eval)
+    # Interval and final evaluations differ only in the policy table and the seed.
+    evaluate = partial(evaluate_policy, mdp=mdp, spec=spec, episodes=cfg.eval_episodes,
+                       max_len=cfg.eval_max_len, guard_on=guard_exec, start_state=start,
+                       stochastic=cfg.stochastic_eval)
 
     def emit(step: int) -> None:
         nonlocal proposals, pre_guard_violations, near_misses
         lam = dss_mixing(step, cfg.dss) if cfg.total_steps > 0 else cfg.dss.lambda_min
         delta = dts_interval(step, cfg.dts)
         probe = sample_hybrid_batch(store, lam, delta, cfg.batch_size, rng_probe)
-        td = td_error_stats(probe.transitions, ens, pol, backup_spec, cfg.learner)
+        probs = softmax(logits)
+        td = td_error_stats(probe.transitions, ens, probs, backup_spec, cfg.learner)
         variance = ensemble_variance(ens, probe.transitions)
         if proposals:
             pre_rate, near_rate = pre_guard_violations / proposals, near_misses / proposals
         else:
             pre_rate, near_rate = None, None
         eval_seed = cfg.seed * 1_000_003 + step
-        evaluation = evaluate(seed=eval_seed)
-        ttfv = measure_ttfv(
-            pol, mdp, spec, cfg.ttfv_episodes, cfg.ttfv_max_steps,
-            guard_on=guard_exec, seed=eval_seed + 1, start_state=start,
-            hazard_states=hazard_states,
-        )
+        evaluation = evaluate(probs, seed=eval_seed)
+        ttfv = measure_ttfv(probs, mdp, spec, cfg.ttfv_episodes, cfg.ttfv_max_steps,
+                            guard_on=guard_exec, seed=eval_seed + 1, start_state=start,
+                            hazard_states=hazard_states)
         log.append(
             {
                 "step": step,
@@ -353,8 +354,7 @@ def run_training(cfg: RunConfig, offline: OfflineDataset) -> RunLog:
             }
         )
         _check_finite(log.records[-1], f"step {step}")
-        for name, table in (("pol.logits", pol.logits), ("ens.members", ens.members),
-                            ("ens.targets", ens.targets)):
+        for name, table in (("logits", logits), ("ens.members", ens.members), ("ens.targets", ens.targets)):
             if not np.isfinite(table).all():
                 raise ValueError(f"step {step}: {name} holds a non-finite entry; the run diverged")
         proposals = pre_guard_violations = near_misses = 0
@@ -362,7 +362,7 @@ def run_training(cfg: RunConfig, offline: OfflineDataset) -> RunLog:
     emit(0)
     for step in range(1, cfg.total_steps + 1):
         if interactive:
-            a_prop = _sample_action(pol.probs(state), rng_env)
+            a_prop = _sample_action(softmax(logits[state]), rng_env)
             proposals += 1
             if not spec.safe[state, a_prop]:
                 pre_guard_violations += 1
@@ -390,19 +390,19 @@ def run_training(cfg: RunConfig, offline: OfflineDataset) -> RunLog:
             batch = sample_hybrid_batch(store, lam, delta, cfg.batch_size, rng_sample)
             offline_fallbacks += batch.fallback_count
             transitions = batch.transitions
-            targets, starved = compute_targets(transitions, pol, ens, backup_spec, cfg.learner)
+            targets, starved = compute_targets(transitions, softmax(logits), ens, backup_spec, cfg.learner)
             starvation_events += starved
             update_critics(ens, transitions, targets, cfg.learner)
-            last_actor_loss = update_actor(pol, transitions.s, ens, cfg.learner)
+            last_actor_loss = update_actor(logits, transitions.s, ens, cfg.learner)
             soft_update_targets(ens, cfg.learner.tau)
 
         if step % cfg.eval_every == 0 or step == cfg.total_steps:
             emit(step)
 
     bc = derive_bc_policy(offline, mdp.num_states, mdp.num_actions)
-    final_eval = evaluate(seed=cfg.seed * 1_000_003 + cfg.total_steps + 1)
+    probs = softmax(logits)
+    final_eval = evaluate(probs, seed=cfg.seed * 1_000_003 + cfg.total_steps + 1)
     last_record = log.records[-1]  # at total_steps, after the last visit
-    probs = pol.all_probs()
     log.summary = {
         "variant": cfg.variant,
         "seed": int(cfg.seed),

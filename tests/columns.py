@@ -41,10 +41,11 @@ def ring_rows(store, appended):
 
 
 def record_run_internals(monkeypatch):
-    """Make run_training keep what it builds: after a run, .store, .pol and .ens hold its last
-    ReplayStore, PolicyTable and QEnsemble, read by recording subclasses installed in guardedrl.trainer."""
-    internals = SimpleNamespace(store=None, pol=None, ens=None)
-    for attr, name in (("store", "ReplayStore"), ("pol", "PolicyTable"), ("ens", "QEnsemble")):
+    """Make run_training keep what it builds: after a run, .store and .ens hold its last ReplayStore
+    and QEnsemble, read by recording subclasses installed in guardedrl.trainer, and .probs the policy
+    table its last evaluate_policy call read (the final evaluation), read by a recording wrapper."""
+    internals = SimpleNamespace(store=None, ens=None, probs=None)
+    for attr, name in (("store", "ReplayStore"), ("ens", "QEnsemble")):
         base = getattr(trainer, name)
 
         def __init__(self, *args, _base=base, _attr=attr, **kwargs):
@@ -52,6 +53,13 @@ def record_run_internals(monkeypatch):
             setattr(internals, _attr, self)
 
         monkeypatch.setattr(trainer, name, type(name, (base,), {"__init__": __init__}))
+    evaluate_policy = trainer.evaluate_policy
+
+    def recording_evaluate_policy(probs, *args, **kwargs):
+        internals.probs = probs
+        return evaluate_policy(probs, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "evaluate_policy", recording_evaluate_policy)
     return internals
 
 

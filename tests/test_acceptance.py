@@ -21,7 +21,7 @@ from guardedrl.envs import (
     uniform_safe_policy,
 )
 from guardedrl.guardian import renormalize_policy_safe
-from guardedrl.learner import LearnerConfig, PolicyTable, QEnsemble, update_actor
+from guardedrl.learner import LearnerConfig, QEnsemble, update_actor
 from guardedrl.mdp import (
     apply_guarded_bellman,
     max_norm_distance,
@@ -330,9 +330,9 @@ def test_criterion_10_actor_gradient_check():
         logits = rng.normal(scale=2.0, size=(1, num_actions))
         alpha = float(rng.uniform(0.0, 1.0))
         cfg = LearnerConfig(alpha=alpha, actor_lr=1.0)
-        pol = PolicyTable(logits.copy())
-        update_actor(pol, [0], ens, cfg)
-        analytic = logits[0] - pol.logits[0]
+        updated = logits.copy()
+        update_actor(updated, [0], ens, cfg)
+        analytic = logits[0] - updated[0]
         h = 1e-6
         fd = np.zeros(num_actions)
         qmin = ens.min_members()[0]

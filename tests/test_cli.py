@@ -223,8 +223,7 @@ class TestSolve:
         (out / blocked).mkdir(parents=True)
         doc = {"random_mdp": {"num_states": 12, "num_actions": 4}}
         assert main(["solve", write_config(tmp_path, doc), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"cannot write {out}: [Errno 21] Is a directory") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"cannot write {out / blocked}: [Errno 21] Is a directory\n"
         assert [p.name for p in out.iterdir()] == [blocked]
         assert not any((out / blocked).iterdir())
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "solve"]
@@ -239,7 +238,7 @@ class TestSolve:
         (out / "q_pruned_oracle.json").mkdir()
         doc["random_mdp"]["seed"] = 1
         assert main(["solve", write_config(tmp_path, doc), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(f"cannot write {out}: ")
+        assert capsys.readouterr().err == f"cannot write {out / 'q_pruned_oracle.json'}: [Errno 21] Is a directory\n"
         assert not (out / "solution.json").exists()
 
     def test_failed_write_leaves_no_parent_directories(self, tmp_path, monkeypatch, capsys):
@@ -248,6 +247,19 @@ class TestSolve:
 
         monkeypatch.setattr("guardedrl.cli.save_problem", full)
         out = tmp_path / "deep" / "nested" / "solve"
+        doc = {"random_mdp": {"num_states": 12, "num_actions": 4}}
+        assert main(["solve", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"cannot write {out}: [Errno 28] No space left on device\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_failed_staged_write_names_no_staged_path(self, tmp_path, monkeypatch, capsys):
+        # The staging directory is gone by the time the line is read: an
+        # error naming a file in it gives its reason alone.
+        def full(path, mdp, spec):
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr("guardedrl.cli.save_problem", full)
+        out = tmp_path / "solve"
         doc = {"random_mdp": {"num_states": 12, "num_actions": 4}}
         assert main(["solve", write_config(tmp_path, doc), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"cannot write {out}: [Errno 28] No space left on device\n"
@@ -850,7 +862,8 @@ class TestSweepAndReport:
         (lambda doc: doc.pop("env"), "config is missing required key 'env'"),
         (lambda doc: doc["generate_offline"].update(episodes=0),
          "generate_offline key 'episodes' must be >= 1, got 0"),
-    ], ids=["learner-typo", "infinite-beta", "no-env", "no-episodes"])
+        (lambda doc: doc.update(ensemble_size=1), "ensemble_size must be >= 2, got 1"),
+    ], ids=["learner-typo", "infinite-beta", "no-env", "no-episodes", "one-member"])
     def test_bad_run_config_starts_no_sweep_worker(self, tmp_path, monkeypatch, capsys, change, problem):
         # Every run's config is checked in the calling process: a config
         # that train refuses makes sweep fail with train's one line before

@@ -19,7 +19,7 @@ from guardedrl.envs import (
     collect_offline_dataset,
     uniform_safe_policy,
 )
-from guardedrl.learner import LearnerConfig, PolicyTable
+from guardedrl.learner import LearnerConfig, softmax
 from guardedrl.mdp import check_count, solve_guarded_value_iteration, solve_pruned_value_iteration
 from guardedrl.sampling import (
     DssConfig,
@@ -36,7 +36,7 @@ NOT_INTEGERS = [True, 2.5, 5.0, math.nan, math.inf, -math.inf]
 GRID_FIELDS = dict(width=3, height=2, start=(0, 1), goal=(2, 1), hazards={(1, 0)})
 GRID = GridWorldSpec(**GRID_FIELDS)
 MDP, SPEC = build_cliff_grid(GRID)
-POL = PolicyTable.zeros(MDP.num_states, MDP.num_actions)
+PROBS = softmax(np.zeros((MDP.num_states, MDP.num_actions)))
 DTS_FIELDS = dict(delta_min=2, delta_max=4, beta=2.0, horizon=10)
 DSS_FIELDS = dict(lambda_min=0.1, lambda_max=0.5, k=1.0, horizon=10)
 
@@ -57,12 +57,12 @@ def run_config(**change):
 
 
 def evaluate(episodes=2, max_len=5):
-    return evaluate_policy(POL, MDP, SPEC, episodes, max_len, guard_on=True, seed=0,
+    return evaluate_policy(PROBS, MDP, SPEC, episodes, max_len, guard_on=True, seed=0,
                            start_state=GRID.start_state)
 
 
 def ttfv(episodes=2, max_steps=5):
-    return measure_ttfv(POL, MDP, SPEC, episodes, max_steps, guard_on=True, seed=0,
+    return measure_ttfv(PROBS, MDP, SPEC, episodes, max_steps, guard_on=True, seed=0,
                         start_state=GRID.start_state)
 
 
@@ -80,7 +80,7 @@ def block_site(block, cls, key, least, base, **given):
     return f"{block} key {key!r}", least, base, lambda value: cls(**{**given, key: value})
 
 
-RUN_DEFAULTS = dict(ensemble_size=2, batch_size=64, updates_per_step=1, eval_every=1000,
+RUN_DEFAULTS = dict(batch_size=64, updates_per_step=1, eval_every=1000,
                     eval_episodes=10, eval_max_len=100, ttfv_episodes=5, ttfv_max_steps=200,
                     max_episode_len=200, online_buffer_capacity=10_000)
 
@@ -88,6 +88,7 @@ RUN_DEFAULTS = dict(ensemble_size=2, batch_size=64, updates_per_step=1, eval_eve
 SITES = [
     ("RunConfig.total_steps", field_site("total_steps", 0, 10, run_config)),
     ("RunConfig.seed", field_site("seed", 0, 3, run_config)),
+    ("RunConfig.ensemble_size", field_site("ensemble_size", 2, 2, run_config)),
     *((f"RunConfig.{name}", field_site(name, 1, base, run_config)) for name, base in RUN_DEFAULTS.items()),
     ("DtsConfig.delta_min", field_site("delta_min", 1, 2, lambda **c: DtsConfig(**{**DTS_FIELDS, **c}))),
     ("DtsConfig.delta_max", field_site("delta_max", 2, 4, lambda **c: DtsConfig(**{**DTS_FIELDS, **c}))),

@@ -11,7 +11,6 @@ from guardedrl.guardian import renormalize_policy_safe
 from guardedrl.learner import (
     INIT_NOISE,
     LearnerConfig,
-    PolicyTable,
     QEnsemble,
     compute_targets,
     ensemble_variance,
@@ -38,15 +37,15 @@ def entropy(probs):
     return float(-np.sum(probs[probs > 0.0] * np.log(probs[probs > 0.0])))
 
 
-def target(record, pol, ens, spec, cfg):
-    """Backup target of a one-row batch."""
-    y, _ = compute_targets(columns_of([record]), pol, ens, spec, cfg)
+def target(record, logits, ens, spec, cfg):
+    """Backup target of a one-row batch under the policy softmax(logits)."""
+    y, _ = compute_targets(columns_of([record]), softmax(logits), ens, spec, cfg)
     return float(y[0])
 
 
-def safe_probs(pol, s, spec):
+def safe_probs(logits, s, spec):
     """Reference renormalization: the softmax row restricted to the safe set."""
-    masked = np.where(spec.safe[s], softmax(pol.logits[s]), 0.0)
+    masked = np.where(spec.safe[s], softmax(logits[s]), 0.0)
     return masked / masked.sum()
 
 
@@ -101,30 +100,30 @@ class TestComputeGuardedTarget:
         self.spec = make_spec([[True, True], [True, False]])
         rng = np.random.default_rng(3)
         self.ens = QEnsemble.init_random(2, 2, size=3, rng=rng)
-        self.pol = PolicyTable(rng.normal(size=(2, 2)))
+        self.logits = rng.normal(size=(2, 2))
 
     def test_gamma_zero_gives_reward(self):
         cfg = LearnerConfig(gamma=0.0)
-        assert target(tr(r=2.5, s_next=1), self.pol, self.ens, self.spec, cfg) == 2.5
+        assert target(tr(r=2.5, s_next=1), self.logits, self.ens, self.spec, cfg) == 2.5
 
     def test_terminal_gives_reward(self):
         cfg = LearnerConfig(gamma=0.9, alpha=0.3)
-        y = target(tr(r=-1.0, done=True, s_next=1), self.pol, self.ens, self.spec, cfg)
+        y = target(tr(r=-1.0, done=True, s_next=1), self.logits, self.ens, self.spec, cfg)
         assert y == -1.0
 
     def test_single_safe_action_alpha_zero(self):
         # State 1 admits only action 0; after renormalization the policy is
         # deterministic, so y = r + gamma * min_i target_i(1, 0).
         cfg = LearnerConfig(gamma=0.9, alpha=0.0)
-        y = target(tr(r=0.5, s_next=1), self.pol, self.ens, self.spec, cfg)
+        y = target(tr(r=0.5, s_next=1), self.logits, self.ens, self.spec, cfg)
         expected = 0.5 + 0.9 * self.ens.targets[:, 1, 0].min()
         assert y == pytest.approx(expected, abs=1e-12)
 
     def test_matches_manual_evaluation(self):
         cfg = LearnerConfig(gamma=0.8, alpha=0.2)
         record = tr(r=1.0, s_next=0)
-        y = target(record, self.pol, self.ens, self.spec, cfg)
-        probs = safe_probs(self.pol, 0, self.spec)
+        y = target(record, self.logits, self.ens, self.spec, cfg)
+        probs = safe_probs(self.logits, 0, self.spec)
         qmin = self.ens.targets.min(axis=0)[0]
         expected = 1.0 + 0.8 * (probs @ qmin + 0.2 * entropy(probs))
         assert y == pytest.approx(expected, abs=1e-12)
@@ -132,18 +131,18 @@ class TestComputeGuardedTarget:
     def test_unguarded_uses_raw_policy(self):
         cfg = LearnerConfig(gamma=0.9, alpha=0.0)
         record = tr(r=0.0, s_next=1)
-        y = target(record, self.pol, self.ens, None, cfg)
-        probs = softmax(self.pol.logits[1])
+        y = target(record, self.logits, self.ens, None, cfg)
+        probs = softmax(self.logits[1])
         expected = 0.9 * (probs @ self.ens.targets.min(axis=0)[1])
         assert y == pytest.approx(expected, abs=1e-12)
 
     def test_guarded_target_never_reads_unsafe_entries(self):
         cfg = LearnerConfig(gamma=0.9, alpha=0.1)
         record = tr(r=0.0, s_next=1)
-        clean = target(record, self.pol, self.ens, self.spec, cfg)
+        clean = target(record, self.logits, self.ens, self.spec, cfg)
         poisoned = QEnsemble(members=self.ens.members.copy(), targets=self.ens.targets.copy())
         poisoned.targets[:, 1, 1] = 1e12  # unsafe entry at the next state
-        assert target(record, self.pol, poisoned, self.spec, cfg) == clean
+        assert target(record, self.logits, poisoned, self.spec, cfg) == clean
 
     def test_target_bound_with_alpha_zero(self):
         rng = np.random.default_rng(4)
@@ -151,30 +150,30 @@ class TestComputeGuardedTarget:
         r_max = 2.0
         for _ in range(100):
             record = tr(r=float(rng.uniform(-r_max, r_max)), s_next=int(rng.integers(2)))
-            y = target(record, self.pol, self.ens, self.spec, cfg)
+            y = target(record, self.logits, self.ens, self.spec, cfg)
             assert abs(y) <= r_max + 0.9 * np.abs(self.ens.targets).max() + 1e-12
 
     def test_starvation_counted(self):
         # Two safe actions at the next state, so the uniform fallback has
         # entropy log 2; the terminal row starves too but is not counted.
         spec = make_spec([[False, True, True]])
-        pol = PolicyTable(np.array([[60.0, -60.0, -60.0]]))  # all mass on the unsafe action
+        probs = softmax(np.array([[60.0, -60.0, -60.0]]))  # all mass on the unsafe action
         ens = QEnsemble.init_random(1, 3, rng=np.random.default_rng(0))
         batch = columns_of([tr(r=0.3, s_next=0), tr(r=-0.7, s_next=0, done=True)])
         q_safe_mean = ens.min_targets()[0, 1:].mean()
         cfg = LearnerConfig(gamma=0.9, alpha=0.4)
-        y, starved = compute_targets(batch, pol, ens, spec, cfg)
+        y, starved = compute_targets(batch, probs, ens, spec, cfg)
         assert starved == 1
         expected = 0.3 + 0.9 * (q_safe_mean + 0.4 * math.log(2))
         assert y[0] == pytest.approx(expected, abs=1e-12)
         assert y[1] == -0.7
 
 
-def per_row_targets(batch, pol, ens, spec, cfg):
+def per_row_targets(batch, logits, ens, spec, cfg):
     """Reference backup computed row by row: the next-state softmax, its safe
     renormalization, entropy and Qmin expectation are redone for every row."""
     r, s_next, done = batch.r, batch.s_next, batch.done
-    probs = softmax(pol.logits[s_next])
+    probs = softmax(logits[s_next])
     starved_count = 0
     if spec is not None:
         probs, starved = renormalize_policy_safe(probs, spec.safe[s_next])
@@ -214,9 +213,8 @@ class TestPerStateTargetsMatchPerRow:
         )
         spec = make_spec(safe) if guarded else None
         cfg = LearnerConfig(gamma=0.9, alpha=float(rng.uniform(0.0, 1.0)))
-        pol = PolicyTable(logits)
-        y, starved = compute_targets(batch, pol, ens, spec, cfg)
-        y_ref, starved_ref = per_row_targets(batch, pol, ens, spec, cfg)
+        y, starved = compute_targets(batch, softmax(logits), ens, spec, cfg)
+        y_ref, starved_ref = per_row_targets(batch, logits, ens, spec, cfg)
         np.testing.assert_array_equal(y, y_ref)
         assert starved == starved_ref
         if guarded and seed == 0:
@@ -224,13 +222,13 @@ class TestPerStateTargetsMatchPerRow:
 
     def test_starved_terminal_rows_are_not_counted(self):
         spec = make_spec([[False, True], [True, True]])
-        pol = PolicyTable(np.array([[60.0, -60.0], [0.0, 0.0]]))
+        logits = np.array([[60.0, -60.0], [0.0, 0.0]])
         ens = QEnsemble.init_random(2, 2, rng=np.random.default_rng(1))
         batch = columns_of([tr(r=0.5, s_next=0, done=True), tr(r=0.1, s_next=0),
                             tr(r=0.2, s_next=1), tr(r=0.3, s_next=0, done=True)])
         cfg = LearnerConfig(gamma=0.9, alpha=0.2)
-        y, starved = compute_targets(batch, pol, ens, spec, cfg)
-        y_ref, starved_ref = per_row_targets(batch, pol, ens, spec, cfg)
+        y, starved = compute_targets(batch, softmax(logits), ens, spec, cfg)
+        y_ref, starved_ref = per_row_targets(batch, logits, ens, spec, cfg)
         np.testing.assert_array_equal(y, y_ref)
         assert starved == starved_ref == 1
         assert y[0] == 0.5 and y[3] == 0.3
@@ -274,21 +272,21 @@ class TestUpdateCritics:
 class TestUpdateActor:
     def test_flat_q_alpha_zero_is_stationary(self):
         ens = QEnsemble(members=np.ones((2, 1, 3)), targets=np.ones((2, 1, 3)))
-        pol = PolicyTable(np.array([[0.3, -0.2, 0.5]]))
-        before = pol.logits.copy()
-        update_actor(pol, [0], ens, LearnerConfig(alpha=0.0))
-        np.testing.assert_allclose(pol.logits, before, atol=1e-15)
+        logits = np.array([[0.3, -0.2, 0.5]])
+        before = logits.copy()
+        update_actor(logits, [0], ens, LearnerConfig(alpha=0.0))
+        np.testing.assert_allclose(logits, before, atol=1e-15)
 
     def test_dominant_action_gains_probability(self):
         members = np.zeros((2, 1, 3))
         members[:, 0, 2] = 5.0
         ens = QEnsemble(members=members, targets=members.copy())
-        pol = PolicyTable.zeros(1, 3)
+        logits = np.zeros((1, 3))
         cfg = LearnerConfig(alpha=0.0, actor_lr=0.5)
-        probs = [pol.probs(0)[2]]
+        probs = [softmax(logits[0])[2]]
         for _ in range(20):
-            update_actor(pol, [0], ens, cfg)
-            probs.append(pol.probs(0)[2])
+            update_actor(logits, [0], ens, cfg)
+            probs.append(softmax(logits[0])[2])
         assert all(b > a for a, b in zip(probs, probs[1:]))
 
     def test_gradient_matches_central_differences(self):
@@ -300,9 +298,9 @@ class TestUpdateActor:
             logits = rng.normal(scale=2.0, size=(1, num_actions))
             alpha = float(rng.uniform(0.0, 1.0))
             cfg = LearnerConfig(alpha=alpha, actor_lr=1.0)
-            pol = PolicyTable(logits.copy())
-            update_actor(pol, [0], ens, cfg)
-            analytic = (logits[0] - pol.logits[0]) / cfg.actor_lr
+            updated = logits.copy()
+            update_actor(updated, [0], ens, cfg)
+            analytic = (logits[0] - updated[0]) / cfg.actor_lr
             fd = finite_difference_gradient(logits[0], ens.min_members()[0], alpha)
             denom = max(float(np.max(np.abs(fd))), 1e-12)
             assert np.max(np.abs(analytic - fd)) / denom <= 1e-5
@@ -314,23 +312,22 @@ class TestUpdateActor:
         cfg = LearnerConfig(alpha=0.3, actor_lr=0.2)
         states = [0, 1, 0, 0, 1]
 
-        pol_fast = PolicyTable(np.zeros((2, 3)))
-        loss_fast = update_actor(pol_fast, states, ens, cfg)
+        logits_fast = np.zeros((2, 3))
+        loss_fast = update_actor(logits_fast, states, ens, cfg)
 
-        pol_slow = PolicyTable(np.zeros((2, 3)))
+        logits_slow = np.zeros((2, 3))
         losses = []
         for s in states:
-            losses.append(update_actor(pol_slow, [s], ens, cfg))
-        np.testing.assert_allclose(pol_fast.logits, pol_slow.logits, atol=1e-14)
+            losses.append(update_actor(logits_slow, [s], ens, cfg))
+        np.testing.assert_allclose(logits_fast, logits_slow, atol=1e-14)
         assert loss_fast == pytest.approx(np.mean(losses), abs=1e-14)
 
     def test_mean_pre_update_loss_returned(self):
         members = np.zeros((2, 1, 2))
         ens = QEnsemble(members=members, targets=members.copy())
-        pol = PolicyTable.zeros(1, 2)
         cfg = LearnerConfig(alpha=1.0)
         # Uniform policy over 2 actions with Q = 0: loss = -H(pi) = -ln 2.
-        loss = update_actor(pol, [0], ens, cfg)
+        loss = update_actor(np.zeros((1, 2)), [0], ens, cfg)
         assert loss == pytest.approx(-math.log(2), abs=1e-12)
 
     def test_actor_never_sees_safety_predicate(self):
@@ -384,11 +381,11 @@ class TestFoldMatchesOneSampleCalls:
         for seed in range(20):
             batch, _, members, logits = self.draw(case, seed)
             ens = QEnsemble(members, members)
-            pol = PolicyTable(logits)
-            loss = update_actor(pol, batch.s, ens, cfg)
-            loop = PolicyTable(logits)
+            batched = logits.copy()
+            loss = update_actor(batched, batch.s, ens, cfg)
+            loop = logits.copy()
             losses = [update_actor(loop, [s], ens, cfg) for s in batch.s]
-            np.testing.assert_array_equal(pol.logits, loop.logits)
+            np.testing.assert_array_equal(batched, loop)
             np.testing.assert_array_equal(loss, np.mean(losses))
 
 
@@ -457,11 +454,11 @@ class TestEmptyBatches:
 
     def setup_method(self):
         self.ens = QEnsemble(members=np.zeros((2, 2, 2)), targets=np.zeros((2, 2, 2)))
-        self.pol = PolicyTable.zeros(2, 2)
+        self.logits = np.zeros((2, 2))
 
     def test_compute_targets(self):
         with pytest.raises(ValueError, match="^batch must be non-empty$"):
-            compute_targets(TransitionBatch.zeros(0), self.pol, self.ens, None, LearnerConfig())
+            compute_targets(TransitionBatch.zeros(0), softmax(self.logits), self.ens, None, LearnerConfig())
 
     def test_update_critics(self):
         with pytest.raises(ValueError, match="^batch must be non-empty$"):
@@ -469,7 +466,7 @@ class TestEmptyBatches:
 
     def test_update_actor(self):
         with pytest.raises(ValueError, match="^states must be non-empty$"):
-            update_actor(self.pol, [], self.ens, LearnerConfig())
+            update_actor(self.logits, [], self.ens, LearnerConfig())
 
     def test_ensemble_variance(self):
         with pytest.raises(ValueError, match="^batch must be non-empty$"):

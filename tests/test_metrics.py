@@ -15,7 +15,7 @@ from guardedrl.envs import (
     collect_offline_dataset,
     uniform_safe_policy,
 )
-from guardedrl.learner import LearnerConfig, PolicyTable, QEnsemble, softmax
+from guardedrl.learner import LearnerConfig, QEnsemble, softmax
 from guardedrl.metrics import (
     action_novelty_rate,
     coverage_count,
@@ -75,17 +75,17 @@ class TestTdErrorStats:
     def test_gamma_zero_gives_mean_abs_reward(self):
         spec = SafetySpec(safe=np.ones((3, 2), dtype=bool), action_embedding=np.eye(2))
         ens = QEnsemble(members=np.zeros((2, 3, 2)), targets=np.zeros((2, 3, 2)))
-        pol = PolicyTable.zeros(3, 2)
+        probs = softmax(np.zeros((3, 2)))
         cfg = LearnerConfig(gamma=0.0)
         batch = columns_of([tr(r=1.0), tr(r=-2.0), tr(r=0.5)])
-        assert td_error_stats(batch, ens, pol, spec, cfg) == pytest.approx(3.5 / 3)
+        assert td_error_stats(batch, ens, probs, spec, cfg) == pytest.approx(3.5 / 3)
 
     @pytest.mark.parametrize("guarded", [True, False])
     def test_rejects_an_empty_batch(self, guarded):
         spec = SafetySpec(safe=np.ones((3, 2), dtype=bool), action_embedding=np.eye(2))
         ens = QEnsemble(members=np.zeros((2, 3, 2)), targets=np.zeros((2, 3, 2)))
         with pytest.raises(ValueError, match="^batch must be non-empty$"):
-            td_error_stats(TransitionBatch.zeros(0), ens, PolicyTable.zeros(3, 2),
+            td_error_stats(TransitionBatch.zeros(0), ens, softmax(np.zeros((3, 2))),
                            spec if guarded else None, LearnerConfig())
 
     def test_converged_q_on_deterministic_mdp(self):
@@ -95,7 +95,6 @@ class TestTdErrorStats:
         # Essentially deterministic RIGHT policy.
         logits = np.full((mdp.num_states, 5), -50.0)
         logits[:, RIGHT] = 50.0
-        pol = PolicyTable(logits)
         # Policy-evaluation oracle for that policy, iterated to a fixed point.
         q = np.zeros((mdp.num_states, 5))
         for _ in range(400):
@@ -108,7 +107,7 @@ class TestTdErrorStats:
                                      seed=0, start_state=grid.start_state)
         batch = ds.transitions
         cfg = LearnerConfig(gamma=0.9, alpha=0.0)
-        assert td_error_stats(batch, ens, pol, spec, cfg) <= 1e-9
+        assert td_error_stats(batch, ens, softmax(logits), spec, cfg) <= 1e-9
 
     def test_matches_manual_recomputation(self):
         rng = np.random.default_rng(1)
@@ -117,7 +116,7 @@ class TestTdErrorStats:
         safe[~safe.any(axis=1), 0] = True
         spec = SafetySpec(safe=safe, action_embedding=np.eye(num_actions))
         ens = QEnsemble.init_random(num_states, num_actions, size=3, rng=rng)
-        pol = PolicyTable(rng.normal(size=(num_states, num_actions)))
+        logits = rng.normal(size=(num_states, num_actions))
         cfg = LearnerConfig(gamma=0.85, alpha=0.2)
         batch = [
             tr(s=int(rng.integers(num_states)), a=int(rng.integers(num_actions)),
@@ -132,14 +131,14 @@ class TestTdErrorStats:
             if record.done:
                 y = record.r
             else:
-                masked = np.where(spec.safe[record.s_next], softmax(pol.logits[record.s_next]), 0.0)
+                masked = np.where(spec.safe[record.s_next], softmax(logits[record.s_next]), 0.0)
                 probs = masked / masked.sum()
                 entropy = -np.sum(probs[probs > 0.0] * np.log(probs[probs > 0.0]))
                 y = record.r + cfg.gamma * (
                     probs @ qmin_targets[record.s_next] + cfg.alpha * entropy
                 )
             errors.append(abs(qmin_members[record.s, record.a_exec] - y))
-        observed = td_error_stats(columns_of(batch), ens, pol, spec, cfg)
+        observed = td_error_stats(columns_of(batch), ens, softmax(logits), spec, cfg)
         assert observed == pytest.approx(np.mean(errors), abs=1e-12)
 
 

@@ -20,7 +20,7 @@ from guardedrl.envs import (
 )
 from guardedrl import trainer
 from guardedrl.guardian import project_action
-from guardedrl.learner import LearnerConfig, PolicyTable, update_actor
+from guardedrl.learner import LearnerConfig, softmax, update_actor
 from guardedrl.mdp import categorical_draw
 from guardedrl.sampling import DssConfig, DtsConfig
 from guardedrl.trainer import (
@@ -156,7 +156,8 @@ class TestRunTraining:
         log = run_training(cfg, dataset)
         assert len(log.records) == 1
         assert log.records[0]["step"] == 0
-        assert np.all(state.pol.logits == 0.0)
+        mdp, _ = build_cliff_grid(grid)
+        np.testing.assert_array_equal(state.probs, softmax(np.zeros((mdp.num_states, mdp.num_actions))))
         np.testing.assert_array_equal(state.ens.members, state.ens.targets)
 
     def test_bit_identical_reruns(self, grid, dataset):
@@ -288,15 +289,15 @@ class TestRunLog:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^step \d+: \w+ is nan"):
             run_training(cfg, dataset)
 
-    @pytest.mark.parametrize("table", ["pol.logits", "ens.members", "ens.targets"])
+    @pytest.mark.parametrize("table", ["logits", "ens.members", "ens.targets"])
     def test_non_finite_table_stops_the_run(self, grid, dataset, monkeypatch, table):
         # A NaN at the goal reaches no logged number: the goal is terminal,
         # so no batch row starts there and its targets are never backed up.
         # Only the interval check of the tables themselves can see it.
-        def poisoning_update_actor(pol, states, ens, cfg):
-            loss = update_actor(pol, states, ens, cfg)
-            owner, _, name = table.partition(".")
-            getattr(pol if owner == "pol" else ens, name)[..., grid.goal_state, :] = math.nan
+        def poisoning_update_actor(logits, states, ens, cfg):
+            loss = update_actor(logits, states, ens, cfg)
+            poisoned = logits if table == "logits" else getattr(ens, table.partition(".")[2])
+            poisoned[..., grid.goal_state, :] = math.nan
             return loss
 
         monkeypatch.setattr(trainer, "update_actor", poisoning_update_actor)
@@ -306,15 +307,15 @@ class TestRunLog:
             run_training(cfg, dataset)
 
 
-def per_step_action(pol, s, stochastic, rng):
+def per_step_action(logits, s, stochastic, rng):
     """Reference action choice: the softmax of state s's logits, redone at every step."""
-    probs = pol.probs(s)
+    probs = softmax(logits[s])
     if stochastic:
         return categorical_draw(list(accumulate(probs.tolist())), rng.random())
     return int(np.argmax(probs))
 
 
-def per_step_evaluation(pol, mdp, spec, episodes, max_len, guard_on, seed, start, stochastic):
+def per_step_evaluation(logits, mdp, spec, episodes, max_len, guard_on, seed, start, stochastic):
     rng = np.random.default_rng(seed)
     returns, violations = [], 0
     visits = np.zeros(mdp.num_states, dtype=np.int64)
@@ -322,7 +323,7 @@ def per_step_evaluation(pol, mdp, spec, episodes, max_len, guard_on, seed, start
         s, total = start, 0.0
         for _ in range(max_len):
             visits[s] += 1
-            a = per_step_action(pol, s, stochastic, rng)
+            a = per_step_action(logits, s, stochastic, rng)
             if guard_on:
                 a = project_action(s, a, spec).exec_action
             violations += not spec.safe[s, a]
@@ -335,13 +336,13 @@ def per_step_evaluation(pol, mdp, spec, episodes, max_len, guard_on, seed, start
     return tuple(returns), violations, visits
 
 
-def per_step_ttfv(pol, mdp, spec, episodes, max_steps, guard_on, seed, start, hazards):
+def per_step_ttfv(logits, mdp, spec, episodes, max_steps, guard_on, seed, start, hazards):
     rng = np.random.default_rng(seed)
     firsts = []
     for _ in range(episodes):
         s, first = start, max_steps
         for step in range(1, max_steps + 1):
-            a = per_step_action(pol, s, False, rng)
+            a = per_step_action(logits, s, False, rng)
             if guard_on:
                 a = project_action(s, a, spec).exec_action
             if not spec.safe[s, a]:
@@ -366,11 +367,11 @@ class TestRolloutsMatchPerStepReference:
     def test_evaluate_policy(self, seed, guard_on, stochastic):
         grid = make_grid(slip=0.2)
         mdp, spec = build_cliff_grid(grid)
-        pol = PolicyTable(np.random.default_rng(seed).normal(scale=2.0, size=(mdp.num_states, 5)))
-        result = evaluate_policy(pol, mdp, spec, episodes=8, max_len=40, guard_on=guard_on,
+        logits = np.random.default_rng(seed).normal(scale=2.0, size=(mdp.num_states, 5))
+        result = evaluate_policy(softmax(logits), mdp, spec, episodes=8, max_len=40, guard_on=guard_on,
                                  seed=100 + seed, start_state=grid.start_state, stochastic=stochastic)
         returns, violations, visits = per_step_evaluation(
-            pol, mdp, spec, 8, 40, guard_on, 100 + seed, grid.start_state, stochastic)
+            logits, mdp, spec, 8, 40, guard_on, 100 + seed, grid.start_state, stochastic)
         assert result.returns == returns
         assert result.violations == violations
         np.testing.assert_array_equal(result.state_visits, visits)
@@ -383,17 +384,16 @@ class TestRolloutsMatchPerStepReference:
         mdp, spec = build_cliff_grid(grid)
         logits = np.zeros((mdp.num_states, 5))
         logits[:, [0, RIGHT]] = [0.0, 1e-17]
-        pol = PolicyTable(logits)
-        result = evaluate_policy(pol, mdp, spec, episodes=2, max_len=10, guard_on=False,
+        result = evaluate_policy(softmax(logits), mdp, spec, episodes=2, max_len=10, guard_on=False,
                                  seed=0, start_state=grid.start_state)
         returns, violations, visits = per_step_evaluation(
-            pol, mdp, spec, 2, 10, False, 0, grid.start_state, False)
+            logits, mdp, spec, 2, 10, False, 0, grid.start_state, False)
         assert result.returns == returns and result.violations == violations
         np.testing.assert_array_equal(result.state_visits, visits)
         assert visits[grid.start_state + 1] == 0  # never moved right
-        ttfv = measure_ttfv(pol, mdp, spec, episodes=2, max_steps=10, guard_on=False, seed=0,
+        ttfv = measure_ttfv(softmax(logits), mdp, spec, episodes=2, max_steps=10, guard_on=False, seed=0,
                             start_state=grid.start_state, hazard_states=grid.hazard_states)
-        assert ttfv == per_step_ttfv(pol, mdp, spec, 2, 10, False, 0, grid.start_state,
+        assert ttfv == per_step_ttfv(logits, mdp, spec, 2, 10, False, 0, grid.start_state,
                                      grid.hazard_states)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -401,11 +401,11 @@ class TestRolloutsMatchPerStepReference:
     def test_measure_ttfv(self, seed, guard_on):
         grid = make_grid(slip=0.2)
         mdp, spec = build_cliff_grid(grid)
-        pol = PolicyTable(np.random.default_rng(seed).normal(scale=2.0, size=(mdp.num_states, 5)))
-        ttfv = measure_ttfv(pol, mdp, spec, episodes=7, max_steps=30, guard_on=guard_on,
+        logits = np.random.default_rng(seed).normal(scale=2.0, size=(mdp.num_states, 5))
+        ttfv = measure_ttfv(softmax(logits), mdp, spec, episodes=7, max_steps=30, guard_on=guard_on,
                             seed=200 + seed, start_state=grid.start_state,
                             hazard_states=grid.hazard_states)
-        assert ttfv == per_step_ttfv(pol, mdp, spec, 7, 30, guard_on, 200 + seed,
+        assert ttfv == per_step_ttfv(logits, mdp, spec, 7, 30, guard_on, 200 + seed,
                                      grid.start_state, grid.hazard_states)
 
 
@@ -416,7 +416,7 @@ class TestEvaluatePolicy:
         mdp, spec = build_cliff_grid(grid)
         logits = np.zeros((mdp.num_states, 5))
         logits[:, RIGHT] = 10.0
-        result = evaluate_policy(PolicyTable(logits), mdp, spec, episodes=4, max_len=20,
+        result = evaluate_policy(softmax(logits), mdp, spec, episodes=4, max_len=20,
                                  guard_on=True, seed=0, start_state=grid.start_state)
         # Two moves, each -0.1, the second entering the goal for +2.0.
         assert result.mean_return == pytest.approx(1.8)
@@ -424,10 +424,10 @@ class TestEvaluatePolicy:
 
     def test_same_seed_identical_returns(self, grid):
         mdp, spec = build_cliff_grid(make_grid(slip=0.3))
-        pol = PolicyTable(np.random.default_rng(1).normal(size=(mdp.num_states, 5)))
-        a = evaluate_policy(pol, mdp, spec, episodes=6, max_len=30, guard_on=True,
+        probs = softmax(np.random.default_rng(1).normal(size=(mdp.num_states, 5)))
+        a = evaluate_policy(probs, mdp, spec, episodes=6, max_len=30, guard_on=True,
                             seed=42, start_state=5, stochastic=True)
-        b = evaluate_policy(pol, mdp, spec, episodes=6, max_len=30, guard_on=True,
+        b = evaluate_policy(probs, mdp, spec, episodes=6, max_len=30, guard_on=True,
                             seed=42, start_state=5, stochastic=True)
         assert a.returns == b.returns
 
@@ -436,21 +436,21 @@ class TestEvaluatePolicy:
         mdp, spec = build_cliff_grid(grid)
         kwargs = {"episodes": 2, "max_len": 10, budget: 0}
         with pytest.raises(ValueError, match=f"^{budget} must be >= 1, got 0$"):
-            evaluate_policy(PolicyTable.zeros(mdp.num_states, 5), mdp, spec, guard_on=True,
+            evaluate_policy(softmax(np.zeros((mdp.num_states, 5))), mdp, spec, guard_on=True,
                             seed=0, start_state=grid.start_state, **kwargs)
 
     @pytest.mark.parametrize("start_state, problem", OFF_GRID_STARTS)
     def test_rejects_a_start_state_off_the_grid(self, grid, start_state, problem):
         mdp, spec = build_cliff_grid(grid)
         with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
-            evaluate_policy(PolicyTable.zeros(mdp.num_states, 5), mdp, spec, episodes=2, max_len=10,
+            evaluate_policy(softmax(np.zeros((mdp.num_states, 5))), mdp, spec, episodes=2, max_len=10,
                             guard_on=False, seed=0, start_state=start_state)
 
     def test_guard_off_counts_violations(self, grid):
         mdp, spec = build_cliff_grid(grid)
         logits = np.zeros((mdp.num_states, 5))
         logits[:, 1] = 10.0  # DOWN: straight toward the cliff row
-        result = evaluate_policy(PolicyTable(logits), mdp, spec, episodes=2, max_len=10,
+        result = evaluate_policy(softmax(logits), mdp, spec, episodes=2, max_len=10,
                                  guard_on=False, seed=0, start_state=grid.start_state)
         assert result.violations > 0
 
@@ -458,8 +458,8 @@ class TestEvaluatePolicy:
 class TestMeasureTtfv:
     def test_guarded_zero_slip_is_censored(self, grid):
         mdp, spec = build_cliff_grid(grid)
-        pol = PolicyTable(np.random.default_rng(2).normal(size=(mdp.num_states, 5)))
-        ttfv = measure_ttfv(pol, mdp, spec, episodes=5, max_steps=50, guard_on=True,
+        probs = softmax(np.random.default_rng(2).normal(size=(mdp.num_states, 5)))
+        ttfv = measure_ttfv(probs, mdp, spec, episodes=5, max_steps=50, guard_on=True,
                             seed=0, start_state=grid.start_state,
                             hazard_states=grid.hazard_states)
         assert ttfv == 50.0
@@ -471,10 +471,10 @@ class TestMeasureTtfv:
         mdp, spec = build_cliff_grid(grid)
         logits = np.zeros((mdp.num_states, 5))
         logits[:, RIGHT] = 5.0
-        pol = PolicyTable(logits)
+        probs = softmax(logits)
         kwargs = dict(episodes=5, max_steps=50, guard_on=True, seed=0, start_state=grid.start_state)
-        assert measure_ttfv(pol, mdp, spec, hazard_states=grid.hazard_states, **kwargs) == 3.0
-        assert measure_ttfv(pol, mdp, spec, **kwargs) == 50.0
+        assert measure_ttfv(probs, mdp, spec, hazard_states=grid.hazard_states, **kwargs) == 3.0
+        assert measure_ttfv(probs, mdp, spec, **kwargs) == 50.0
 
     @pytest.mark.parametrize("budget", ["episodes", "max_steps"])
     def test_rejects_an_empty_budget(self, grid, budget):
@@ -482,21 +482,21 @@ class TestMeasureTtfv:
         mdp, spec = build_cliff_grid(grid)
         kwargs = {"episodes": 2, "max_steps": 10, budget: 0}
         with pytest.raises(ValueError, match=f"^{budget} must be >= 1, got 0$"):
-            measure_ttfv(PolicyTable.zeros(mdp.num_states, 5), mdp, spec, guard_on=True,
+            measure_ttfv(softmax(np.zeros((mdp.num_states, 5))), mdp, spec, guard_on=True,
                          seed=0, start_state=grid.start_state, **kwargs)
 
     @pytest.mark.parametrize("start_state, problem", OFF_GRID_STARTS)
     def test_rejects_a_start_state_off_the_grid(self, grid, start_state, problem):
         mdp, spec = build_cliff_grid(grid)
         with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
-            measure_ttfv(PolicyTable.zeros(mdp.num_states, 5), mdp, spec, episodes=2, max_steps=10,
+            measure_ttfv(softmax(np.zeros((mdp.num_states, 5))), mdp, spec, episodes=2, max_steps=10,
                          guard_on=True, seed=0, start_state=start_state)
 
     def test_hazard_walker_violates_immediately(self, grid):
         mdp, spec = build_cliff_grid(grid)
         logits = np.zeros((mdp.num_states, 5))
         logits[:, 1] = 10.0  # DOWN into the cliff from the start row
-        ttfv = measure_ttfv(PolicyTable(logits), mdp, spec, episodes=3, max_steps=50,
+        ttfv = measure_ttfv(softmax(logits), mdp, spec, episodes=3, max_steps=50,
                             guard_on=False, seed=0, start_state=grid.start_state,
                             hazard_states=grid.hazard_states)
         assert ttfv == 1.0
@@ -505,7 +505,7 @@ class TestMeasureTtfv:
         mdp, spec = build_cliff_grid(grid)
         logits = np.zeros((mdp.num_states, 5))
         logits[:, UP] = 10.0
-        ttfv = measure_ttfv(PolicyTable(logits), mdp, spec, episodes=1, max_steps=25,
+        ttfv = measure_ttfv(softmax(logits), mdp, spec, episodes=1, max_steps=25,
                             guard_on=True, seed=0, start_state=grid.start_state,
                             hazard_states=grid.hazard_states)
         assert ttfv == 25.0
