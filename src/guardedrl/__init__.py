@@ -19,7 +19,6 @@ from .envs import (
 from .guardian import ProjectionResult, project_action, renormalize_policy_safe
 from .learner import (
     LearnerConfig,
-    QEnsemble,
     compute_targets,
     ensemble_variance,
     soft_update_targets,

@@ -255,11 +255,11 @@ def prepare_offline_dataset(doc: dict, grid: GridWorldSpec) -> OfflineDataset:
 def _staged(out_dir: Path, last: str, moves: tuple[tuple[str, Path], ...] = ()):
     """Yield a temporary sibling of out_dir to write a command's files into, then move them into place.
 
-    Each (name, path) of moves goes first, to that path, which does not
-    exist yet; the other files go into out_dir, `last` last, after an
-    earlier `last` there is removed. A failed write names the file it was
-    placing (out_dir before that) and creates nothing: it removes the files
-    it placed at new paths and every directory it made, out_dir's parents too.
+    Each (name, path) of moves goes first, to that path; the other files
+    go into out_dir, `last` last, after an earlier `last` there is removed.
+    A failed write names the file it was placing (out_dir before that) and
+    creates nothing: it removes the files it placed at new paths and every
+    directory it made, out_dir's parents too.
     """
     # The missing directories the write may create, deepest first: a failed write removes those it left empty.
     missing = sorted({p.absolute() for d in (out_dir, *(path.parent for _, path in moves))
@@ -271,7 +271,8 @@ def _staged(out_dir: Path, last: str, moves: tuple[tuple[str, Path], ...] = ()):
         yield staging
         for name, target in moves:
             target.parent.mkdir(parents=True, exist_ok=True)
-            placed.append(target)
+            if not target.exists():  # another sweep run may have placed it there already
+                placed.append(target)
             shutil.move(staging / name, target)
         target = out_dir / last
         out_dir.mkdir(exist_ok=True)

@@ -14,10 +14,16 @@ Batch updates apply per-sample in deterministic batch order; repeated
 keys fold sequentially. They run on a compact table: the distinct keys'
 rows are gathered once, ordered by multiplicity, so fold round r
 (occurrence r of each key) updates a prefix slice in place, and the rows
-are scattered back once. A learner instance is single-owner mutable
-state: one updater at a time, read-only queries freely between updates.
-QEnsemble.init_random draws member entries uniformly from
-[-INIT_NOISE, INIT_NOISE].
+are scattered back once.
+
+The ensemble is two (N, S, A) float arrays, N >= 2: members, the Q
+tables, and targets, their Polyak copies. compute_targets reads the
+targets' minimum; update_actor reads the members' minimum and
+ensemble_variance the members. update_critics updates members in place
+and soft_update_targets updates targets in place from members. A run
+draws the members uniformly from [-INIT_NOISE, INIT_NOISE] and starts
+the targets as a copy. The arrays are single-owner mutable state: one
+updater at a time, read-only queries freely between updates.
 """
 
 from __future__ import annotations
@@ -63,63 +69,18 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
 
-class QEnsemble:
-    """N independent Q tables with paired target tables, N >= 2."""
-
-    def __init__(self, members: np.ndarray, targets: np.ndarray):
-        members = np.array(members, dtype=np.float64)
-        targets = np.array(targets, dtype=np.float64)
-        if members.ndim != 3 or members.shape[0] < 2:
-            raise ValueError(f"members must have shape (N >= 2, S, A), got {members.shape}")
-        if targets.shape != members.shape:
-            raise ValueError("targets must match member dimensions")
-        self.members = members
-        self.targets = targets
-
-    @classmethod
-    def init_random(
-        cls,
-        num_states: int,
-        num_actions: int,
-        size: int = 2,
-        *,
-        rng: np.random.Generator,
-    ) -> "QEnsemble":
-        """Members drawn from rng with independent uniform noise in [-INIT_NOISE, INIT_NOISE].
-
-        rng is required: a seeded generator gives the same members on every
-        run. The noise makes ensemble variance informative from step 0;
-        targets start as exact copies.
-        """
-        members = rng.uniform(-INIT_NOISE, INIT_NOISE, size=(size, num_states, num_actions))
-        return cls(members=members, targets=members.copy())
-
-    @property
-    def num_states(self) -> int:
-        return self.members.shape[1]
-
-    @property
-    def num_actions(self) -> int:
-        return self.members.shape[2]
-
-    def min_members(self) -> np.ndarray:
-        return self.members.min(axis=0)
-
-    def min_targets(self) -> np.ndarray:
-        return self.targets.min(axis=0)
-
-
 def compute_targets(
     batch: TransitionBatch,
     probs: np.ndarray,
-    ens: QEnsemble,
+    targets: np.ndarray,
     spec: SafetySpec | None,
     cfg: LearnerConfig,
 ) -> tuple[np.ndarray, int]:
     """Backup targets for a whole batch, plus the starvation-fallback count.
 
     probs is the policy's (S, A) probability table; y = r + gamma * V(s') with
-    V(s) = E_{a ~ pi'(.|s)}[Qmin_target(s, a)] + alpha * H(pi'(.|s))
+    V(s) = E_{a ~ pi'(.|s)}[Qmin_target(s, a)] + alpha * H(pi'(.|s)),
+    Qmin_target = targets.min(axis=0) over the (N, S, A) target tables,
     where pi' is probs renormalized onto spec's safe set, or probs itself
     when spec is None (unguarded backup). V and the starved mask are built
     once per state, as (S,) tables, and indexed by s'; each state's row is
@@ -137,7 +98,7 @@ def compute_targets(
         starved_count = int(np.count_nonzero(starved[s_next] & ~done))
     # 0 * log 0 counts as 0: a zero probability takes the log of 1.
     entropy = -(probs * np.log(np.where(probs > 0.0, probs, 1.0))).sum(axis=1)
-    expectation = np.einsum("ij,ij->i", probs, ens.min_targets())
+    expectation = np.einsum("ij,ij->i", probs, targets.min(axis=0))
     values = expectation + cfg.alpha * entropy
     y = r + cfg.gamma * values[s_next]
     y[done] = r[done]
@@ -165,9 +126,9 @@ def _fold_plan(keys: np.ndarray, num_keys: int) -> tuple[np.ndarray, list[int], 
 
 
 def update_critics(
-    ens: QEnsemble,
+    members: np.ndarray,
     batch: TransitionBatch,
-    targets: Sequence[float],
+    y: Sequence[float],
     cfg: LearnerConfig,
 ) -> None:
     """One tabular gradient step toward y per sample, per ensemble member.
@@ -179,37 +140,37 @@ def update_critics(
     updates the pairs with an r-th occurrence (a prefix slice) toward its
     target, and the values are scattered back once. Distinct entries do
     not interact, so this equals one-sample steps in batch order bit for
-    bit. Returns nothing: the members are updated in place.
+    bit. Returns nothing: members is updated in place.
     """
     if not len(batch):
         raise ValueError("batch must be non-empty")
-    if len(batch) != len(targets):
+    if len(batch) != len(y):
         raise ValueError("batch and targets must have equal length")
-    s, a = batch.s, batch.a
-    y = np.asarray(targets, dtype=np.float64)
-    keys, active, positions = _fold_plan(s * ens.num_actions + a, ens.num_states * ens.num_actions)
-    us, ua = np.divmod(keys, ens.num_actions)
-    table = ens.members[:, us, ua]
-    y_rounds = y[positions]
+    _, num_states, num_actions = members.shape
+    keys, active, positions = _fold_plan(batch.s * num_actions + batch.a, num_states * num_actions)
+    us, ua = np.divmod(keys, num_actions)
+    table = members[:, us, ua]
+    y_rounds = np.asarray(y, dtype=np.float64)[positions]
     start = 0
     for n in active:
         current = table[:, :n]
         current += cfg.critic_lr * (y_rounds[None, start:start + n] - current)
         start += n
-    ens.members[:, us, ua] = table
+    members[:, us, ua] = table
 
 
 def update_actor(
     logits: np.ndarray,
     states: Sequence[int],
-    ens: QEnsemble,
+    members: np.ndarray,
     cfg: LearnerConfig,
 ) -> float:
     """One gradient-descent step on the analytic actor loss per state.
 
     logits is the policy's (S, A) logits array, updated in place.
     L(s) = sum_a pi(a) * f_a, exact over the discrete action set, with
-    pi = softmax(logits) and f_a = alpha * log pi(a) - Qmin(s, a). Its
+    pi = softmax(logits), f_a = alpha * log pi(a) - Qmin(s, a) and
+    Qmin = members.min(axis=0) over the (N, S, A) member tables. Its
     gradient w.r.t. the logits is pi * (f - L(s)); repeated states fold
     sequentially in batch order, in rounds over a compact (U, A) copy of
     the distinct states' logits (see update_critics), bit for bit equal
@@ -223,7 +184,7 @@ def update_actor(
         raise ValueError("states must be non-empty")
     distinct, active, positions = _fold_plan(states, logits.shape[0])
     table = logits[distinct]
-    qmin = ens.min_members()[distinct]
+    qmin = members.min(axis=0)[distinct]
     round_losses = []
     for n in active:
         rows = table[:n]
@@ -239,8 +200,8 @@ def update_actor(
     return float(losses.mean())
 
 
-def soft_update_targets(ens: QEnsemble, tau: float) -> None:
-    """Polyak update in place: target <- tau * member + (1 - tau) * target.
+def soft_update_targets(members: np.ndarray, targets: np.ndarray, tau: float) -> None:
+    """Polyak update of targets in place: target <- tau * member + (1 - tau) * target.
 
     Implemented as target += tau * (member - target) so that targets
     already equal to the members stay bitwise unchanged (exact fixed
@@ -248,17 +209,17 @@ def soft_update_targets(ens: QEnsemble, tau: float) -> None:
     """
     check_range("tau", tau, 0, 1, low_open=True)
     if tau == 1.0:
-        ens.targets[:] = ens.members
+        targets[:] = members
     else:
-        ens.targets += tau * (ens.members - ens.targets)
+        targets += tau * (members - targets)
 
 
-def ensemble_variance(ens: QEnsemble, batch: TransitionBatch) -> float:
+def ensemble_variance(members: np.ndarray, batch: TransitionBatch) -> float:
     """Mean over the batch of the population variance across member values.
 
     Tracks epistemic uncertainty at the sampled (s, a) pairs.
     """
     if not len(batch):
         raise ValueError("batch must be non-empty")
-    values = ens.members[:, batch.s, batch.a]
+    values = members[:, batch.s, batch.a]
     return float(values.var(axis=0, ddof=0).mean())

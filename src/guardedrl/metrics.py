@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .learner import LearnerConfig, QEnsemble, compute_targets
+from .learner import LearnerConfig, compute_targets
 from .mdp import SafetySpec
 from .sampling import TransitionBatch
 
@@ -39,20 +39,23 @@ def visitation_entropy(visits: np.ndarray) -> float | None:
 
 def td_error_stats(
     batch: TransitionBatch,
-    ens: QEnsemble,
+    members: np.ndarray,
+    targets: np.ndarray,
     probs: np.ndarray,
     spec: SafetySpec | None,
     cfg: LearnerConfig,
 ) -> float:
     """Mean absolute TD error |Qmin(s, a) - y| over the batch.
 
-    y is compute_targets' backup target under probs, the policy's (S, A)
-    probability table: guarded onto spec's safe set, or unguarded when spec
-    is None. The number tracks how far the pessimistic estimate sits from
-    its own bootstrap. An empty batch is refused by compute_targets.
+    Qmin is the minimum over the (N, S, A) members; y is compute_targets'
+    backup target from the (N, S, A) targets under probs, the policy's
+    (S, A) probability table: guarded onto spec's safe set, or unguarded
+    when spec is None. The number tracks how far the pessimistic estimate
+    sits from its own bootstrap. An empty batch is refused by
+    compute_targets.
     """
-    y, _ = compute_targets(batch, probs, ens, spec, cfg)
-    return float(np.abs(ens.min_members()[batch.s, batch.a] - y).mean())
+    y, _ = compute_targets(batch, probs, targets, spec, cfg)
+    return float(np.abs(members.min(axis=0)[batch.s, batch.a] - y).mean())
 
 
 def support_kl(

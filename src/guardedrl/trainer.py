@@ -38,8 +38,8 @@ import numpy as np
 from .envs import GridWorldSpec, build_cliff_grid, env_step
 from .guardian import project_action
 from .learner import (
+    INIT_NOISE,
     LearnerConfig,
-    QEnsemble,
     compute_targets,
     ensemble_variance,
     soft_update_targets,
@@ -106,7 +106,7 @@ class RunConfig:
             raise ValueError(f"variant must be one of {', '.join(VARIANTS)}, got {self.variant!r}")
         check_count("total_steps", self.total_steps, 0)
         check_count("seed", self.seed, 0)
-        check_count("ensemble_size", self.ensemble_size, 2)  # QEnsemble takes two members or more
+        check_count("ensemble_size", self.ensemble_size, 2)  # the pessimistic minimum needs two tables or more
         for name in ("batch_size", "updates_per_step", "eval_every", "eval_episodes", "eval_max_len",
                      "ttfv_episodes", "ttfv_max_steps", "max_episode_len", "online_buffer_capacity"):
             check_count(name, getattr(self, name), 1)
@@ -294,7 +294,9 @@ def run_training(cfg: RunConfig, offline: OfflineDataset) -> RunLog:
     rng_init, rng_env, rng_sample, rng_probe = (
         np.random.default_rng(child) for child in seed_seq.spawn(4)
     )
-    ens = QEnsemble.init_random(mdp.num_states, mdp.num_actions, cfg.ensemble_size, rng=rng_init)
+    members = rng_init.uniform(-INIT_NOISE, INIT_NOISE,
+                               size=(cfg.ensemble_size, mdp.num_states, mdp.num_actions))
+    targets = members.copy()
     logits = np.zeros((mdp.num_states, mdp.num_actions))
     store = ReplayStore(offline, cfg.online_buffer_capacity)
     visits = np.zeros(mdp.num_states, dtype=np.int64)
@@ -323,8 +325,8 @@ def run_training(cfg: RunConfig, offline: OfflineDataset) -> RunLog:
         delta = dts_interval(step, cfg.dts)
         probe = sample_hybrid_batch(store, lam, delta, cfg.batch_size, rng_probe)
         probs = softmax(logits)
-        td = td_error_stats(probe.transitions, ens, probs, backup_spec, cfg.learner)
-        variance = ensemble_variance(ens, probe.transitions)
+        td = td_error_stats(probe.transitions, members, targets, probs, backup_spec, cfg.learner)
+        variance = ensemble_variance(members, probe.transitions)
         if proposals:
             pre_rate, near_rate = pre_guard_violations / proposals, near_misses / proposals
         else:
@@ -354,7 +356,7 @@ def run_training(cfg: RunConfig, offline: OfflineDataset) -> RunLog:
             }
         )
         _check_finite(log.records[-1], f"step {step}")
-        for name, table in (("logits", logits), ("ens.members", ens.members), ("ens.targets", ens.targets)):
+        for name, table in (("logits", logits), ("members", members), ("targets", targets)):
             if not np.isfinite(table).all():
                 raise ValueError(f"step {step}: {name} holds a non-finite entry; the run diverged")
         proposals = pre_guard_violations = near_misses = 0
@@ -390,11 +392,11 @@ def run_training(cfg: RunConfig, offline: OfflineDataset) -> RunLog:
             batch = sample_hybrid_batch(store, lam, delta, cfg.batch_size, rng_sample)
             offline_fallbacks += batch.fallback_count
             transitions = batch.transitions
-            targets, starved = compute_targets(transitions, softmax(logits), ens, backup_spec, cfg.learner)
+            y, starved = compute_targets(transitions, softmax(logits), targets, backup_spec, cfg.learner)
             starvation_events += starved
-            update_critics(ens, transitions, targets, cfg.learner)
-            last_actor_loss = update_actor(logits, transitions.s, ens, cfg.learner)
-            soft_update_targets(ens, cfg.learner.tau)
+            update_critics(members, transitions, y, cfg.learner)
+            last_actor_loss = update_actor(logits, transitions.s, members, cfg.learner)
+            soft_update_targets(members, targets, cfg.learner.tau)
 
         if step % cfg.eval_every == 0 or step == cfg.total_steps:
             emit(step)

@@ -41,25 +41,30 @@ def ring_rows(store, appended):
 
 
 def record_run_internals(monkeypatch):
-    """Make run_training keep what it builds: after a run, .store and .ens hold its last ReplayStore
-    and QEnsemble, read by recording subclasses installed in guardedrl.trainer, and .probs the policy
-    table its last evaluate_policy call read (the final evaluation), read by a recording wrapper."""
-    internals = SimpleNamespace(store=None, ens=None, probs=None)
-    for attr, name in (("store", "ReplayStore"), ("ens", "QEnsemble")):
-        base = getattr(trainer, name)
+    """Make run_training keep what it builds: after a run, .store holds its last ReplayStore, read by a
+    recording subclass installed in guardedrl.trainer; .members and .targets its Q ensemble's arrays, which
+    td_error_stats receives at every interval, and .probs the policy table its last evaluate_policy call
+    read (the final evaluation), both read by recording wrappers."""
+    internals = SimpleNamespace(store=None, members=None, targets=None, probs=None)
 
-        def __init__(self, *args, _base=base, _attr=attr, **kwargs):
-            _base.__init__(self, *args, **kwargs)
-            setattr(internals, _attr, self)
+    class ReplayStore(trainer.ReplayStore):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            internals.store = self
 
-        monkeypatch.setattr(trainer, name, type(name, (base,), {"__init__": __init__}))
-    evaluate_policy = trainer.evaluate_policy
+    monkeypatch.setattr(trainer, "ReplayStore", ReplayStore)
+    evaluate_policy, td_error_stats = trainer.evaluate_policy, trainer.td_error_stats
 
     def recording_evaluate_policy(probs, *args, **kwargs):
         internals.probs = probs
         return evaluate_policy(probs, *args, **kwargs)
 
+    def recording_td_error_stats(batch, members, targets, *args):
+        internals.members, internals.targets = members, targets
+        return td_error_stats(batch, members, targets, *args)
+
     monkeypatch.setattr(trainer, "evaluate_policy", recording_evaluate_policy)
+    monkeypatch.setattr(trainer, "td_error_stats", recording_td_error_stats)
     return internals
 
 

@@ -21,7 +21,7 @@ from guardedrl.envs import (
     uniform_safe_policy,
 )
 from guardedrl.guardian import renormalize_policy_safe
-from guardedrl.learner import LearnerConfig, QEnsemble, update_actor
+from guardedrl.learner import LearnerConfig, update_actor
 from guardedrl.mdp import (
     apply_guarded_bellman,
     max_norm_distance,
@@ -198,7 +198,6 @@ def test_criterion_6_tabular_convergence():
 
     rng = np.random.default_rng(7)
     members = rng.uniform(-0.01, 0.01, size=(2, mdp.num_states, mdp.num_actions))
-    ens = QEnsemble(members=members, targets=members.copy())
     visits = np.zeros((mdp.num_states, mdp.num_actions))
     safe_lists = [np.flatnonzero(spec.safe[s]) for s in range(mdp.num_states)]
     s = grid.start_state
@@ -211,21 +210,21 @@ def test_criterion_6_tabular_convergence():
         if done:
             y = r
         else:
-            qmin_next = np.min(ens.members[:, s_next, :], axis=0)
+            qmin_next = np.min(members[:, s_next, :], axis=0)
             y = r + mdp.gamma * np.max(qmin_next[spec.safe[s_next]])
         visits[s, a] += 1
-        ens.members[:, s, a] += (y - ens.members[:, s, a]) / visits[s, a] ** 0.7
+        members[:, s, a] += (y - members[:, s, a]) / visits[s, a] ** 0.7
         ep_len += 1
         if done or ep_len >= 100:
             s, ep_len = grid.start_state, 0
         else:
             s = s_next
         if step % 20_000 == 0:
-            err = float(np.abs(ens.members.min(axis=0) - q_star)[spec.safe].max())
+            err = float(np.abs(members.min(axis=0) - q_star)[spec.safe].max())
             if err <= 0.1:
                 updates_used = step
                 break
-    err = float(np.abs(ens.members.min(axis=0) - q_star)[spec.safe].max())
+    err = float(np.abs(members.min(axis=0) - q_star)[spec.safe].max())
     elapsed = time.time() - start
     ok = err <= 0.1 and updates_used is not None and elapsed < 60.0
     _report("criterion 6 (tabular convergence)", ok,
@@ -326,16 +325,15 @@ def test_criterion_10_actor_gradient_check():
     for trial in range(100):
         num_actions = int(rng.integers(2, 8))
         members = rng.normal(scale=2.0, size=(int(rng.integers(2, 5)), 1, num_actions))
-        ens = QEnsemble(members=members, targets=members.copy())
         logits = rng.normal(scale=2.0, size=(1, num_actions))
         alpha = float(rng.uniform(0.0, 1.0))
         cfg = LearnerConfig(alpha=alpha, actor_lr=1.0)
         updated = logits.copy()
-        update_actor(updated, [0], ens, cfg)
+        update_actor(updated, [0], members, cfg)
         analytic = logits[0] - updated[0]
         h = 1e-6
         fd = np.zeros(num_actions)
-        qmin = ens.min_members()[0]
+        qmin = members.min(axis=0)[0]
         for j in range(num_actions):
             up, down = logits[0].copy(), logits[0].copy()
             up[j] += h

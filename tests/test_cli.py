@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from guardedrl.cli import SweepConfig, main, parse_block, run_config_from_doc
+from guardedrl.cli import SweepConfig, _staged, main, parse_block, run_config_from_doc
 from guardedrl.mdp import ConvergenceError, solve_pruned_value_iteration
 from guardedrl.sampling import OfflineDataset
 from guardedrl.trainer import RunLog
@@ -693,6 +693,23 @@ class TestSweepAndReport:
             assert int(row[1]) == 3
             expected = statistics.median(s["final_td_error"] for s in summaries[variant])
             assert float(row[2]) == pytest.approx(expected, rel=1e-12)
+
+    def test_failed_write_keeps_a_dataset_another_run_placed(self, tmp_path):
+        # Two sweep runs generate one dataset for a shared path. The other
+        # run places it while this one is writing; this run's own <out> is
+        # blocked. The file this run's move replaced stays, for the other
+        # run's effective_config.json pins it.
+        rows = b'{"s": 3, "a": 4, "r": -0.01, "s2": 3, "done": false, "t": 0, "ep": 0}\n'
+        out, target = tmp_path / "out", tmp_path / "shared" / "data.jsonl"
+        with pytest.raises(OSError) as excinfo:
+            with _staged(out, "summary.json", (("offline.jsonl", target),)) as staging:
+                (staging / "offline.jsonl").write_bytes(rows)
+                (staging / "summary.json").write_text("{}\n")
+                target.parent.mkdir()
+                target.write_bytes(rows)  # the other run's file
+                (out / "summary.json").mkdir(parents=True)
+        assert str(excinfo.value).startswith(f"cannot write {out / 'summary.json'}: ")
+        assert target.read_bytes() == rows
 
     def test_report_single_run(self, tmp_path, capsys):
         doc = base_train_config(tmp_path, total_steps=60)

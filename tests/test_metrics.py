@@ -15,7 +15,7 @@ from guardedrl.envs import (
     collect_offline_dataset,
     uniform_safe_policy,
 )
-from guardedrl.learner import LearnerConfig, QEnsemble, softmax
+from guardedrl.learner import INIT_NOISE, LearnerConfig, softmax
 from guardedrl.metrics import (
     action_novelty_rate,
     coverage_count,
@@ -74,18 +74,18 @@ class TestVisitationStats:
 class TestTdErrorStats:
     def test_gamma_zero_gives_mean_abs_reward(self):
         spec = SafetySpec(safe=np.ones((3, 2), dtype=bool), action_embedding=np.eye(2))
-        ens = QEnsemble(members=np.zeros((2, 3, 2)), targets=np.zeros((2, 3, 2)))
+        members, targets = np.zeros((2, 3, 2)), np.zeros((2, 3, 2))
         probs = softmax(np.zeros((3, 2)))
         cfg = LearnerConfig(gamma=0.0)
         batch = columns_of([tr(r=1.0), tr(r=-2.0), tr(r=0.5)])
-        assert td_error_stats(batch, ens, probs, spec, cfg) == pytest.approx(3.5 / 3)
+        assert td_error_stats(batch, members, targets, probs, spec, cfg) == pytest.approx(3.5 / 3)
 
     @pytest.mark.parametrize("guarded", [True, False])
     def test_rejects_an_empty_batch(self, guarded):
         spec = SafetySpec(safe=np.ones((3, 2), dtype=bool), action_embedding=np.eye(2))
-        ens = QEnsemble(members=np.zeros((2, 3, 2)), targets=np.zeros((2, 3, 2)))
+        members, targets = np.zeros((2, 3, 2)), np.zeros((2, 3, 2))
         with pytest.raises(ValueError, match="^batch must be non-empty$"):
-            td_error_stats(TransitionBatch.zeros(0), ens, softmax(np.zeros((3, 2))),
+            td_error_stats(TransitionBatch.zeros(0), members, targets, softmax(np.zeros((3, 2))),
                            spec if guarded else None, LearnerConfig())
 
     def test_converged_q_on_deterministic_mdp(self):
@@ -100,14 +100,13 @@ class TestTdErrorStats:
         for _ in range(400):
             cont = np.where(mdp.terminal, 0.0, q[:, RIGHT])
             q = mdp.reward + mdp.gamma * (mdp.transition @ cont)
-        ens = QEnsemble(members=np.stack([q, q]), targets=np.stack([q, q]))
         behavior = np.zeros((mdp.num_states, 5))
         behavior[:, RIGHT] = 1.0
         ds = collect_offline_dataset(mdp, spec, behavior, n_episodes=3, max_ep_len=10,
                                      seed=0, start_state=grid.start_state)
         batch = ds.transitions
         cfg = LearnerConfig(gamma=0.9, alpha=0.0)
-        assert td_error_stats(batch, ens, softmax(logits), spec, cfg) <= 1e-9
+        assert td_error_stats(batch, np.stack([q, q]), np.stack([q, q]), softmax(logits), spec, cfg) <= 1e-9
 
     def test_matches_manual_recomputation(self):
         rng = np.random.default_rng(1)
@@ -115,7 +114,8 @@ class TestTdErrorStats:
         safe = rng.random((num_states, num_actions)) < 0.6
         safe[~safe.any(axis=1), 0] = True
         spec = SafetySpec(safe=safe, action_embedding=np.eye(num_actions))
-        ens = QEnsemble.init_random(num_states, num_actions, size=3, rng=rng)
+        members = rng.uniform(-INIT_NOISE, INIT_NOISE, size=(3, num_states, num_actions))
+        targets = members.copy()
         logits = rng.normal(size=(num_states, num_actions))
         cfg = LearnerConfig(gamma=0.85, alpha=0.2)
         batch = [
@@ -125,8 +125,8 @@ class TestTdErrorStats:
             for _ in range(50)
         ]
         errors = []
-        qmin_members = ens.members.min(axis=0)
-        qmin_targets = ens.targets.min(axis=0)
+        qmin_members = members.min(axis=0)
+        qmin_targets = targets.min(axis=0)
         for record in batch:
             if record.done:
                 y = record.r
@@ -138,7 +138,7 @@ class TestTdErrorStats:
                     probs @ qmin_targets[record.s_next] + cfg.alpha * entropy
                 )
             errors.append(abs(qmin_members[record.s, record.a_exec] - y))
-        observed = td_error_stats(columns_of(batch), ens, softmax(logits), spec, cfg)
+        observed = td_error_stats(columns_of(batch), members, targets, softmax(logits), spec, cfg)
         assert observed == pytest.approx(np.mean(errors), abs=1e-12)
 
 

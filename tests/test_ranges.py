@@ -25,7 +25,7 @@ from guardedrl.envs import (
     collect_offline_dataset,
     uniform_safe_policy,
 )
-from guardedrl.learner import LearnerConfig, QEnsemble, soft_update_targets
+from guardedrl.learner import INIT_NOISE, LearnerConfig, soft_update_targets
 from guardedrl.mdp import TabularMdp, check_range, solve_guarded_value_iteration, solve_pruned_value_iteration
 from guardedrl.sampling import DssConfig, DtsConfig, ReplayStore, sample_hybrid_batch
 
@@ -72,8 +72,8 @@ def dataset():
 
 
 def polyak(tau):
-    ens = QEnsemble.init_random(2, 2, rng=np.random.default_rng(0))
-    soft_update_targets(ens, tau)
+    members = np.random.default_rng(0).uniform(-INIT_NOISE, INIT_NOISE, size=(2, 2, 2))
+    soft_update_targets(members, members.copy(), tau)
 
 
 def batch(lam):

@@ -20,7 +20,7 @@ from guardedrl.envs import (
 )
 from guardedrl import trainer
 from guardedrl.guardian import project_action
-from guardedrl.learner import LearnerConfig, softmax, update_actor
+from guardedrl.learner import LearnerConfig, soft_update_targets, softmax, update_actor
 from guardedrl.mdp import categorical_draw
 from guardedrl.sampling import DssConfig, DtsConfig
 from guardedrl.trainer import (
@@ -158,7 +158,7 @@ class TestRunTraining:
         assert log.records[0]["step"] == 0
         mdp, _ = build_cliff_grid(grid)
         np.testing.assert_array_equal(state.probs, softmax(np.zeros((mdp.num_states, mdp.num_actions))))
-        np.testing.assert_array_equal(state.ens.members, state.ens.targets)
+        np.testing.assert_array_equal(state.members, state.targets)
 
     def test_bit_identical_reruns(self, grid, dataset):
         cfg = make_config(grid, total_steps=200, seed=7)
@@ -289,18 +289,24 @@ class TestRunLog:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^step \d+: \w+ is nan"):
             run_training(cfg, dataset)
 
-    @pytest.mark.parametrize("table", ["logits", "ens.members", "ens.targets"])
+    @pytest.mark.parametrize("table", ["logits", "members", "targets"])
     def test_non_finite_table_stops_the_run(self, grid, dataset, monkeypatch, table):
         # A NaN at the goal reaches no logged number: the goal is terminal,
         # so no batch row starts there and its targets are never backed up.
         # Only the interval check of the tables themselves can see it.
-        def poisoning_update_actor(logits, states, ens, cfg):
-            loss = update_actor(logits, states, ens, cfg)
-            poisoned = logits if table == "logits" else getattr(ens, table.partition(".")[2])
-            poisoned[..., grid.goal_state, :] = math.nan
+        def poisoning_update_actor(logits, states, members, cfg):
+            loss = update_actor(logits, states, members, cfg)
+            if table != "targets":
+                (logits if table == "logits" else members)[..., grid.goal_state, :] = math.nan
             return loss
 
+        def poisoning_soft_update_targets(members, targets, tau):
+            soft_update_targets(members, targets, tau)
+            if table == "targets":
+                targets[..., grid.goal_state, :] = math.nan
+
         monkeypatch.setattr(trainer, "update_actor", poisoning_update_actor)
+        monkeypatch.setattr(trainer, "soft_update_targets", poisoning_soft_update_targets)
         cfg = make_config(grid, total_steps=60)
         message = rf"^step 60: {re.escape(table)} holds a non-finite entry; the run diverged$"
         with pytest.raises(ValueError, match=message):
