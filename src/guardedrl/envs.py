@@ -197,8 +197,10 @@ def build_cliff_grid(spec: GridWorldSpec) -> tuple[TabularMdp, SafetySpec]:
                 expected_bonus += prob * entry_bonus(target)
             reward[s, a] = spec.step_reward + expected_bonus
 
+    # Handed over read-only: the instances keep these arrays without a copy.
+    transition.flags.writeable = reward.flags.writeable = safe.flags.writeable = terminal.flags.writeable = False
     mdp = TabularMdp(transition=transition, reward=reward, gamma=spec.gamma, terminal=terminal)
-    safety = SafetySpec(safe=safe, action_embedding=GRID_DISPLACEMENTS.copy())
+    safety = SafetySpec(safe=safe, action_embedding=GRID_DISPLACEMENTS)
     return mdp, safety
 
 
@@ -220,12 +222,13 @@ def build_random_safe_mdp(
     check_range("safe_fraction", safe_fraction, 0, 1, low_open=True)
     check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    raw = rng.exponential(1.0, size=(num_states, num_actions, num_states))
-    transition = raw / raw.sum(axis=2, keepdims=True)
+    transition = rng.exponential(1.0, size=(num_states, num_actions, num_states))
+    transition /= transition.sum(axis=2, keepdims=True)
     reward = rng.uniform(-1.0, 1.0, size=(num_states, num_actions))
     safe = rng.random((num_states, num_actions)) < safe_fraction
     for s in np.flatnonzero(~safe.any(axis=1)):
         safe[s, int(rng.integers(num_actions))] = True
+    transition.flags.writeable = reward.flags.writeable = safe.flags.writeable = False  # handed over
     mdp = TabularMdp(transition=transition, reward=reward, gamma=gamma)
     spec = SafetySpec(safe=safe, action_embedding=np.eye(num_actions))
     return mdp, spec

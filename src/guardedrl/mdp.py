@@ -8,10 +8,10 @@ code in the rest of the package.
 
 The per-step primitives of a rollout (envs.env_step, guardian.project_action,
 the trainer's near-miss count) read lookup tables that TabularMdp and
-SafetySpec build lazily, once per instance, from their arrays. The exact
-solvers never touch them. Their sweep is one BLAS product R + gamma * P v
-on an (S*A, S) view of the transition tensor (no copy), then a safe max
-that each solver takes its own way, so a fault in one cannot hide in the other.
+SafetySpec build lazily, once per instance, from their read-only arrays.
+The exact solvers never touch them. A guarded sweep is one BLAS product
+R + gamma * P v on an (S*A, S) view of P (no copy), then a safe max; a
+pruned sweep multiplies only the safe rows of P, so the routes differ.
 """
 
 from __future__ import annotations
@@ -36,6 +36,16 @@ class ConvergenceError(RuntimeError):
     """Value iteration failed to reach tolerance within the sweep budget."""
 
 
+def read_only(array, dtype) -> np.ndarray:
+    """array as a read-only C-contiguous dtype ndarray owning its data: kept if it is one, else copied once."""
+    owned = type(array) is np.ndarray and array.base is None and array.dtype == dtype
+    if owned and array.flags.c_contiguous and not array.flags.writeable:
+        return array
+    array = np.array(array, dtype=dtype, order="C")
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class TabularMdp:
     """Finite MDP (S, A, P, R, gamma) with optional terminal flags.
@@ -44,9 +54,9 @@ class TabularMdp:
     probability distribution (sum 1 within 1e-9, entries >= 0), rewards
     are finite, and gamma < 1. r_max is max |R|.
 
-    The arrays must not be mutated in place after construction: the
-    sampling tables (successor_cdfs, reward_rows, terminal_flags) are
-    built from them on first use and cached for the instance's lifetime.
+    The arrays are held read-only (read_only), so the sampling tables
+    (successor_cdfs, reward_rows, terminal_flags) built from them on first
+    use and cached for the instance's lifetime cannot go stale.
     """
 
     transition: np.ndarray
@@ -56,8 +66,8 @@ class TabularMdp:
     r_max: float = field(init=False)
 
     def __post_init__(self):
-        transition = np.array(self.transition, dtype=np.float64)
-        reward = np.array(self.reward, dtype=np.float64)
+        transition = read_only(self.transition, np.float64)
+        reward = read_only(self.reward, np.float64)
         if transition.ndim != 3 or transition.shape[0] != transition.shape[2]:
             raise ValueError(f"transition must have shape (S, A, S), got {transition.shape}")
         num_states, num_actions, _ = transition.shape
@@ -67,7 +77,7 @@ class TabularMdp:
             raise ValueError(
                 f"reward shape {reward.shape} does not match (S, A) = ({num_states}, {num_actions})"
             )
-        if np.any(transition < 0.0):
+        if transition.min() < 0.0:
             raise ValueError("transition probabilities must be non-negative")
         row_sums = transition.sum(axis=2)
         if not np.allclose(row_sums, 1.0, rtol=0.0, atol=PROB_ATOL):
@@ -78,7 +88,7 @@ class TabularMdp:
         check_range("gamma", self.gamma, 0, 1, high_open=True)
         terminal = self.terminal
         if terminal is not None:
-            terminal = np.array(terminal, dtype=bool)
+            terminal = read_only(terminal, bool)
             if terminal.shape != (num_states,):
                 raise ValueError(f"terminal mask must have shape ({num_states},)")
         object.__setattr__(self, "transition", transition)
@@ -136,17 +146,17 @@ class SafetySpec:
     non-finite or not pairwise distinct (the projection argmin must have
     a well-defined geometry).
 
-    The arrays must not be mutated in place after construction: the
-    projection and near-miss tables are built from them on first use and
-    cached for the instance's lifetime.
+    The arrays are held read-only (read_only), so the projection and
+    near-miss tables built from them on first use and cached for the
+    instance's lifetime cannot go stale.
     """
 
     safe: np.ndarray
     action_embedding: np.ndarray
 
     def __post_init__(self):
-        safe = np.array(self.safe, dtype=bool)
-        emb = np.array(self.action_embedding, dtype=np.float64)
+        safe = read_only(self.safe, bool)
+        emb = read_only(self.action_embedding, np.float64)
         if safe.ndim != 2:
             raise ValueError(f"safe table must be 2-D (S, A), got shape {safe.shape}")
         if emb.ndim != 2 or emb.shape[0] != safe.shape[1]:
@@ -338,20 +348,21 @@ def solve_pruned_value_iteration(
 ) -> np.ndarray:
     """Independent solver route: standard value iteration on the pruned MDP.
 
-    Deletes unsafe actions, iterates state values V(s) = max_{a safe}
-    [R + gamma * P V], then reconstructs the full Q table by one-step
-    lookahead (so unsafe entries are defined the same way the guarded
-    operator defines them). Kept separate from the Q-space solver on
-    purpose: the two routes cross-check each other.
+    Deletes unsafe actions (their rows of P and R are left out once per
+    solve), iterates V(s) = max_{a safe} [R + gamma * P V], then rebuilds
+    the full Q table by one-step lookahead (so unsafe entries are defined
+    the same way the guarded operator defines them). Kept separate from the
+    Q-space solver on purpose: the two routes cross-check each other.
     """
     check_compatible(mdp, spec)
     check_range("tol", tol, 0, np.inf, low_open=True, high_open=True)
     check_count("max_iters", max_iters, 1)
-    safe_by_action = spec.safe.T.copy()  # (A, S): numpy maxes over axis 0 row by row
+    states, actions = np.nonzero(spec.safe)  # row-major, so grouped by state
+    rows, rewards = mdp.transition[states, actions], mdp.reward[states, actions]
+    starts = np.searchsorted(states, np.arange(mdp.num_states))  # every state has a safe action
     v = np.zeros(mdp.num_states)
     for _ in range(max_iters):
-        backed_up = one_step_lookahead(mdp, v)
-        v_next = np.where(safe_by_action, backed_up.T, -np.inf).max(axis=0)
+        v_next = np.maximum.reduceat(rewards + mdp.gamma * (rows @ v), starts)
         residual = float(np.max(np.abs(v_next - v)))
         v = v_next
         if mdp.gamma * residual <= tol:

@@ -82,6 +82,74 @@ class TestTabularMdp:
         assert mdp.r_max == 2.0
 
 
+class TestOwnership:
+    """Instances hold their arrays read-only: kept when already so, else copied once."""
+
+    @pytest.mark.parametrize("table", ["transition", "reward", "terminal", "safe", "action_embedding"])
+    def test_assigning_into_a_table_raises(self, table):
+        mdp, spec = build_cliff_grid(GridWorldSpec.from_ascii(["....", "S..G", "XXXX"], slip_prob=0.2))
+        array = getattr(mdp if hasattr(mdp, table) else spec, table)
+        before = array.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1
+        np.testing.assert_array_equal(array, before)
+
+    def test_a_writeable_caller_array_stays_writeable_and_unshared(self):
+        transition, reward, terminal = np.full((2, 1, 2), 0.5), np.zeros((2, 1)), np.array([False, True])
+        safe, emb = np.ones((2, 1), dtype=bool), np.eye(1)
+        mdp = TabularMdp(transition=transition, reward=reward, gamma=0.9, terminal=terminal)
+        spec = SafetySpec(safe=safe, action_embedding=emb)
+        pairs = [(transition, mdp.transition), (reward, mdp.reward), (terminal, mdp.terminal),
+                 (safe, spec.safe), (emb, spec.action_embedding)]
+        for caller, kept in pairs:
+            assert caller.flags.writeable and not kept.flags.writeable
+            assert not np.shares_memory(caller, kept)
+        transition[0, 0] = [1.0, 0.0]
+        assert mdp.transition[0, 0].tolist() == [0.5, 0.5]
+
+    def test_a_read_only_view_of_a_writeable_array_is_copied(self):
+        transition = np.full((2, 1, 2), 0.5)
+        view = transition.view()
+        view.flags.writeable = False
+        mdp = TabularMdp(transition=view, reward=np.zeros((2, 1)), gamma=0.9)
+        assert not np.shares_memory(mdp.transition, transition)
+
+    def test_a_read_only_table_of_the_right_dtype_is_kept(self):
+        transition, reward, safe = np.full((2, 3, 2), 0.5), np.zeros((2, 3)), np.ones((2, 3), dtype=bool)
+        for table in (transition, reward, safe):
+            table.flags.writeable = False
+        mdp = TabularMdp(transition=transition, reward=reward, gamma=0.9)
+        spec = SafetySpec(safe=safe, action_embedding=np.eye(3))
+        assert mdp.transition is transition and mdp.reward is reward and spec.safe is safe
+        # A table of another dtype is copied once into the right one.
+        as_int = np.ones((2, 3), dtype=np.int64)
+        as_int.flags.writeable = False
+        assert SafetySpec(safe=as_int, action_embedding=np.eye(3)).safe.dtype == bool
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_random_mdp_normalises_its_draw_bit_for_bit(self, seed):
+        num_states, num_actions = 13, 4
+        rng = np.random.default_rng(seed)
+        raw = rng.exponential(1.0, size=(num_states, num_actions, num_states))
+        reward = rng.uniform(-1.0, 1.0, size=(num_states, num_actions))
+        mdp, _ = build_random_safe_mdp(num_states, num_actions, safe_fraction=0.5, seed=seed)
+        expected = raw / raw.sum(axis=2, keepdims=True)
+        np.testing.assert_array_equal(mdp.transition.view(np.int64), expected.view(np.int64))
+        np.testing.assert_array_equal(mdp.reward, reward)
+
+    @pytest.mark.parametrize("bad, message", [
+        (-0.5, "^transition probabilities must be non-negative$"),
+        (np.nan, "^transition rows must sum to 1 within 1e-09; worst error nan$"),
+    ])
+    def test_negative_and_nan_entries_are_refused(self, bad, message):
+        transition = np.full((2, 1, 2), 0.5)
+        transition[1, 0] = [1.0 - bad, bad] if bad < 0 else [0.5, bad]
+        for writeable in (True, False):
+            transition.flags.writeable = writeable
+            with pytest.raises(ValueError, match=message):
+                TabularMdp(transition=transition, reward=np.zeros((2, 1)), gamma=0.9)
+
+
 class TestSafetySpec:
     def test_rejects_empty_safe_set(self):
         with pytest.raises(ValueError, match="empty safe action set"):
@@ -344,7 +412,7 @@ def sweep_instances():
 
 
 class TestSweep:
-    """One sweep is a matrix-vector product on a view of P plus a safe max per solver."""
+    """A guarded sweep is one product on a view of P; a pruned sweep, one on the safe rows gathered per solve."""
 
     def test_solver_iterates_the_operator_bit_for_bit(self, monkeypatch):
         calls = []
@@ -392,6 +460,7 @@ class TestSweep:
         np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
     def test_product_reads_the_transition_tensor_without_a_copy(self):
+        """Guarded: one product per sweep on a view of P. Pruned: one on the safe rows, gathered once per solve."""
         class MatmulOperands(np.ndarray):
             """Records the left operand of every matmul it takes part in."""
 
@@ -409,13 +478,44 @@ class TestSweep:
         object.__setattr__(mdp, "transition", mdp.transition.view(MatmulOperands))
         result = solve_guarded_value_iteration(mdp, spec, tol=1e-10)
         assert len(MatmulOperands.seen) == result.iterations
-        pruned = solve_pruned_value_iteration(mdp, spec, tol=1e-10)
-        assert len(MatmulOperands.seen) > result.iterations
         for operand in MatmulOperands.seen:
             assert operand.shape == (11 * 3, 11)
             assert np.shares_memory(operand, mdp.transition)
+        MatmulOperands.seen.clear()
+        pruned = solve_pruned_value_iteration(mdp, spec, tol=1e-10)
+        *sweeps, lookahead = MatmulOperands.seen
+        assert len(sweeps) > 1
+        gathered = sweeps[0]
+        assert all(operand is gathered for operand in sweeps)
+        assert gathered.shape == (spec.safe.sum(), 11) and spec.safe.sum() < 11 * 3
+        np.testing.assert_array_equal(gathered, mdp.transition.view(np.ndarray)[spec.safe])
+        assert lookahead.shape == (11 * 3, 11)
+        assert np.shares_memory(lookahead, mdp.transition)
         np.testing.assert_array_equal(result.q, plain.q)
         np.testing.assert_array_equal(pruned, plain_pruned)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pruned_solver_matches_a_masked_full_product_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        num_states, num_actions = int(rng.integers(2, 30)), [1, 2, 3, 5, 8][seed % 5]
+        transition = rng.dirichlet(np.full(num_states, 0.5), size=(num_states, num_actions))
+        reward = rng.uniform(-1.0, 1.0, size=(num_states, num_actions))
+        safe = rng.random((num_states, num_actions)) < 0.4
+        safe[::3] = True  # all-safe rows
+        safe[1::3] = False
+        safe[1::3, rng.integers(num_actions)] = True  # one-safe-action rows
+        safe[~safe.any(axis=1), -1] = True
+        mdp = TabularMdp(transition=transition, reward=reward, gamma=float(rng.uniform(0.5, 0.95)))
+        spec = SafetySpec(safe=safe, action_embedding=np.eye(num_actions))
+        v = np.zeros(num_states)
+        while True:
+            v_next = np.where(safe, mdp.reward + mdp.gamma * (transition @ v), -np.inf).max(axis=1)
+            residual = float(np.max(np.abs(v_next - v)))
+            v = v_next
+            if mdp.gamma * residual <= 1e-10:
+                break
+        pruned = solve_pruned_value_iteration(mdp, spec, tol=1e-10)
+        assert max_norm_distance(pruned, mdp.reward + mdp.gamma * (transition @ v)) <= 1e-12
 
 
 class TestJsonRoundTrip:
