@@ -9,9 +9,14 @@ code in the rest of the package.
 The per-step primitives of a rollout (envs.env_step, guardian.project_action,
 the trainer's near-miss count) read lookup tables that TabularMdp and
 SafetySpec build lazily, once per instance, from their read-only arrays.
-The exact solvers never touch them. A guarded sweep is one BLAS product
-R + gamma * P v on an (S*A, S) view of P (no copy), then a safe max; a
-pruned sweep multiplies only the safe rows of P, so the routes differ.
+The exact solvers never touch them. The guarded solver is value
+iteration: each sweep is one BLAS product R + gamma * P v on an (S*A, S)
+view of P (no copy), then a safe max, and max_iters counts sweeps. The
+pruned solver is policy iteration: each step solves the policy's (S, S)
+system I - gamma * P_pi with LAPACK (np.linalg.solve, the only linear
+solve here), then takes a masked row max of the same lookahead, and
+max_iters counts improvement steps. Both stop once gamma times the
+max-norm change of one backup is at most tol.
 """
 
 from __future__ import annotations
@@ -33,7 +38,11 @@ NEAR_MISS_MARGIN = 1.5
 
 
 class ConvergenceError(RuntimeError):
-    """Value iteration failed to reach tolerance within the sweep budget."""
+    """An exact solver did not reach tol: its max_iters budget (sweeps or improvement steps) ran out.
+
+    Policy iteration also raises it when tol is finer than its linear
+    solve resolves, so no improvement step is left to take.
+    """
 
 
 def read_only(array, dtype) -> np.ndarray:
@@ -346,28 +355,49 @@ def solve_guarded_value_iteration(
 def solve_pruned_value_iteration(
     mdp: TabularMdp, spec: SafetySpec, tol: float = 1e-8, max_iters: int = 100_000
 ) -> np.ndarray:
-    """Independent solver route: standard value iteration on the pruned MDP.
+    """Independent solver route: Howard's policy iteration on the pruned MDP.
 
-    Deletes unsafe actions (their rows of P and R are left out once per
-    solve), iterates V(s) = max_{a safe} [R + gamma * P V], then rebuilds
-    the full Q table by one-step lookahead (so unsafe entries are defined
-    the same way the guarded operator defines them). Kept separate from the
-    Q-space solver on purpose: the two routes cross-check each other.
+    Only safe actions are ever chosen. Starting from each state's first
+    safe action, every step evaluates the policy exactly, solving the
+    (S, S) system (I - gamma * P_pi) v = R_pi with LAPACK, then takes the
+    safe one-step lookahead v_next(s) = max_{a safe} [R + gamma * P v](s, a).
+    It returns the full Q table R + gamma * P v_next (unsafe entries are
+    defined the way the guarded operator defines them) once
+    gamma * ||v_next - v||_inf <= tol, so the table is within
+    gamma * tol / (1 - gamma) of the guarded fixed point. Otherwise each
+    state moves to its first safe maximiser, keeping its action while that
+    action still attains the max, so ties cannot cycle.
+
+    max_iters bounds the improvement steps. ConvergenceError is raised when
+    they run out, or when a step changes no state's action: the next solve
+    would repeat this one, so tol is below what the solve can resolve.
+    Kept separate from the Q-space solver on purpose: the two routes
+    cross-check each other.
     """
     check_compatible(mdp, spec)
     check_range("tol", tol, 0, np.inf, low_open=True, high_open=True)
     check_count("max_iters", max_iters, 1)
-    states, actions = np.nonzero(spec.safe)  # row-major, so grouped by state
-    rows, rewards = mdp.transition[states, actions], mdp.reward[states, actions]
-    starts = np.searchsorted(states, np.arange(mdp.num_states))  # every state has a safe action
-    v = np.zeros(mdp.num_states)
+    states = np.arange(mdp.num_states)
+    policy = spec.safe.argmax(axis=1)  # every state has a safe action
     for _ in range(max_iters):
-        v_next = np.maximum.reduceat(rewards + mdp.gamma * (rows @ v), starts)
+        system = mdp.transition[states, policy]
+        system *= -mdp.gamma
+        system[states, states] += 1.0
+        v = np.linalg.solve(system, mdp.reward[states, policy])
+        q = np.where(spec.safe, one_step_lookahead(mdp, v), -np.inf)
+        v_next = q.max(axis=1)
         residual = float(np.max(np.abs(v_next - v)))
-        v = v_next
         if mdp.gamma * residual <= tol:
-            return one_step_lookahead(mdp, v)
-    raise ConvergenceError(f"pruned value iteration did not reach tol={tol} in {max_iters} sweeps")
+            return one_step_lookahead(mdp, v_next)
+        stays = q[states, policy] == v_next
+        if stays.all():
+            raise ConvergenceError(
+                f"policy iteration cannot reach tol={tol}: no state's action improves (residual {residual:.3g})"
+            )
+        policy = np.where(stays, policy, q.argmax(axis=1))
+    raise ConvergenceError(
+        f"policy iteration did not reach tol={tol} in {max_iters} improvement steps (last residual {residual:.3g})"
+    )
 
 
 # --- JSON output -----------------------------------------------------------

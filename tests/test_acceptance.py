@@ -105,7 +105,7 @@ def test_criterion_1_contraction():
 
 
 def test_criterion_2_fixed_point_oracle():
-    """Guarded VI matches pruned-MDP standard VI within 1e-6 on 100 instances."""
+    """Guarded VI matches policy iteration on the pruned MDP within 1e-6 on 100 instances."""
     start = time.time()
     rng = np.random.default_rng(202)
     gammas = (0.5, 0.9, 0.95)

@@ -1,5 +1,6 @@
 """Core table, operator, and solver tests with brute-force oracles."""
 
+import itertools
 import json
 import re
 
@@ -377,9 +378,9 @@ class TestSolverArguments:
 
 
 def reference_solves(mdp, spec, tol):
-    """Both solvers as first written: the 3-D product P @ v and a row max over a masked table.
+    """The guarded solver as first written: the 3-D product P @ v and a row max over a masked table.
 
-    Returns (guarded q, guarded sweeps, pruned q, pruned sweeps).
+    Returns (guarded q, guarded sweeps).
     """
     safe_max = lambda table: np.where(spec.safe, table, -np.inf).max(axis=1)
     q = np.zeros((mdp.num_states, mdp.num_actions))
@@ -391,16 +392,23 @@ def reference_solves(mdp, spec, tol):
         q = q_next
         if mdp.gamma * residual <= tol:
             break
+    return q, guarded_sweeps
+
+
+def pruned_reference(mdp, spec):
+    """Value iteration on the pruned MDP with the 3-D product and a masked row max, run to 1e-14.
+
+    Stopped at gamma * residual <= 1e-14, so the table is within
+    1e-14 / (1 - gamma) of the fixed point: below 1e-12 for gamma <= 0.95.
+    """
     v = np.zeros(mdp.num_states)
-    pruned_sweeps = 0
-    while True:
-        pruned_sweeps += 1
-        v_next = safe_max(mdp.reward + mdp.gamma * (mdp.transition @ v))
+    for _ in range(100_000):
+        v_next = np.where(spec.safe, mdp.reward + mdp.gamma * (mdp.transition @ v), -np.inf).max(axis=1)
         residual = float(np.max(np.abs(v_next - v)))
         v = v_next
-        if mdp.gamma * residual <= tol:
-            break
-    return q, guarded_sweeps, mdp.reward + mdp.gamma * (mdp.transition @ v), pruned_sweeps
+        if mdp.gamma * residual <= 1e-14:
+            return mdp.reward + mdp.gamma * (mdp.transition @ v)
+    raise AssertionError("the reference did not reach 1e-14")
 
 
 def sweep_instances():
@@ -411,8 +419,22 @@ def sweep_instances():
     yield build_cliff_grid(GridWorldSpec.from_ascii(["....", "S..G", "XXXX"], slip_prob=0.2))
 
 
+class MatmulOperands(np.ndarray):
+    """A view of P that records the left operand of every matmul it takes part in."""
+
+    seen: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            MatmulOperands.seen.append(inputs[0])
+        plain = lambda x: x.view(np.ndarray) if isinstance(x, MatmulOperands) else x
+        if "out" in kwargs:  # the in-place scaling of a gathered (S, S) system
+            kwargs["out"] = tuple(plain(x) for x in kwargs["out"])
+        return getattr(ufunc, method)(*(plain(x) for x in inputs), **kwargs)
+
+
 class TestSweep:
-    """A guarded sweep is one product on a view of P; a pruned sweep, one on the safe rows gathered per solve."""
+    """A guarded sweep is one product on a view of P; both solvers match references built on the 3-D product."""
 
     def test_solver_iterates_the_operator_bit_for_bit(self, monkeypatch):
         calls = []
@@ -430,15 +452,12 @@ class TestSweep:
 
     def test_both_solvers_match_the_3d_row_max_reference(self):
         for mdp, spec in sweep_instances():
-            ref_q, ref_sweeps, ref_pruned, pruned_sweeps = reference_solves(mdp, spec, 1e-10)
+            ref_q, ref_sweeps = reference_solves(mdp, spec, 1e-10)
             guarded = solve_guarded_value_iteration(mdp, spec, tol=1e-10)
             assert guarded.iterations == ref_sweeps
             assert max_norm_distance(guarded.q, ref_q) <= 1e-12
-            pruned = solve_pruned_value_iteration(mdp, spec, tol=1e-10, max_iters=pruned_sweeps)
-            assert max_norm_distance(pruned, ref_pruned) <= 1e-12
-            if pruned_sweeps > 1:
-                with pytest.raises(ConvergenceError):
-                    solve_pruned_value_iteration(mdp, spec, tol=1e-10, max_iters=pruned_sweeps - 1)
+            pruned = solve_pruned_value_iteration(mdp, spec, tol=1e-10)
+            assert max_norm_distance(pruned, pruned_reference(mdp, spec)) <= 1e-12
 
     @pytest.mark.parametrize("num_actions", range(1, 9))
     def test_safe_state_values_equal_a_python_max_bitwise(self, num_actions):
@@ -460,39 +479,17 @@ class TestSweep:
         np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
     def test_product_reads_the_transition_tensor_without_a_copy(self):
-        """Guarded: one product per sweep on a view of P. Pruned: one on the safe rows, gathered once per solve."""
-        class MatmulOperands(np.ndarray):
-            """Records the left operand of every matmul it takes part in."""
-
-            seen: list = []
-
-            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                if ufunc is np.matmul:
-                    MatmulOperands.seen.append(inputs[0])
-                inputs = [x.view(np.ndarray) if isinstance(x, MatmulOperands) else x for x in inputs]
-                return getattr(ufunc, method)(*inputs, **kwargs)
-
+        """Guarded: one product per sweep on a view of P."""
+        MatmulOperands.seen.clear()
         mdp, spec = build_random_safe_mdp(11, 3, safe_fraction=0.6, seed=5)
         plain = solve_guarded_value_iteration(mdp, spec, tol=1e-10)
-        plain_pruned = solve_pruned_value_iteration(mdp, spec, tol=1e-10)
         object.__setattr__(mdp, "transition", mdp.transition.view(MatmulOperands))
         result = solve_guarded_value_iteration(mdp, spec, tol=1e-10)
         assert len(MatmulOperands.seen) == result.iterations
         for operand in MatmulOperands.seen:
             assert operand.shape == (11 * 3, 11)
             assert np.shares_memory(operand, mdp.transition)
-        MatmulOperands.seen.clear()
-        pruned = solve_pruned_value_iteration(mdp, spec, tol=1e-10)
-        *sweeps, lookahead = MatmulOperands.seen
-        assert len(sweeps) > 1
-        gathered = sweeps[0]
-        assert all(operand is gathered for operand in sweeps)
-        assert gathered.shape == (spec.safe.sum(), 11) and spec.safe.sum() < 11 * 3
-        np.testing.assert_array_equal(gathered, mdp.transition.view(np.ndarray)[spec.safe])
-        assert lookahead.shape == (11 * 3, 11)
-        assert np.shares_memory(lookahead, mdp.transition)
         np.testing.assert_array_equal(result.q, plain.q)
-        np.testing.assert_array_equal(pruned, plain_pruned)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_pruned_solver_matches_a_masked_full_product_reference(self, seed):
@@ -507,15 +504,111 @@ class TestSweep:
         safe[~safe.any(axis=1), -1] = True
         mdp = TabularMdp(transition=transition, reward=reward, gamma=float(rng.uniform(0.5, 0.95)))
         spec = SafetySpec(safe=safe, action_embedding=np.eye(num_actions))
-        v = np.zeros(num_states)
-        while True:
-            v_next = np.where(safe, mdp.reward + mdp.gamma * (transition @ v), -np.inf).max(axis=1)
-            residual = float(np.max(np.abs(v_next - v)))
-            v = v_next
-            if mdp.gamma * residual <= 1e-10:
-                break
         pruned = solve_pruned_value_iteration(mdp, spec, tol=1e-10)
-        assert max_norm_distance(pruned, mdp.reward + mdp.gamma * (transition @ v)) <= 1e-12
+        assert max_norm_distance(pruned, pruned_reference(mdp, spec)) <= 1e-12
+
+
+def brute_force_optimum(mdp, spec):
+    """Q* from every deterministic safe policy: each is solved exactly, and v* is their pointwise max."""
+    states = np.arange(mdp.num_states)
+    policies = np.array(list(itertools.product(*(np.flatnonzero(row) for row in spec.safe))))
+    systems = np.eye(mdp.num_states) - mdp.gamma * mdp.transition[states, policies]
+    values = np.linalg.solve(systems, mdp.reward[states, policies][..., None])[..., 0]
+    return mdp.reward + mdp.gamma * (mdp.transition @ values.max(axis=0))
+
+
+def record_solves(monkeypatch):
+    """Record a copy of the (matrix, right-hand side) of every np.linalg.solve call from here on."""
+    systems = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: systems.append((np.array(a), np.array(b))) or solve(a, b))
+    return systems
+
+
+def evaluated_policy(mdp, system):
+    """The action whose row of I - gamma * P each row of an evaluated system was built from."""
+    rows = np.eye(mdp.num_states)[:, None, :] - mdp.gamma * mdp.transition
+    return np.abs(rows - system[:, None, :]).max(axis=2).argmin(axis=1)
+
+
+def first_safe_is_not_optimal():
+    """A random instance on which the pruned solver must leave the first-safe-action policy."""
+    mdp, spec = build_random_safe_mdp(12, 4, safe_fraction=0.7, seed=3, gamma=0.9)
+    q = solve_pruned_value_iteration(mdp, spec, tol=1e-10)
+    assert not np.array_equal(np.where(spec.safe, q, -np.inf).argmax(axis=1), spec.safe.argmax(axis=1))
+    return mdp, spec, q
+
+
+class TestPolicyIteration:
+    """The pruned solver: exact policy evaluations, safe improvement steps, and a bounded failure."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9, 0.99])
+    def test_matches_a_brute_force_optimum(self, gamma):
+        worst = 0.0
+        for seed in range(30):
+            rng = np.random.default_rng([seed, int(gamma * 100)])
+            num_states, num_actions = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+            transition = rng.dirichlet(np.full(num_states, 0.5), size=(num_states, num_actions))
+            reward = rng.uniform(-1.0, 1.0, size=(num_states, num_actions))
+            if seed % 3 == 0:  # an exact tie: the last action copies the first
+                transition[:, -1], reward[:, -1] = transition[:, 0], reward[:, 0]
+            safe = rng.random((num_states, num_actions)) < 0.6
+            safe[~safe.any(axis=1), -1] = True
+            mdp = TabularMdp(transition=transition, reward=reward, gamma=gamma)
+            spec = SafetySpec(safe=safe, action_embedding=np.eye(num_actions))
+            pruned = solve_pruned_value_iteration(mdp, spec, tol=1e-10)
+            worst = max(worst, max_norm_distance(pruned, brute_force_optimum(mdp, spec)))
+        assert worst <= 1e-12
+
+    def test_budget_counts_improvement_steps(self, monkeypatch):
+        mdp, spec, q = first_safe_is_not_optimal()
+        solves = record_solves(monkeypatch)
+        np.testing.assert_array_equal(solve_pruned_value_iteration(mdp, spec, tol=1e-10), q)
+        steps = len(solves)
+        assert steps > 1
+        np.testing.assert_array_equal(solve_pruned_value_iteration(mdp, spec, tol=1e-10, max_iters=steps), q)
+        for budget in {1, steps - 1}:
+            message = f"policy iteration did not reach tol=1e-10 in {budget} improvement steps (last residual "
+            with pytest.raises(ConvergenceError, match=f"^{re.escape(message)}"):
+                solve_pruned_value_iteration(mdp, spec, tol=1e-10, max_iters=budget)
+
+    def test_evaluates_only_safe_policies_from_each_first_safe_action(self, monkeypatch):
+        mdp, spec, _ = first_safe_is_not_optimal()
+        solves = record_solves(monkeypatch)
+        solve_pruned_value_iteration(mdp, spec, tol=1e-10)
+        policies = [evaluated_policy(mdp, system) for system, _ in solves]
+        np.testing.assert_array_equal(policies[0], spec.safe.argmax(axis=1))
+        states = np.arange(mdp.num_states)
+        for policy, (_, rhs) in zip(policies, solves):
+            assert spec.safe[states, policy].all()
+            np.testing.assert_array_equal(rhs, mdp.reward[states, policy])
+
+    @pytest.mark.parametrize("index", [0, 3, 7, 9])
+    def test_unreachable_tol_raises_at_once(self, monkeypatch, index):
+        mdp, spec = list(sweep_instances())[index]
+        assert mdp.gamma > 0.0
+        solves = record_solves(monkeypatch)
+        message = "policy iteration cannot reach tol=1e-300: no state's action improves (residual "
+        with pytest.raises(ConvergenceError, match=f"^{re.escape(message)}[0-9.e-]+\\)$"):
+            solve_pruned_value_iteration(mdp, spec, tol=1e-300)
+        # Without the check the solver would repeat one solve until max_iters (100,000).
+        assert 1 <= len(solves) <= 10
+
+    def test_products_read_the_transition_tensor_and_systems_are_s_by_s(self, monkeypatch):
+        """Each improvement step is one lookahead on a view of P; each evaluation, one (S, S) solve."""
+        MatmulOperands.seen.clear()
+        mdp, spec, q = first_safe_is_not_optimal()
+        object.__setattr__(mdp, "transition", mdp.transition.view(MatmulOperands))
+        solves = record_solves(monkeypatch)
+        pruned = solve_pruned_value_iteration(mdp, spec, tol=1e-10)
+        S, A = mdp.num_states, mdp.num_actions
+        assert len(solves) > 1
+        assert all(system.shape == (S, S) and rhs.shape == (S,) for system, rhs in solves)
+        assert len(MatmulOperands.seen) == len(solves) + 1  # one per step, then the returned lookahead
+        for operand in MatmulOperands.seen:
+            assert operand.shape == (S * A, S)
+            assert np.shares_memory(operand, mdp.transition)
+        np.testing.assert_array_equal(pruned, q)
 
 
 class TestJsonRoundTrip:
