@@ -109,14 +109,23 @@ class RandomMdpConfig:
 
 @dataclass(frozen=True)
 class SolveTolerances:
-    """solve's top-level keys: the solvers' stopping tolerance and the largest accepted gap between them."""
+    """solve's top-level keys: the solvers' stopping tolerance and the largest accepted gap between them.
 
-    tol: float = 1e-8
+    An absent tol is gap_tolerance * (1 - gamma) / 4: the guarded table is
+    then within tol / (1 - gamma) of the fixed point and the pruned one
+    within gamma * tol / (1 - gamma), so their gap stays below half of
+    gap_tolerance.
+    """
+
+    tol: float | None = None
     gap_tolerance: float = 1e-6
 
     def __post_init__(self):
-        check_range("top-level key 'tol'", self.tol, 0, math.inf, low_open=True, high_open=True)
+        if self.tol is not None:
+            check_range("top-level key 'tol'", self.tol, 0, math.inf, low_open=True, high_open=True)
         check_range("top-level key 'gap_tolerance'", self.gap_tolerance, 0, math.inf, high_open=True)
+        if self.tol is None and self.gap_tolerance == 0:
+            raise ValueError("top-level key 'tol' must be given when top-level key 'gap_tolerance' is 0")
 
 
 @dataclass(frozen=True)
@@ -143,7 +152,8 @@ class SweepConfig:
 # The JSON value kinds a config key accepts; a boolean is never a number.
 KINDS = {"a number": (int, float), "an integer": (int,), "a string": (str,),
          "a boolean": (bool,), "an array": (list,), "a string or an array": (str, list)}
-_FIELD_KINDS = {"float": "a number", "int": "an integer", "str": "a string", "bool": "a boolean"}
+_FIELD_KINDS = {"float": "a number", "float | None": "a number", "int": "an integer", "str": "a string",
+                "bool": "a boolean"}
 # Block name -> key -> kind: the block's dataclass fields (tuples and sets are
 # arrays), except schedule horizons and the learner's discount. Those are
 # derived from total_steps and env.gamma, so no file may set them; the fields
@@ -259,33 +269,38 @@ def _staged(out_dir: Path, last: str, moves: tuple[tuple[str, Path], ...] = ()):
     go into out_dir, `last` last, after an earlier `last` there is removed.
     A failed write names the file it was placing (out_dir before that) and
     creates nothing: it removes the files it placed at new paths and every
-    directory it made, out_dir's parents too.
+    directory it made, out_dir's parents too. A placed file is removed only
+    while its (st_dev, st_ino) is still the one it was placed with: a file
+    that another run put there since stays.
     """
     # The missing directories the write may create, deepest first: a failed write removes those it left empty.
     missing = sorted({p.absolute() for d in (out_dir, *(path.parent for _, path in moves))
                       for p in (d, *d.parents) if not p.exists()}, key=lambda p: -len(p.parts))
-    staging, target, placed = None, out_dir, []
+    staging, target, placed = None, out_dir, {}
     try:
         out_dir.parent.mkdir(parents=True, exist_ok=True)
         staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
         yield staging
         for name, target in moves:
             target.parent.mkdir(parents=True, exist_ok=True)
-            if not target.exists():  # another sweep run may have placed it there already
-                placed.append(target)
+            fresh = not target.exists()  # another sweep run may have placed it there already
+            staged = os.stat(staging / name)  # a rename keeps its (st_dev, st_ino)
             shutil.move(staging / name, target)
+            if fresh:  # a move to another file system places a copy, a new file
+                placed[target] = staged if os.stat(target.parent).st_dev == staged.st_dev else os.stat(target)
         target = out_dir / last
         out_dir.mkdir(exist_ok=True)
         target.unlink(missing_ok=True)  # an earlier write's `last` would vouch for a mix
         for path in sorted(staging.iterdir(), key=lambda p: p.name == last):
             target = out_dir / path.name
             if not target.exists():
-                placed.append(target)
+                placed[target] = os.stat(path)
             path.replace(target)
     except OSError as exc:
-        for path in placed:  # a file that replaced another stays
+        for path, stat in placed.items():  # a file that replaced another stays
             with contextlib.suppress(OSError):
-                path.unlink()
+                if os.path.samestat(os.stat(path), stat):
+                    path.unlink()
         # Name the OS error's path only if it is neither target nor staged (staging is removed below).
         paths = [Path(f) for f in (exc.filename, exc.filename2) if f is not None]
         if paths and all(p == target or p.parent == staging for p in paths):
@@ -362,15 +377,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         raise ValueError("solve config needs an env or random_mdp block")
     out_dir = output_dir(args, doc, "runs/solve")
+    tol = tols.gap_tolerance * (1 - mdp.gamma) / 4 if tols.tol is None else tols.tol
     try:
-        result = solve_guarded_value_iteration(mdp, spec, tol=tols.tol)
-        oracle = solve_pruned_value_iteration(mdp, spec, tol=tols.tol)
+        result = solve_guarded_value_iteration(mdp, spec, tol=tol)
+        oracle = solve_pruned_value_iteration(mdp, spec, tol=tol)
     except ConvergenceError as exc:
         print(f"solver failed to converge: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     gap = max_norm_distance(result.q, oracle)
     solution = {"gap": gap, "gap_tolerance": tols.gap_tolerance, "iterations": result.iterations,
-                "tol": tols.tol, "within_tolerance": gap <= tols.gap_tolerance}
+                "tol": tol, "within_tolerance": gap <= tols.gap_tolerance}
     with _staged(out_dir, "solution.json") as staging:
         save_problem(staging / "problem.json", mdp, spec)
         (staging / "q_guarded.json").write_text(json.dumps({"q": result.q.tolist()}))

@@ -3,9 +3,9 @@
 The learner itself is unconstrained: the actor optimizes the raw policy,
 an (S, A) logits array that update_actor updates in place, against the
 pessimistic ensemble and never reads the safety predicate. Safety enters
-only through the backup target, which (given a SafetySpec) takes its
-next-state expectation under the safe-renormalized policy so value
-estimates stay consistent with what execution-time projection will
+only through the backup target, which (given the (S, A) bool safe table)
+takes its next-state expectation under the safe-renormalized policy so
+value estimates stay consistent with what execution-time projection will
 actually allow. compute_targets takes the policy's probability table
 softmax(logits); the next-state value is a function of the state alone,
 so it is built once per state and indexed by each row's next state.
@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .guardian import renormalize_policy_safe
-from .mdp import SafetySpec, check_range
+from .mdp import check_range
 from .sampling import TransitionBatch
 
 INIT_NOISE = 0.1
@@ -73,7 +73,7 @@ def compute_targets(
     batch: TransitionBatch,
     probs: np.ndarray,
     targets: np.ndarray,
-    spec: SafetySpec | None,
+    safe: np.ndarray | None,
     cfg: LearnerConfig,
 ) -> tuple[np.ndarray, int]:
     """Backup targets for a whole batch, plus the starvation-fallback count.
@@ -81,20 +81,20 @@ def compute_targets(
     probs is the policy's (S, A) probability table; y = r + gamma * V(s') with
     V(s) = E_{a ~ pi'(.|s)}[Qmin_target(s, a)] + alpha * H(pi'(.|s)),
     Qmin_target = targets.min(axis=0) over the (N, S, A) target tables,
-    where pi' is probs renormalized onto spec's safe set, or probs itself
-    when spec is None (unguarded backup). V and the starved mask are built
-    once per state, as (S,) tables, and indexed by s'; each state's row is
-    computed exactly as a row of s' would be, so the targets do not depend
-    on the batch size. Terminal transitions get y = r and never count as
-    starved. The entropy bonus is the soft-value backup of the actor's
-    objective E[Qmin] + alpha * H.
+    where pi' is probs renormalized onto safe, the (S, A) bool safe table,
+    or probs itself when safe is None (unguarded backup). V and the
+    starved mask are built once per state, as (S,) tables, and indexed by
+    s'; each state's row is computed exactly as a row of s' would be, so
+    the targets do not depend on the batch size. Terminal transitions get
+    y = r and never count as starved. The entropy bonus is the soft-value
+    backup of the actor's objective E[Qmin] + alpha * H.
     """
     if not len(batch):
         raise ValueError("batch must be non-empty")
     r, s_next, done = batch.r, batch.s_next, batch.done
     starved_count = 0
-    if spec is not None:
-        probs, starved = renormalize_policy_safe(probs, spec.safe)
+    if safe is not None:
+        probs, starved = renormalize_policy_safe(probs, safe)
         starved_count = int(np.count_nonzero(starved[s_next] & ~done))
     # 0 * log 0 counts as 0: a zero probability takes the log of 1.
     entropy = -(probs * np.log(np.where(probs > 0.0, probs, 1.0))).sum(axis=1)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .learner import LearnerConfig, compute_targets
-from .mdp import SafetySpec
 from .sampling import TransitionBatch
 
 # A greedy action whose behavior-cloning probability is below this is novel.
@@ -42,19 +41,19 @@ def td_error_stats(
     members: np.ndarray,
     targets: np.ndarray,
     probs: np.ndarray,
-    spec: SafetySpec | None,
+    safe: np.ndarray | None,
     cfg: LearnerConfig,
 ) -> float:
     """Mean absolute TD error |Qmin(s, a) - y| over the batch.
 
     Qmin is the minimum over the (N, S, A) members; y is compute_targets'
     backup target from the (N, S, A) targets under probs, the policy's
-    (S, A) probability table: guarded onto spec's safe set, or unguarded
-    when spec is None. The number tracks how far the pessimistic estimate
-    sits from its own bootstrap. An empty batch is refused by
-    compute_targets.
+    (S, A) probability table: guarded onto safe, the (S, A) bool safe
+    table, or unguarded when safe is None. The number tracks how far the
+    pessimistic estimate sits from its own bootstrap. An empty batch is
+    refused by compute_targets.
     """
-    y, _ = compute_targets(batch, probs, targets, spec, cfg)
+    y, _ = compute_targets(batch, probs, targets, safe, cfg)
     return float(np.abs(members.min(axis=0)[batch.s, batch.a] - y).mean())
 
 

@@ -1,15 +1,16 @@
 """End-to-end training orchestration with safety variants and probes.
 
-One loop owns all mutable state. The policy is one (S, A) logits array:
-update_actor updates it in place, and every reader of the policy takes
-its probability table softmax(logits). Per step: the policy proposes a
-raw action, the projection (variant-dependent) certifies it, the
-sanitized transition lands in the replay store's online ring, and the
-learner takes hybrid batches under the current curriculum schedules. The
-raw proposal is counted in every interactive variant (shadow channel):
-per interval, how many proposals were unsafe before the guard and how
-many were near misses (SafetySpec.near_miss_table), so pre-guard metrics
-stay comparable at zero behavioral cost. The proposal is not stored.
+One loop owns all mutable state. The policy is one (S, A) logits array
+that update_actor updates in place; its probability table softmax(logits)
+is computed once per update, and every reader of the policy takes that
+table. Per step: the policy proposes a raw action, the projection
+(variant-dependent) certifies it, the sanitized transition lands in the
+replay store's online ring, and the learner takes hybrid batches under
+the current curriculum schedules. The raw proposal is counted in every
+interactive variant (shadow channel): per interval, how many proposals
+were unsafe before the guard and how many were near misses
+(SafetySpec.near_miss_table), so pre-guard metrics stay comparable at
+zero behavioral cost. The proposal is not stored.
 
 Variants:
   guardian        projected execution + guarded backup targets
@@ -286,7 +287,7 @@ def run_training(cfg: RunConfig, offline: OfflineDataset) -> RunLog:
     """
     mdp, spec = build_cliff_grid(cfg.grid)
     offline.check_index_ranges(mdp.num_states, mdp.num_actions)
-    backup_spec = spec if cfg.variant in _GUARDED_BACKUP_VARIANTS else None
+    backup_safe = spec.safe if cfg.variant in _GUARDED_BACKUP_VARIANTS else None
     guard_exec = cfg.variant in _PROJECTED_VARIANTS
     interactive = cfg.variant != VARIANT_OFFLINE_ONLY
 
@@ -298,6 +299,7 @@ def run_training(cfg: RunConfig, offline: OfflineDataset) -> RunLog:
                                size=(cfg.ensemble_size, mdp.num_states, mdp.num_actions))
     targets = members.copy()
     logits = np.zeros((mdp.num_states, mdp.num_actions))
+    probs = softmax(logits)
     store = ReplayStore(offline, cfg.online_buffer_capacity)
     visits = np.zeros(mdp.num_states, dtype=np.int64)
     log = RunLog()
@@ -324,8 +326,7 @@ def run_training(cfg: RunConfig, offline: OfflineDataset) -> RunLog:
         lam = dss_mixing(step, cfg.dss) if cfg.total_steps > 0 else cfg.dss.lambda_min
         delta = dts_interval(step, cfg.dts)
         probe = sample_hybrid_batch(store, lam, delta, cfg.batch_size, rng_probe)
-        probs = softmax(logits)
-        td = td_error_stats(probe.transitions, members, targets, probs, backup_spec, cfg.learner)
+        td = td_error_stats(probe.transitions, members, targets, probs, backup_safe, cfg.learner)
         variance = ensemble_variance(members, probe.transitions)
         if proposals:
             pre_rate, near_rate = pre_guard_violations / proposals, near_misses / proposals
@@ -364,7 +365,7 @@ def run_training(cfg: RunConfig, offline: OfflineDataset) -> RunLog:
     emit(0)
     for step in range(1, cfg.total_steps + 1):
         if interactive:
-            a_prop = _sample_action(softmax(logits[state]), rng_env)
+            a_prop = _sample_action(probs[state], rng_env)
             proposals += 1
             if not spec.safe[state, a_prop]:
                 pre_guard_violations += 1
@@ -392,17 +393,17 @@ def run_training(cfg: RunConfig, offline: OfflineDataset) -> RunLog:
             batch = sample_hybrid_batch(store, lam, delta, cfg.batch_size, rng_sample)
             offline_fallbacks += batch.fallback_count
             transitions = batch.transitions
-            y, starved = compute_targets(transitions, softmax(logits), targets, backup_spec, cfg.learner)
+            y, starved = compute_targets(transitions, probs, targets, backup_safe, cfg.learner)
             starvation_events += starved
             update_critics(members, transitions, y, cfg.learner)
             last_actor_loss = update_actor(logits, transitions.s, members, cfg.learner)
+            probs = softmax(logits)
             soft_update_targets(members, targets, cfg.learner.tau)
 
         if step % cfg.eval_every == 0 or step == cfg.total_steps:
             emit(step)
 
     bc = derive_bc_policy(offline, mdp.num_states, mdp.num_actions)
-    probs = softmax(logits)
     final_eval = evaluate(probs, seed=cfg.seed * 1_000_003 + cfg.total_steps + 1)
     last_record = log.records[-1]  # at total_steps, after the last visit
     log.summary = {

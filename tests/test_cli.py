@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import os
 import re
 import statistics
 from concurrent.futures import ProcessPoolExecutor
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from guardedrl import cli
 from guardedrl.cli import SweepConfig, _staged, main, parse_block, run_config_from_doc
 from guardedrl.mdp import ConvergenceError, solve_pruned_value_iteration
 from guardedrl.sampling import OfflineDataset
@@ -173,7 +175,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("defaults", [
         {"random_mdp": {"num_states": 12, "num_actions": 4, "safe_fraction": 0.7, "seed": 0, "gamma": 0.9}},
-        {"tol": 1e-8, "gap_tolerance": 1e-6},
+        {"tol": 1e-6 * (1 - 0.9) / 4, "gap_tolerance": 1e-6},  # tol = gap_tolerance * (1 - gamma) / 4
     ], ids=["random_mdp", "tolerances"])
     def test_defaults_match_their_explicit_values(self, tmp_path, defaults):
         implicit = {"random_mdp": {"num_states": 12, "num_actions": 4}, "output_dir": str(tmp_path / "implicit")}
@@ -184,10 +186,30 @@ class TestSolve:
             assert (tmp_path / "implicit" / name).read_bytes() == (tmp_path / "explicit" / name).read_bytes()
 
     def test_zero_gap_tolerance_is_allowed(self, tmp_path):
-        doc = {"env": {"map": ["S.G"], "gamma": 0.0}, "gap_tolerance": 0,
+        doc = {"env": {"map": ["S.G"], "gamma": 0.0}, "gap_tolerance": 0, "tol": 1e-8,
                "output_dir": str(tmp_path / "solve")}
         assert main(["solve", write_config(tmp_path, doc)]) == 0
         assert json.loads((tmp_path / "solve" / "solution.json").read_text())["gap_tolerance"] == 0.0
+
+    def test_zero_gap_tolerance_needs_a_tol(self, tmp_path, capsys):
+        # The default tol is gap_tolerance * (1 - gamma) / 4, which would be 0.
+        doc = {"env": {"map": ["S.G"], "gamma": 0.0}, "gap_tolerance": 0, "output_dir": str(tmp_path / "solve")}
+        assert main(["solve", write_config(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err == (
+            "top-level key 'tol' must be given when top-level key 'gap_tolerance' is 0\n")
+        assert not (tmp_path / "solve").exists()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_default_tol_keeps_the_gap_within_tolerance_near_gamma_one(self, tmp_path, seed):
+        # The guarded table's own error is about tol / (1 - gamma); the
+        # default tol scales with 1 - gamma, so the gap stays inside
+        # gap_tolerance at gamma 0.995, where a fixed 1e-8 gave 2e-6.
+        doc = {"random_mdp": {"num_states": 60, "num_actions": 4, "safe_fraction": 0.7, "seed": seed,
+                              "gamma": 0.995}, "output_dir": str(tmp_path / "solve")}
+        assert main(["solve", write_config(tmp_path, doc)]) == 0
+        solution = json.loads((tmp_path / "solve" / "solution.json").read_text())
+        assert solution["within_tolerance"] is True
+        assert solution["tol"] == 1e-6 * (1 - 0.995) / 4
 
     def test_convergence_failure_leaves_no_directory(self, tmp_path, monkeypatch, capsys):
         def fail(mdp, spec, tol):
@@ -710,6 +732,29 @@ class TestSweepAndReport:
                 (out / "summary.json").mkdir(parents=True)
         assert str(excinfo.value).startswith(f"cannot write {out / 'summary.json'}: ")
         assert target.read_bytes() == rows
+
+    def test_failed_write_keeps_a_dataset_another_run_replaced(self, tmp_path, monkeypatch, capsys):
+        # The other order: this run moves the dataset to the shared path
+        # first, and the other run's move replaces it with identical bytes
+        # before this run reaches its blocked <out>. The clean-up must not
+        # unlink the other run's file, which its effective_config.json pins.
+        move = cli.shutil.move
+        target, out = tmp_path / "shared" / "data.jsonl", tmp_path / "out"
+
+        def move_then_other_run_replaces(src, dst):
+            move(src, dst)
+            if Path(dst) == target:
+                other = target.with_name("other.jsonl")
+                other.write_bytes(target.read_bytes())
+                os.replace(other, target)
+
+        monkeypatch.setattr(cli.shutil, "move", move_then_other_run_replaces)
+        doc = base_train_config(tmp_path, total_steps=0)
+        doc["offline_dataset"] = str(target)
+        (out / "summary.json").mkdir(parents=True)
+        assert main(["train", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"cannot write {out / 'summary.json'}: [Errno 21] Is a directory\n"
+        assert target.exists()
 
     def test_report_single_run(self, tmp_path, capsys):
         doc = base_train_config(tmp_path, total_steps=60)

@@ -39,9 +39,9 @@ def entropy(probs):
     return float(-np.sum(probs[probs > 0.0] * np.log(probs[probs > 0.0])))
 
 
-def target(record, logits, targets, spec, cfg):
+def target(record, logits, targets, safe, cfg):
     """Backup target of a one-row batch under the policy softmax(logits)."""
-    y, _ = compute_targets(columns_of([record]), softmax(logits), targets, spec, cfg)
+    y, _ = compute_targets(columns_of([record]), softmax(logits), targets, safe, cfg)
     return float(y[0])
 
 
@@ -60,6 +60,18 @@ def finite_difference_gradient(logits_row, qmin_row, alpha, h=1e-6):
         down[j] -= h
         grad[j] = (actor_loss(up, qmin_row, alpha) - actor_loss(down, qmin_row, alpha)) / (2 * h)
     return grad
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_softmax_row_of_a_table_is_the_softmax_of_the_row(seed):
+    # The trainer draws a proposal from softmax(logits)[s] in place of
+    # softmax(logits[s]); the two must agree bit for bit.
+    rng = np.random.default_rng(seed)
+    num_states, num_actions = int(rng.integers(1, 60)), int(rng.integers(1, 9))
+    logits = rng.normal(scale=float(rng.uniform(0.1, 30.0)), size=(num_states, num_actions))
+    probs = softmax(logits)
+    for s in range(num_states):
+        np.testing.assert_array_equal(probs[s], softmax(logits[s]))
 
 
 class TestPessimisticQ:
@@ -126,25 +138,25 @@ class TestComputeGuardedTarget:
 
     def test_gamma_zero_gives_reward(self):
         cfg = LearnerConfig(gamma=0.0)
-        assert target(tr(r=2.5, s_next=1), self.logits, self.targets, self.spec, cfg) == 2.5
+        assert target(tr(r=2.5, s_next=1), self.logits, self.targets, self.spec.safe, cfg) == 2.5
 
     def test_terminal_gives_reward(self):
         cfg = LearnerConfig(gamma=0.9, alpha=0.3)
-        y = target(tr(r=-1.0, done=True, s_next=1), self.logits, self.targets, self.spec, cfg)
+        y = target(tr(r=-1.0, done=True, s_next=1), self.logits, self.targets, self.spec.safe, cfg)
         assert y == -1.0
 
     def test_single_safe_action_alpha_zero(self):
         # State 1 admits only action 0; after renormalization the policy is
         # deterministic, so y = r + gamma * min_i target_i(1, 0).
         cfg = LearnerConfig(gamma=0.9, alpha=0.0)
-        y = target(tr(r=0.5, s_next=1), self.logits, self.targets, self.spec, cfg)
+        y = target(tr(r=0.5, s_next=1), self.logits, self.targets, self.spec.safe, cfg)
         expected = 0.5 + 0.9 * self.targets[:, 1, 0].min()
         assert y == pytest.approx(expected, abs=1e-12)
 
     def test_matches_manual_evaluation(self):
         cfg = LearnerConfig(gamma=0.8, alpha=0.2)
         record = tr(r=1.0, s_next=0)
-        y = target(record, self.logits, self.targets, self.spec, cfg)
+        y = target(record, self.logits, self.targets, self.spec.safe, cfg)
         probs = safe_probs(self.logits, 0, self.spec)
         qmin = self.targets.min(axis=0)[0]
         expected = 1.0 + 0.8 * (probs @ qmin + 0.2 * entropy(probs))
@@ -161,10 +173,10 @@ class TestComputeGuardedTarget:
     def test_guarded_target_never_reads_unsafe_entries(self):
         cfg = LearnerConfig(gamma=0.9, alpha=0.1)
         record = tr(r=0.0, s_next=1)
-        clean = target(record, self.logits, self.targets, self.spec, cfg)
+        clean = target(record, self.logits, self.targets, self.spec.safe, cfg)
         poisoned = self.targets.copy()
         poisoned[:, 1, 1] = 1e12  # unsafe entry at the next state
-        assert target(record, self.logits, poisoned, self.spec, cfg) == clean
+        assert target(record, self.logits, poisoned, self.spec.safe, cfg) == clean
 
     def test_target_bound_with_alpha_zero(self):
         rng = np.random.default_rng(4)
@@ -172,7 +184,7 @@ class TestComputeGuardedTarget:
         r_max = 2.0
         for _ in range(100):
             record = tr(r=float(rng.uniform(-r_max, r_max)), s_next=int(rng.integers(2)))
-            y = target(record, self.logits, self.targets, self.spec, cfg)
+            y = target(record, self.logits, self.targets, self.spec.safe, cfg)
             assert abs(y) <= r_max + 0.9 * np.abs(self.targets).max() + 1e-12
 
     def test_starvation_counted(self):
@@ -184,7 +196,7 @@ class TestComputeGuardedTarget:
         batch = columns_of([tr(r=0.3, s_next=0), tr(r=-0.7, s_next=0, done=True)])
         q_safe_mean = targets.min(axis=0)[0, 1:].mean()
         cfg = LearnerConfig(gamma=0.9, alpha=0.4)
-        y, starved = compute_targets(batch, probs, targets, spec, cfg)
+        y, starved = compute_targets(batch, probs, targets, spec.safe, cfg)
         assert starved == 1
         expected = 0.3 + 0.9 * (q_safe_mean + 0.4 * math.log(2))
         assert y[0] == pytest.approx(expected, abs=1e-12)
@@ -235,7 +247,7 @@ class TestPerStateTargetsMatchPerRow:
         )
         spec = make_spec(safe) if guarded else None
         cfg = LearnerConfig(gamma=0.9, alpha=float(rng.uniform(0.0, 1.0)))
-        y, starved = compute_targets(batch, softmax(logits), targets, spec, cfg)
+        y, starved = compute_targets(batch, softmax(logits), targets, safe if guarded else None, cfg)
         y_ref, starved_ref = per_row_targets(batch, logits, targets, spec, cfg)
         np.testing.assert_array_equal(y, y_ref)
         assert starved == starved_ref
@@ -249,7 +261,7 @@ class TestPerStateTargetsMatchPerRow:
         batch = columns_of([tr(r=0.5, s_next=0, done=True), tr(r=0.1, s_next=0),
                             tr(r=0.2, s_next=1), tr(r=0.3, s_next=0, done=True)])
         cfg = LearnerConfig(gamma=0.9, alpha=0.2)
-        y, starved = compute_targets(batch, softmax(logits), targets, spec, cfg)
+        y, starved = compute_targets(batch, softmax(logits), targets, spec.safe, cfg)
         y_ref, starved_ref = per_row_targets(batch, logits, targets, spec, cfg)
         np.testing.assert_array_equal(y, y_ref)
         assert starved == starved_ref == 1

@@ -78,7 +78,7 @@ class TestTdErrorStats:
         probs = softmax(np.zeros((3, 2)))
         cfg = LearnerConfig(gamma=0.0)
         batch = columns_of([tr(r=1.0), tr(r=-2.0), tr(r=0.5)])
-        assert td_error_stats(batch, members, targets, probs, spec, cfg) == pytest.approx(3.5 / 3)
+        assert td_error_stats(batch, members, targets, probs, spec.safe, cfg) == pytest.approx(3.5 / 3)
 
     @pytest.mark.parametrize("guarded", [True, False])
     def test_rejects_an_empty_batch(self, guarded):
@@ -86,7 +86,7 @@ class TestTdErrorStats:
         members, targets = np.zeros((2, 3, 2)), np.zeros((2, 3, 2))
         with pytest.raises(ValueError, match="^batch must be non-empty$"):
             td_error_stats(TransitionBatch.zeros(0), members, targets, softmax(np.zeros((3, 2))),
-                           spec if guarded else None, LearnerConfig())
+                           spec.safe if guarded else None, LearnerConfig())
 
     def test_converged_q_on_deterministic_mdp(self):
         grid = GridWorldSpec(width=4, height=1, start=(0, 0), goal=(3, 0),
@@ -106,7 +106,7 @@ class TestTdErrorStats:
                                      seed=0, start_state=grid.start_state)
         batch = ds.transitions
         cfg = LearnerConfig(gamma=0.9, alpha=0.0)
-        assert td_error_stats(batch, np.stack([q, q]), np.stack([q, q]), softmax(logits), spec, cfg) <= 1e-9
+        assert td_error_stats(batch, np.stack([q, q]), np.stack([q, q]), softmax(logits), spec.safe, cfg) <= 1e-9
 
     def test_matches_manual_recomputation(self):
         rng = np.random.default_rng(1)
@@ -138,7 +138,7 @@ class TestTdErrorStats:
                     probs @ qmin_targets[record.s_next] + cfg.alpha * entropy
                 )
             errors.append(abs(qmin_members[record.s, record.a_exec] - y))
-        observed = td_error_stats(columns_of(batch), members, targets, softmax(logits), spec, cfg)
+        observed = td_error_stats(columns_of(batch), members, targets, softmax(logits), spec.safe, cfg)
         assert observed == pytest.approx(np.mean(errors), abs=1e-12)
 
 

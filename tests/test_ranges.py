@@ -110,12 +110,13 @@ SITES = [
     ("DssConfig.k", field("k", 0, math.inf, dss, low_open=True, high_open=True)),
     ("sample_hybrid_batch.lam", site("lam", 0, 1, batch)),
     # SolveTolerances' two checks, reached through `guardedrl solve`: the config
-    # parse refuses a non-number before check_range sees it.
+    # parse refuses a non-number before check_range sees it. A gap_tolerance
+    # of 0 needs an explicit tol, for the default one would be 0 too.
     ("solve top-level tol",
      site("top-level key 'tol'", 0, math.inf, lambda tol: solve(tol=tol), low_open=True, high_open=True,
           kind="a number")),
     ("solve top-level gap_tolerance",
-     site("top-level key 'gap_tolerance'", 0, math.inf, lambda gap: solve(gap_tolerance=gap), high_open=True,
+     site("top-level key 'gap_tolerance'", 0, math.inf, lambda gap: solve(gap_tolerance=gap, tol=1e-8), high_open=True,
           kind="a number")),
 ]
 SITE_IDS = [site_id for site_id, _ in SITES]

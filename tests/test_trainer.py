@@ -215,6 +215,25 @@ class TestRunTraining:
             rest = np.flatnonzero(labels == labels[anchor])
             assert seen[anchor] == set(rest[rest >= anchor].tolist()), anchor
 
+    @pytest.mark.parametrize("eval_every", [7, 50])
+    @pytest.mark.parametrize("updates_per_step", [1, 2])
+    @pytest.mark.parametrize("variant", ["guardian", "offline_only"])
+    def test_one_softmax_per_update(self, grid, dataset, monkeypatch, variant, updates_per_step, eval_every):
+        # The policy table is computed once before the first step and once
+        # after each actor update; proposals, targets, probes and the
+        # summary read it, so the count does not grow with the intervals.
+        calls = []
+
+        def counting_softmax(logits):
+            calls.append(1)
+            return softmax(logits)
+
+        monkeypatch.setattr(trainer, "softmax", counting_softmax)
+        cfg = make_config(grid, variant=variant, total_steps=60, updates_per_step=updates_per_step,
+                          eval_every=eval_every)
+        run_training(cfg, dataset)
+        assert len(calls) == cfg.total_steps * updates_per_step + 1
+
     def test_updates_per_step_changes_training(self, grid, dataset):
         single = run_training(make_config(grid, total_steps=150), dataset)
         double = run_training(
